@@ -251,30 +251,9 @@ def _echo_query(q: Query, natural_e, cd_e) -> dict:
     return echo
 
 
-def _family_case_flag(model, q, family, natural_e, cd_e, mediator_monotone):
-    if family == "pns":
-        if natural_e is None:
-            return identify.natural_pns(model, q).case_flag
-        if natural_e.kind == "interval-mediator":
-            triple, _ = identify.natural_pns_with_mediator_evidence(
-                model, q, natural_e, mediator_monotone=mediator_monotone
-            )
-        else:
-            triple, _ = identify.natural_pns_with_evidence(model, q, natural_e)
-        return triple.case_flag
-    if family == "cd" and cd_e is not None:
-        _, terms = identify.cd_pns_with_evidence(model, q, cd_e)
-        return terms.case_flag
-    if family == "pn":
-        return identify.pn_family(model, q).case_flag
-    if family == "ps":
-        return identify.ps_family(model, q).case_flag
-    return None
-
-
 def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone):
-    model = CdfModel(dataset, q.c_stratum)
     block = {"query": _echo_query(q, natural_e, cd_e), "families": {}, "warnings": []}
+    targets = {}
     for family in _FAMILY_ORDER:
         if family not in families:
             continue
@@ -286,37 +265,39 @@ def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_mo
         elif family == "cd":
             evidence = cd_e
         kind = "natural" if family == "pns" else family
-        target = estimator_target(
+        targets[family] = estimator_target(
             kind, q, evidence=evidence, mediator_monotone=mediator_monotone
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", MediatorMonotonicityWarning)
-            case_flag = _family_case_flag(
-                model, q, family, natural_e, cd_e, mediator_monotone
-            )
-            if boot_cfg is not None:
-                cis = bootstrap_ci(dataset, target, boot_cfg)
-                quantities = {
-                    key: {
-                        "point": ci.point,
-                        "ci_lower": ci.lower,
-                        "ci_upper": ci.upper,
-                        "replicate_mean": ci.replicate_mean,
-                        "degenerate_count": ci.degenerate_count,
-                    }
-                    for key, ci in cis.items()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", MediatorMonotonicityWarning)
+        if boot_cfg is not None:
+            results = bootstrap_ci(dataset, targets, boot_cfg)
+        else:
+            model = CdfModel(dataset, q.c_stratum)
+            results = {family: target(model) for family, target in targets.items()}
+    for w in caught:
+        message = str(w.message)
+        if message not in block["warnings"]:
+            block["warnings"].append(message)
+    for family, result in results.items():
+        if boot_cfg is not None:
+            quantities = {
+                key: {
+                    "point": ci.point,
+                    "ci_lower": ci.lower,
+                    "ci_upper": ci.upper,
+                    "replicate_mean": ci.replicate_mean,
+                    "degenerate_count": ci.degenerate_count,
                 }
-            else:
-                quantities = {
-                    key: {"point": value, "ci_lower": None, "ci_upper": None}
-                    for key, value in target(dataset).items()
-                    if value is not None
-                }
-        for w in caught:
-            message = str(w.message)
-            if message not in block["warnings"]:
-                block["warnings"].append(message)
-        block["families"][family] = {"case_flag": case_flag, "quantities": quantities}
+                for key, ci in result.items()
+            }
+        else:
+            quantities = {
+                key: {"point": value, "ci_lower": None, "ci_upper": None}
+                for key, value in result.items()
+                if value is not None
+            }
+        block["families"][family] = {"case_flag": result.case_flag, "quantities": quantities}
     return block
 
 

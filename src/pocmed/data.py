@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -267,15 +268,19 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
 def load_dataset(source, roles: ColumnRoles) -> Dataset:
     """Parse delimited text (path, string, bytes, or file object) into a Dataset.
 
-    The first line is a header; the delimiter is ``,``; decimals use ``.``
-    regardless of locale.  Non-role columns are ignored.  Errors: a malformed
-    row raises :class:`ParseError` naming the line, a missing role column
-    raises :class:`SchemaError`, and a header-only table raises
+    A ``str`` without a line break, or an ``os.PathLike``, names a file; a
+    ``str`` with one is the CSV text itself.  The first line is a header;
+    the delimiter is ``,``; decimals use ``.`` regardless of locale.
+    Non-role columns are ignored.  Errors: a malformed row raises
+    :class:`ParseError` naming the line, a missing role column raises
+    :class:`SchemaError`, and a header-only table raises
     :class:`EmptyDataError`.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif isinstance(source, str) and "\n" not in source and "," not in source:
+    elif isinstance(source, os.PathLike) or (
+        isinstance(source, str) and "\n" not in source and "\r" not in source
+    ):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     elif isinstance(source, str):
@@ -314,6 +319,22 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     return Dataset(arrays, roles)
 
 
+def stratum_values(
+    dataset: Dataset, c_stratum: Sequence[float] | None
+) -> tuple[float, ...] | None:
+    """The stratum as floats, one per covariate column, or ``None`` for no
+    stratum; a stratum of the wrong length raises :class:`SchemaError`."""
+    if c_stratum is None or len(tuple(c_stratum)) == 0:
+        return None
+    values = tuple(float(v) for v in c_stratum)
+    cols = dataset.roles.c
+    if len(values) != len(cols):
+        raise SchemaError(
+            f"stratum {values!r} does not match covariate columns {cols!r}"
+        )
+    return values
+
+
 def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     """Exact-match covariate conditioning.
 
@@ -321,16 +342,11 @@ def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     An empty stratum violates the positivity requirement and raises
     :class:`PositivityError`.
     """
-    if c_stratum is None or len(tuple(c_stratum)) == 0:
+    values = stratum_values(dataset, c_stratum)
+    if values is None:
         return dataset
-    values = tuple(float(v) for v in c_stratum)
-    cols = dataset.roles.c
-    if len(values) != len(cols):
-        raise SchemaError(
-            f"stratum {values!r} does not match covariate columns {cols!r}"
-        )
     mask = np.ones(dataset.n, dtype=bool)
-    for col, v in zip(cols, values):
+    for col, v in zip(dataset.roles.c, values):
         mask &= dataset.column(col) == v
     if not mask.any():
         raise PositivityError(f"no rows in covariate stratum {values!r}")

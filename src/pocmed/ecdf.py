@@ -16,77 +16,162 @@ rather than returning silent zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, stratify
-from .errors import PositivityError
+from .data import Dataset, stratum_values
+from .errors import EmptyDataError, PositivityError
+
+
+def _bounds(*keys: np.ndarray) -> np.ndarray:
+    """Runs of equal ``keys`` in a table sorted by them: run ``k`` is rows
+    ``bounds[k]:bounds[k + 1]``.  Values match with float ``==``, so
+    ``-0.0`` and ``0.0`` share a run."""
+    start = np.zeros(keys[0].size, dtype=bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return np.append(np.flatnonzero(start), keys[0].size)
+
+
+def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct row tuples of equal-length columns, column by column in
+    lexicographic order (first column first), and each row's tuple id."""
+    order = np.lexsort(tuple(reversed(columns)))
+    ordered = [col[order] for col in columns]
+    bounds = _bounds(*ordered)
+    ids = np.empty(order.size, dtype=np.intp)
+    ids[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return [col[bounds[:-1]] for col in ordered], ids
+
+
+class CountTable(NamedTuple):
+    """Distinct ``(x, m, y)`` tuples in lexicographic order and the number
+    of rows carrying each; tuples with a zero count are ignored."""
+
+    x: np.ndarray
+    m: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+
+class RowCounts:
+    """Count tables of a dataset's rows, or of resamples of them, inside one
+    covariate stratum.
+
+    Each row is mapped once to its distinct ``(x, m, y[, c])`` tuple; a
+    count table is then one ``bincount`` of tuple ids, cut to the stratum.
+    """
+
+    def __init__(self, dataset: Dataset, c_stratum=None):
+        self._stratum = stratum_values(dataset, c_stratum)
+        covariates = []
+        if self._stratum is not None:
+            covariates = [dataset.column(c) for c in dataset.roles.c]
+        keys, self._ids = _distinct_rows((dataset.x, dataset.m, dataset.y, *covariates))
+        self._size = keys[0].size
+        self._inside = None
+        if self._stratum is not None:
+            inside = np.ones(self._size, dtype=bool)
+            for column, value in zip(keys[3:], self._stratum):
+                inside &= column == value
+            self._inside = np.flatnonzero(inside)
+            keys = [k[self._inside] for k in keys[:3]]
+        self._keys = keys
+
+    def table(self, idx: np.ndarray | None = None) -> CountTable:
+        """Counts of every row, or of the rows ``idx`` (repeats counted)."""
+        ids = self._ids if idx is None else self._ids[idx]
+        counts = np.bincount(ids, minlength=self._size)
+        if self._inside is not None:
+            counts = counts[self._inside]
+            if not counts.any():
+                raise PositivityError(f"no rows in covariate stratum {self._stratum!r}")
+        return CountTable(*self._keys, counts)
+
+
+def _runs(names: Sequence, bounds: np.ndarray, y: np.ndarray, counts: np.ndarray) -> dict:
+    """Map each run's name to ``(levels, cum, before, size)``: its outcome
+    levels (ascending), a view of the cumulative counts from its first row
+    on (``cum[k] - before`` rows lie below level ``k``) and its row count as
+    an ``int``."""
+    cum = np.zeros(y.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    totals = cum[bounds].tolist()
+    b = bounds.tolist()
+    return {
+        name: (y[s:e], cum[s : e + 1], lo, hi - lo)
+        for name, s, e, lo, hi in zip(names, b, b[1:], totals, totals[1:])
+    }
+
+
+def _count_below(run: tuple, y: float, strict: bool) -> int:
+    levels, cum, before, _ = run
+    side = "left" if strict else "right"
+    return int(cum[np.searchsorted(levels, y, side=side)]) - before
 
 
 class CdfModel:
     """Read-only bundle of cell counts for one dataset (optionally one
-    covariate stratum); all queries are pure and concurrently callable."""
+    covariate stratum); all queries are pure and concurrently callable.
 
-    def __init__(self, dataset: Dataset, c_stratum=None):
-        data = stratify(dataset, c_stratum)
-        self.dataset = data
+    ``source`` is a :class:`Dataset`, whose rows in ``c_stratum`` are
+    counted, or a :class:`CountTable` already restricted to it.  Either way
+    the model keeps, per ``(x, m)`` cell and per treatment arm, the sorted
+    outcome levels with the cumulative counts below each of them.
+    """
+
+    def __init__(self, source: Dataset | CountTable, c_stratum=None):
+        if isinstance(source, Dataset):
+            source = RowCounts(source, c_stratum).table()
         self.c_stratum = None if c_stratum is None else tuple(c_stratum)
 
-        x, m, y = data.x, data.m, data.y
-        order = np.lexsort((y, m, x))
-        xs, ms, ys = x[order], m[order], y[order]
+        x, m, y, counts = source
+        if not counts.all():
+            present = counts > 0
+            x, m, y, counts = x[present], m[present], y[present], counts[present]
+        self.n = int(counts.sum())
+        if self.n == 0:
+            raise EmptyDataError("count table has no rows")
 
-        # contiguous (x, m) cells with y sorted inside each cell
-        cell_breaks = np.flatnonzero((xs[1:] != xs[:-1]) | (ms[1:] != ms[:-1])) + 1
-        starts = np.concatenate(([0], cell_breaks))
-        ends = np.concatenate((cell_breaks, [len(xs)]))
-        self._cell_y: dict[tuple[float, float], np.ndarray] = {}
-        for s, e in zip(starts, ends):
-            self._cell_y[(float(xs[s]), float(ms[s]))] = ys[s:e]
+        # (x, m) cells: runs of the tuple order, outcome levels ascending
+        cells = _bounds(x, m)
+        names = zip(x[cells[:-1]].tolist(), m[cells[:-1]].tolist())
+        self._cells = _runs(names, cells, y, counts)
+        self._m_levels: dict[float, list[float]] = {}
+        for x_level, m_level in self._cells:
+            self._m_levels.setdefault(x_level, []).append(m_level)
 
-        # per treatment level: sorted outcomes, paired (y, m) view, support
-        x_breaks = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-        xstarts = np.concatenate(([0], x_breaks))
-        xends = np.concatenate((x_breaks, [len(xs)]))
-        self._x_y_sorted: dict[float, np.ndarray] = {}
-        self._x_m_levels: dict[float, np.ndarray] = {}
-        self._n_x: dict[float, int] = {}
-        for s, e in zip(xstarts, xends):
-            level = float(xs[s])
-            self._x_y_sorted[level] = np.sort(ys[s:e])
-            self._x_m_levels[level] = np.unique(ms[s:e])
-            self._n_x[level] = int(e - s)
+        # treatment arms: runs of x, outcome levels sorted across their cells
+        arms = _bounds(x)
+        b = arms.tolist()
+        order = np.concatenate(
+            [s + np.argsort(y[s:e], kind="stable") for s, e in zip(b, b[1:])]
+        )
+        self._arms = _runs(x[arms[:-1]].tolist(), arms, y[order], counts[order])
 
     # -- basic surface --------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
     def x_levels(self) -> tuple[float, ...]:
-        return tuple(sorted(self._n_x))
+        return tuple(sorted(self._arms))
 
     def mediator_support(self, x: float) -> tuple[float, ...]:
         self._require_x(float(x))
-        return tuple(float(v) for v in self._x_m_levels[float(x)])
+        return tuple(self._m_levels[float(x)])
 
     def _require_x(self, x: float) -> None:
-        if x not in self._n_x:
+        if x not in self._arms:
             raise PositivityError(f"no rows with treatment level {x!r}")
 
-    def _cell(self, x: float, m: float) -> np.ndarray:
+    def _cell(self, x: float, m: float) -> tuple:
         key = (float(x), float(m))
-        cell = self._cell_y.get(key)
+        cell = self._cells.get(key)
         if cell is None:
             raise PositivityError(
                 f"no rows with treatment level {key[0]!r} and mediator level {key[1]!r}"
             )
         return cell
-
-    @staticmethod
-    def _count_below(sorted_y: np.ndarray, y: float, strict: bool) -> int:
-        side = "left" if strict else "right"
-        return int(np.searchsorted(sorted_y, y, side=side))
 
     # -- estimators ------------------------------------------------------
 
@@ -94,19 +179,20 @@ class CdfModel:
         """P(outcome < y | treatment = x); ``strict=False`` gives <=."""
         x = float(x)
         self._require_x(x)
-        return self._count_below(self._x_y_sorted[x], y, strict) / self._n_x[x]
+        arm = self._arms[x]
+        return _count_below(arm, y, strict) / arm[3]
 
     def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
         """P(outcome < y | treatment = x, mediator = m)."""
         cell = self._cell(x, m)
-        return self._count_below(cell, y, strict) / len(cell)
+        return _count_below(cell, y, strict) / cell[3]
 
     def mediator_pmf(self, m: float, x: float) -> float:
         """P(mediator = m | treatment = x); 0.0 for unseen mediator values."""
         x = float(x)
         self._require_x(x)
-        cell = self._cell_y.get((x, float(m)))
-        return (len(cell) if cell is not None else 0) / self._n_x[x]
+        cell = self._cells.get((x, float(m)))
+        return (cell[3] if cell is not None else 0) / self._arms[x][3]
 
     def joint_cdf_ym_given_x(
         self,
@@ -120,12 +206,11 @@ class CdfModel:
         x = float(x)
         self._require_x(x)
         total = 0
-        for level in self._x_m_levels[x]:
-            level = float(level)
+        for level in self._m_levels[x]:
             inside = level < m if strict_m else level <= m
             if inside:
-                total += self._count_below(self._cell_y[(x, level)], y, strict_y)
-        return total / self._n_x[x]
+                total += _count_below(self._cells[(x, level)], y, strict_y)
+        return total / self._arms[x][3]
 
     def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> float:
         """CDF of the outcome that would arise with treatment held at
@@ -139,17 +224,15 @@ class CdfModel:
         x_base, x_alt = float(x_base), float(x_alt)
         self._require_x(x_base)
         self._require_x(x_alt)
-        n_alt = self._n_x[x_alt]
+        # sum over m of below(m) / n(x_base, m) * n(x_alt, m), over n(x_alt)
         acc = Fraction(0)
-        for level in self._x_m_levels[x_alt]:
-            level = float(level)
-            base_cell = self._cell_y.get((x_base, level))
+        for level in self._m_levels[x_alt]:
+            base_cell = self._cells.get((x_base, level))
             if base_cell is None:
                 raise PositivityError(
                     f"mediator level {level!r} observed under treatment {x_alt!r} "
                     f"has no rows under treatment {x_base!r}"
                 )
-            weight = Fraction(len(self._cell_y[(x_alt, level)]), n_alt)
-            below = self._count_below(base_cell, y, True)
-            acc += Fraction(below, len(base_cell)) * weight
-        return float(acc)
+            below = _count_below(base_cell, y, True)
+            acc += Fraction(below * self._cells[(x_alt, level)][3], base_cell[3])
+        return float(acc / self._arms[x_alt][3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pocmed as pm
+from pocmed.cli import main
 from pocmed.errors import (
     EmptyDataError,
     InvalidEvidenceError,
@@ -32,6 +33,20 @@ def test_load_from_bytes_and_file(tmp_path):
     path.write_text(text)
     from_path = pm.load_dataset(str(path), ROLES)
     assert from_bytes.equals(from_path)
+
+
+def test_path_with_commas_is_a_path(tmp_path):
+    # a path string used to be taken for CSV text as soon as it held a comma
+    folder = tmp_path / "dir,with,comma"
+    folder.mkdir()
+    path = folder / "data.csv"
+    path.write_text("x,m,y\n0,0,0\n0,1,1\n1,0,1\n1,1,1\n")
+    from_str = pm.load_dataset(str(path), ROLES)
+    assert from_str.n == 4
+    assert pm.load_dataset(path, ROLES).equals(from_str)
+    code = main(["estimate", "--input", str(path), "--x-base", "0", "--x-alt", "1",
+                 "--y", "1", "--replicates", "0"])
+    assert code == 0
 
 
 def test_parse_error_names_line():

@@ -1,0 +1,144 @@
+"""Golden outputs of ``pocmed estimate``, compared byte for byte.
+
+Each case runs the CLI in a scratch directory on inputs from
+``tests/fixtures/golden`` (or on a table that ``simulate`` draws first) and
+compares its exit code, standard output, standard error and every file it
+writes with the recorded copies under ``tests/fixtures/golden/<case>/``.
+
+The recorded copies were captured with the row-resampling bootstrap, before
+the count-table bootstrap replaced it.  To record them again after an
+intended change of output, run ``PYTHONPATH=src python
+tests/test_golden_estimate.py`` and say so in ``CHANGES.md``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from pocmed import cli
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+_JOBS_ROLES = ["--x-col", "treat", "--m-col", "job_seek", "--y-col", "depress2"]
+
+#: name -> (input files copied in, set-up commands, estimate argv, files written)
+CASES = {
+    # README: all four families with bootstrap CIs on the preset model
+    "readme_preset": (
+        [],
+        [["simulate", "--preset", "logistic-bernoulli", "--n", "10000", "--seed", "7",
+          "--out", "data.csv"]],
+        ["estimate", "--input", "data.csv", "--x-base", "0", "--x-alt", "1", "--y", "1",
+         "--m-fixed", "1", "--families", "pns,cd,pn,ps", "--replicates", "1000",
+         "--seed", "3", "--out", "report.json"],
+        ["report.json"],
+    ),
+    # README: outcome-only evidence, default replicates and families
+    "readme_jobs_evidence": (
+        ["jobs.csv"],
+        [],
+        ["estimate", "--input", "jobs.csv", *_JOBS_ROLES, "--x-base", "0", "--x-alt", "1",
+         "--y", "3", "--evidence-x", "0", "--y-interval", "1.5,2.5"],
+        [],
+    ),
+    # README: the job-search study command
+    "readme_jobs_cd": (
+        ["jobs.csv"],
+        [],
+        ["estimate", "--input", "jobs.csv", *_JOBS_ROLES, "--x-base", "0", "--x-alt", "1",
+         "--y", "3", "--m-fixed", "5", "--families", "pns,cd", "--replicates", "1000",
+         "--seed", "0"],
+        [],
+    ),
+    # README: the config document, with point-mediator evidence for cd
+    "readme_jobs_config": (
+        ["jobs.csv", "jobs_config.json"],
+        [],
+        ["estimate", "--config", "jobs_config.json", "--format", "json"],
+        [],
+    ),
+    # point-mediator evidence in a stratum, interval-mediator evidence
+    # (asserted monotone) and outcome-only evidence in the other stratum
+    "strata_evidence": (
+        ["strata_scm.json", "strata_estimate.json"],
+        [["simulate", "--config", "strata_scm.json", "--n", "3000", "--seed", "2",
+          "--out", "strata.csv"]],
+        ["estimate", "--config", "strata_estimate.json", "--out", "report.json"],
+        ["report.json"],
+    ),
+    # lonely rows: degenerate replicates whose count differs by family
+    "lonely_rows": (
+        ["lonely.csv", "lonely_estimate.json"],
+        [],
+        ["estimate", "--config", "lonely_estimate.json", "--format", "json"],
+        [],
+    ),
+    # interval-mediator evidence without the monotonicity assertion
+    "error_assumption": (
+        ["jobs.csv"],
+        [],
+        ["estimate", "--input", "jobs.csv", *_JOBS_ROLES, "--x-base", "0", "--x-alt", "1",
+         "--y", "3", "--evidence-x", "1", "--y-interval", "1.5,3.5", "--m-interval", "2,4",
+         "--replicates", "50", "--out", "report.json"],
+        ["report.json"],
+    ),
+    # the cd family's point estimate hits an empty cell after pns succeeded
+    "error_cd_positivity": (
+        ["lonely.csv"],
+        [],
+        ["estimate", "--input", "lonely.csv", "--x-base", "0", "--x-alt", "2", "--y", "0.5",
+         "--m-fixed", "1", "--families", "pns,cd", "--replicates", "40"],
+        [],
+    ),
+}
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _capture(name: str, work: Path) -> dict[str, str]:
+    """Run one case inside ``work``; return every recorded artefact."""
+    inputs, setup, argv, written = CASES[name]
+    for file in inputs:
+        shutil.copy(GOLDEN / file, work / file)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for command in setup:
+            assert _run(command)[0] == cli.EXIT_OK, command
+        code, stdout, stderr = _run(argv)
+        files = {f: (work / f).read_text(encoding="utf-8") for f in written}
+    finally:
+        os.chdir(cwd)
+    return {"exit_code.txt": f"{code}\n", "stdout.txt": stdout, "stderr.txt": stderr, **files}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_estimate_matches_golden(name, tmp_path):
+    artefacts = _capture(name, tmp_path)
+    for file, text in artefacts.items():
+        expected = (GOLDEN / name / file).read_text(encoding="utf-8")
+        assert text == expected, f"{name}/{file} differs from the golden copy"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            artefacts = _capture(case, Path(tmp))
+        (GOLDEN / case).mkdir(exist_ok=True)
+        for file, text in artefacts.items():
+            (GOLDEN / case / file).write_text(text, encoding="utf-8")
+        print(case, artefacts["exit_code.txt"].strip(), file=sys.stderr)
