@@ -37,7 +37,7 @@ from .data import (
     Interval,
     Query,
     load_dataset,
-    stratify,
+    stratum_mask,
 )
 from .ecdf import CdfModel
 from .errors import PocError, PositivityError
@@ -213,8 +213,8 @@ def _query_from_spec(spec: dict) -> tuple[Query, Evidence | None, Evidence | Non
 
 
 def _validate_query(dataset: Dataset, q: Query) -> None:
-    data = stratify(dataset, q.c_stratum)
-    support = set(np.unique(data.x))
+    mask = stratum_mask(dataset, q.c_stratum)
+    support = set(np.unique(dataset.x if mask is None else dataset.x[mask]))
     for level, name in ((q.x_base, "x_base"), (q.x_alt, "x_alt")):
         if level not in support:
             raise PositivityError(

@@ -10,6 +10,7 @@ afterwards (no fuzzy comparison).
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,6 +28,10 @@ from .errors import (
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+#: Rows per block when CSV text is parsed or written in bulk; bounds the
+#: temporary strings held at once.
+_CSV_BLOCK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,15 @@ class Interval:
         return self.lower <= value < self.upper
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a float; NaN and infinities raise
+    :class:`InvalidEvidenceError` naming the field."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidEvidenceError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 #: Evidence kinds: an observed treatment arm together with progressively
 #: richer factual information about the same subject.
 KIND_OUTCOME = "outcome-only"            # (X = x*, Y in I_Y)
@@ -90,7 +104,8 @@ class Evidence:
     * point-mediator: additionally ``m_star`` (exact mediator value);
     * interval-mediator: additionally ``interval_m``.
 
-    ``m_star`` and ``interval_m`` are mutually exclusive.
+    ``m_star`` and ``interval_m`` are mutually exclusive, and ``x_star``
+    and ``m_star`` must be finite.
     """
 
     x_star: float
@@ -103,9 +118,9 @@ class Evidence:
             raise InvalidEvidenceError(
                 "evidence cannot carry both an exact mediator value and a mediator interval"
             )
-        object.__setattr__(self, "x_star", float(self.x_star))
+        object.__setattr__(self, "x_star", _finite(self.x_star, "x_star"))
         if self.m_star is not None:
-            object.__setattr__(self, "m_star", float(self.m_star))
+            object.__setattr__(self, "m_star", _finite(self.m_star, "m_star"))
 
     @property
     def kind(self) -> str:
@@ -123,7 +138,9 @@ class Query:
 
     ``m_fixed`` selects controlled-direct quantities, ``c_stratum`` restricts
     to an exact covariate match, and ``evidence`` (optional) carries the
-    factual conditioning event for the with-evidence variants.
+    factual conditioning event for the with-evidence variants.  Every
+    number must be finite: NaN or an infinity raises
+    :class:`InvalidEvidenceError`.
     """
 
     x_base: float
@@ -134,14 +151,13 @@ class Query:
     evidence: Evidence | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x_base", float(self.x_base))
-        object.__setattr__(self, "x_alt", float(self.x_alt))
-        object.__setattr__(self, "y_threshold", float(self.y_threshold))
+        for name in ("x_base", "x_alt", "y_threshold"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if self.m_fixed is not None:
-            object.__setattr__(self, "m_fixed", float(self.m_fixed))
+            object.__setattr__(self, "m_fixed", _finite(self.m_fixed, "m_fixed"))
         if self.c_stratum is not None:
             object.__setattr__(
-                self, "c_stratum", tuple(float(v) for v in self.c_stratum)
+                self, "c_stratum", tuple(_finite(v, "c_stratum") for v in self.c_stratum)
             )
 
 
@@ -244,13 +260,31 @@ class Dataset:
         )
 
     def to_csv(self) -> str:
-        """Serialize with a header line, ``,`` delimiter, and ``.`` decimals."""
+        """Serialize with a header line, ``,`` delimiter, and ``.`` decimals.
+
+        Every value is written as ``repr(float(v))``.  Each column's distinct
+        values are formatted once, keyed on their int64 bit pattern so that
+        ``-0.0`` and ``0.0`` keep their own spellings, and the rows are
+        joined in blocks of :data:`_CSV_BLOCK_ROWS`.
+        """
         names = self.column_names
-        lines = [",".join(names)]
-        cols = [self._columns[c] for c in names]
-        for i in range(self._n):
-            lines.append(",".join(repr(float(col[i])) for col in cols))
-        return "\n".join(lines) + "\n"
+        columns = []
+        for name in names:
+            bits, inverse = np.unique(
+                self._columns[name].view(np.int64), return_inverse=True
+            )
+            spelled = np.asarray(
+                [repr(v) for v in bits.view(np.float64).tolist()], dtype=object
+            )
+            columns.append((spelled, inverse))
+        parts = [",".join(names)]
+        for lo in range(0, self._n, _CSV_BLOCK_ROWS):
+            block = [
+                spelled[inverse[lo : lo + _CSV_BLOCK_ROWS]].tolist()
+                for spelled, inverse in columns
+            ]
+            parts.append("\n".join(map(",".join, zip(*block))))
+        return "\n".join(parts) + "\n"
 
 
 def _parse_cell(text: str, column: str, line_no: int) -> float:
@@ -265,58 +299,96 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
     return value
 
 
+def _read_text(source) -> str:
+    if isinstance(source, bytes):
+        return source.decode("utf-8")
+    if isinstance(source, os.PathLike) or (
+        isinstance(source, str) and "\n" not in source and "\r" not in source
+    ):
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    if isinstance(source, str):
+        return source
+    if isinstance(source, io.IOBase) or hasattr(source, "read"):
+        raw = source.read()
+        return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    raise SchemaError(f"unsupported source type {type(source)!r}")
+
+
 def load_dataset(source, roles: ColumnRoles) -> Dataset:
     """Parse delimited text (path, string, bytes, or file object) into a Dataset.
 
     A ``str`` without a line break, or an ``os.PathLike``, names a file; a
     ``str`` with one is the CSV text itself.  The first line is a header;
-    the delimiter is ``,``; decimals use ``.`` regardless of locale.
-    Non-role columns are ignored.  Errors: a malformed row raises
-    :class:`ParseError` naming the line, a missing role column raises
-    :class:`SchemaError`, and a header-only table raises
+    the delimiter is ``,``; decimals use ``.`` regardless of locale; blank
+    lines are skipped and cells are parsed by ``float`` after stripping.
+    Non-role columns are ignored.  Errors: a row with more or fewer cells
+    than the header, or a role cell that is not a finite number, raises
+    :class:`ParseError` naming the line; a missing role column raises
+    :class:`SchemaError`; and a header-only table raises
     :class:`EmptyDataError`.
-    """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and "\r" not in source
-    ):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        raise SchemaError(f"unsupported source type {type(source)!r}")
 
-    lines = [ln for ln in text.splitlines()]
+    The rows are parsed in bulk, in blocks of :data:`_CSV_BLOCK_ROWS`.
+    When that fails on any row, the per-cell parser runs over the whole
+    input instead and raises the error for the first bad line.
+    """
+    lines = _read_text(source).splitlines()
     if not lines or not lines[0].strip():
         raise EmptyDataError("input has no header line")
     header = [h.strip() for h in lines[0].split(",")]
     missing = [c for c in roles.all_columns if c not in header]
     if missing:
         raise SchemaError(f"missing role columns {missing!r} in header {header!r}")
-    index = {c: header.index(c) for c in roles.all_columns}
+    names = roles.all_columns
+    index = [header.index(c) for c in names]
+    columns = _parse_bulk(lines, len(header), index)
+    if columns is None:
+        columns = _parse_per_cell(lines, len(header), index, names)
+    return Dataset(dict(zip(names, columns)), roles)
 
-    columns: dict[str, list[float]] = {c: [] for c in roles.all_columns}
-    n_rows = 0
+
+def _parse_bulk(lines: list[str], width: int, index: list[int]) -> list[np.ndarray] | None:
+    """The columns ``index`` of the non-blank rows ``lines[1:]``, or ``None``
+    if there are no such rows, a row does not have ``width`` cells, a cell
+    does not parse as a float, or a value is not finite."""
+    out = [np.empty(len(lines) - 1) for _ in index]
+    n = 0
+    for lo in range(1, len(lines), _CSV_BLOCK_ROWS):
+        rows = list(filter(str.strip, lines[lo : lo + _CSV_BLOCK_ROWS]))
+        commas = list(map(str.count, rows, itertools.repeat(",")))
+        if commas.count(width - 1) != len(rows):
+            return None
+        cells = ",".join(rows).split(",")
+        k = len(rows)
+        try:
+            for column, j in zip(out, index):
+                column[n : n + k] = np.fromiter(map(float, cells[j::width]), np.float64, k)
+        except ValueError:
+            return None
+        n += k
+    columns = [column[:n] for column in out]
+    if n == 0 or not all(np.isfinite(column).all() for column in columns):
+        return None
+    return columns
+
+
+def _parse_per_cell(
+    lines: list[str], width: int, index: list[int], names: Sequence[str]
+) -> list[np.ndarray]:
+    """The columns ``index`` (named ``names``) of the non-blank rows
+    ``lines[1:]``, parsed one cell at a time; the first bad row raises."""
+    columns: list[list[float]] = [[] for _ in index]
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) < len(header):
-            raise ParseError(
-                f"line {line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        for col in roles.all_columns:
-            columns[col].append(_parse_cell(cells[index[col]].strip(), col, line_no))
-        n_rows += 1
-    if n_rows == 0:
+        if len(cells) != width:
+            raise ParseError(f"line {line_no}: expected {width} cells, got {len(cells)}")
+        for values, j, name in zip(columns, index, names):
+            values.append(_parse_cell(cells[j].strip(), name, line_no))
+    if not columns[0]:
         raise EmptyDataError("input contains a header but no data rows")
-    arrays = {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
-    return Dataset(arrays, roles)
+    return [np.asarray(values, dtype=np.float64) for values in columns]
 
 
 def stratum_values(
@@ -335,6 +407,23 @@ def stratum_values(
     return values
 
 
+def stratum_mask(
+    dataset: Dataset, c_stratum: Sequence[float] | None
+) -> np.ndarray | None:
+    """Boolean mask of the rows in the covariate stratum, or ``None`` for no
+    stratum.  An empty stratum violates the positivity requirement and
+    raises :class:`PositivityError`."""
+    values = stratum_values(dataset, c_stratum)
+    if values is None:
+        return None
+    mask = np.ones(dataset.n, dtype=bool)
+    for col, v in zip(dataset.roles.c, values):
+        mask &= dataset.column(col) == v
+    if not mask.any():
+        raise PositivityError(f"no rows in covariate stratum {values!r}")
+    return mask
+
+
 def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     """Exact-match covariate conditioning.
 
@@ -342,12 +431,7 @@ def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     An empty stratum violates the positivity requirement and raises
     :class:`PositivityError`.
     """
-    values = stratum_values(dataset, c_stratum)
-    if values is None:
+    mask = stratum_mask(dataset, c_stratum)
+    if mask is None:
         return dataset
-    mask = np.ones(dataset.n, dtype=bool)
-    for col, v in zip(dataset.roles.c, values):
-        mask &= dataset.column(col) == v
-    if not mask.any():
-        raise PositivityError(f"no rows in covariate stratum {values!r}")
     return dataset.take(np.flatnonzero(mask))

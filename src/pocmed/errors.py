@@ -25,7 +25,8 @@ class PositivityError(PocError):
 
 
 class InvalidEvidenceError(PocError):
-    """An evidence record is malformed (empty interval, wrong field combination)."""
+    """An evidence record or a query is malformed (a NaN or infinite number,
+    an empty interval, a wrong field combination)."""
 
 
 class UnsupportedSpecError(PocError):

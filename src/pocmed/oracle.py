@@ -56,12 +56,7 @@ class LogisticNode:
         return sigmoid(self.intercept + sum(c * p for c, p in zip(self.coefs, parents)))
 
     def step(self, parents: Sequence[float]):
-        p = self.prob_one(parents)
-        if p <= 0.0:
-            return (), (0.0,)
-        if p >= 1.0:
-            return (), (1.0,)
-        return (p,), (1.0, 0.0)
+        return bernoulli_cell(self.prob_one(parents))
 
     def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
         t = np.full(u.shape, self.intercept)
@@ -106,16 +101,34 @@ class TableNode:
             raise UnsupportedSpecError(f"no table cell for parents {key!r}") from None
 
     def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Node values for parent rows ``parent_cols`` and uniforms ``u``.
+
+        Rows are grouped by parent combination: each parent column is coded
+        by its sorted levels, the codes are combined into one combination
+        id, and one stable sort gathers each combination's rows.  Groups
+        are looked up in lexicographic order, so a missing table cell
+        raises for the smallest such combination.
+        """
         out = np.empty(u.shape, dtype=np.float64)
         if parent_cols.shape[1] == 0:
             cuts, values = self.step(())
             out[:] = np.asarray(values)[np.searchsorted(cuts, u, side="right")]
             return out
-        combos = np.unique(parent_cols, axis=0)
-        for row in combos:
-            mask = np.all(parent_cols == row, axis=1)
-            cuts, values = self.step(tuple(row))
-            out[mask] = np.asarray(values)[np.searchsorted(cuts, u[mask], side="right")]
+        if u.size == 0:
+            return out
+        levels, codes = zip(
+            *(np.unique(col, return_inverse=True) for col in parent_cols.T)
+        )
+        shape = tuple(lv.size for lv in levels)
+        combo = np.ravel_multi_index(codes, shape)
+        order = np.argsort(combo, kind="stable")
+        sorted_combo = combo[order]
+        starts = np.flatnonzero(np.diff(sorted_combo)) + 1
+        key_codes = np.unravel_index(sorted_combo[np.r_[0, starts]], shape)
+        keys = zip(*(lv[c].tolist() for lv, c in zip(levels, key_codes)))
+        steps = [self.step(key) for key in keys]
+        for (cuts, values), rows in zip(steps, np.split(order, starts)):
+            out[rows] = np.asarray(values)[np.searchsorted(cuts, u[rows], side="right")]
         return out
 
     def value_levels(self) -> tuple[float, ...]:
@@ -232,9 +245,7 @@ def _draw_exogenous(scm: ScmSpec, n: int, seed: int):
         weights = np.cumsum([w for _, w in support])
         idx = np.searchsorted(weights, u[:, 0], side="right")
         idx = np.minimum(idx, len(support) - 1)
-        c_matrix = np.asarray([support[i][0] for i in idx], dtype=np.float64)
-        if c_matrix.ndim == 1:
-            c_matrix = c_matrix.reshape(n, -1)
+        c_matrix = np.asarray([c for c, _ in support], dtype=np.float64)[idx]
     return c_matrix, u[:, 1], u[:, 2], u[:, 3]
 
 

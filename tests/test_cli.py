@@ -152,6 +152,23 @@ def test_estimate_missing_level_exits_2(sim_csv, tmp_path, capsys):
     assert "error" in json.loads(out.read_text())
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--x-base", "0", "--x-alt", "1", "--y", "nan"], "y_threshold"),
+        (["--x-base", "inf", "--x-alt", "1", "--y", "1"], "x_base"),
+        (["--x-base", "0", "--x-alt", "1", "--y", "1", "--m-fixed", "nan"], "m_fixed"),
+        (["--x-base", "0", "--x-alt", "1", "--y", "1", "--evidence-x=-inf"], "x_star"),
+    ],
+)
+def test_estimate_non_finite_query_exits_2(sim_csv, capsys, flags, field):
+    # NaN and infinite query numbers used to run and print estimates
+    code, out, err = _run(capsys, "estimate", "--input", sim_csv, *flags,
+                          "--replicates", "0")
+    assert code == 2 and out == ""
+    assert f"InvalidEvidenceError: {field} must be a finite number" in err
+
+
 def test_estimate_config_document(sim_csv, tmp_path, capsys):
     config = {
         "input": sim_csv,

@@ -1,16 +1,21 @@
 """Ordered data layer: loading, stratification, intervals, evidence."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pocmed as pm
+from pocmed import data as data_module
 from pocmed.cli import main
 from pocmed.errors import (
     EmptyDataError,
     InvalidEvidenceError,
     ParseError,
+    PocError,
     PositivityError,
     SchemaError,
 )
@@ -70,6 +75,14 @@ def test_ragged_row_rejected():
         pm.load_dataset("x,m,y\n0,0,1\n0,0\n", ROLES)
 
 
+def test_long_row_rejected():
+    # an extra cell used to be dropped silently
+    with pytest.raises(ParseError, match="line 2: expected 3 cells, got 4"):
+        pm.load_dataset("x,m,y\n0,0,1,9\n0,1,1\n", ROLES)
+    with pytest.raises(ParseError, match="line 4: expected 3 cells, got 4"):
+        pm.load_dataset("x,m,y\n0,0,1\n\n1,1,0,\n", ROLES)
+
+
 def test_extra_columns_ignored_and_order_preserved():
     text = "id,x,m,y\n9,0,0,5\n8,1,1,6\n"
     data = pm.load_dataset(text, ROLES)
@@ -98,6 +111,110 @@ def test_round_trip():
     data = pm.load_dataset(text, ROLES)
     again = pm.load_dataset(data.to_csv(), ROLES)
     assert data.equals(again)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e16,
+                -1e16, 0.1, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            *[st.one_of(st.sampled_from(_EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))] * 4
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_csv_round_trip_is_bit_exact(rows):
+    cols = np.array(rows, dtype=np.float64)
+    roles = pm.ColumnRoles("x", "m", "y", ("c",))
+    data = pm.Dataset(dict(zip(("x", "m", "y", "c"), cols.T)), roles)
+    text = data.to_csv()
+    assert text == "x,m,y,c\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in cols
+    )
+    again = pm.load_dataset(text, roles)
+    for name in roles.all_columns:
+        assert np.array_equal(again.column(name).view(np.int64),
+                              data.column(name).view(np.int64))
+
+
+def test_to_csv_keeps_each_zero_spelling():
+    data = pm.Dataset({"x": [0.0, -0.0, 0.0], "m": [-0.0, -0.0, 5e-324],
+                       "y": [1e16, 1e-5, -0.0]}, ROLES)
+    assert data.to_csv() == "x,m,y\n0.0,-0.0,1e+16\n-0.0,-0.0,1e-05\n0.0,5e-324,-0.0\n"
+
+
+_FUZZ_CELLS = ["0", "1", "-0.0", " 2 ", "3.5\t", "1_0", "1e5", "5e-324", "nan", "inf",
+               "-Infinity", "1e400", "oops", "", " ", "0x1", "1,5"]
+
+
+@st.composite
+def _csv_text(draw):
+    header = draw(st.sampled_from(["x,m,y", " x , m ,y", "id,x,m,y", "x,m,y,x"]))
+    width = len(header.split(","))
+    clean_text = draw(st.booleans())
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank"] * 2 + ["short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        k = width + {"row": 0, "short": -1, "long": 1}[kind]
+        clean = clean_text or draw(st.booleans())
+        cells = st.sampled_from(["0", "1", "-0.0", "2.5", " 4 "] if clean else _FUZZ_CELLS)
+        lines.append(",".join(draw(st.lists(cells, min_size=k, max_size=k))))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PocError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_text())
+def test_bulk_parse_matches_per_cell(text):
+    lines = text.splitlines()
+    header = [h.strip() for h in lines[0].split(",")]
+    index = [header.index(c) for c in ROLES.all_columns]
+    bulk = data_module._parse_bulk(lines, len(header), index)
+    per_cell = _outcome(
+        lambda: data_module._parse_per_cell(lines, len(header), index, ROLES.all_columns)
+    )
+    if bulk is None:
+        # the bulk path gives up exactly where the per-cell path raises
+        assert isinstance(per_cell, tuple)
+    else:
+        for a, b in zip(bulk, per_cell):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    loaded = _outcome(lambda: pm.load_dataset(text.encode("utf-8"), ROLES))
+    if isinstance(per_cell, tuple):
+        assert loaded == per_cell
+    else:
+        assert loaded.equals(pm.Dataset(dict(zip(ROLES.all_columns, per_cell)), ROLES))
+
+
+@pytest.mark.parametrize("field", ["x_base", "x_alt", "y_threshold", "m_fixed", "c_stratum"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_query_rejects_non_finite_numbers(field, bad):
+    fields = {"x_base": 0.0, "x_alt": 1.0, "y_threshold": 1.0}
+    fields[field] = (0.0, bad) if field == "c_stratum" else bad
+    with pytest.raises(InvalidEvidenceError, match=f"{field} must be a finite number"):
+        pm.Query(**fields)
+
+
+@pytest.mark.parametrize("field", ["x_star", "m_star"])
+def test_evidence_rejects_non_finite_numbers(field):
+    fields = {"x_star": 1.0, "interval_y": pm.Interval.full(), field: math.nan}
+    with pytest.raises(InvalidEvidenceError, match=f"{field} must be a finite number"):
+        pm.Evidence(**fields)
 
 
 def test_columns_read_only(tiny_dataset):

@@ -1,12 +1,15 @@
-"""Golden outputs of ``pocmed estimate``, compared byte for byte.
+"""Golden outputs of ``pocmed estimate``, ``simulate`` and ``sweep``,
+compared byte for byte.
 
 Each case runs the CLI in a scratch directory on inputs from
 ``tests/fixtures/golden`` (or on a table that ``simulate`` draws first) and
 compares its exit code, standard output, standard error and every file it
 writes with the recorded copies under ``tests/fixtures/golden/<case>/``.
 
-The recorded copies were captured with the row-resampling bootstrap, before
-the count-table bootstrap replaced it.  To record them again after an
+The ``estimate`` copies were captured with the row-resampling bootstrap,
+before the count-table bootstrap replaced it; the ``simulate`` and ``sweep``
+copies with the per-row CSV loader, writer and table-node sampler, before
+their bulk numpy versions replaced them.  To record them again after an
 intended change of output, run ``PYTHONPATH=src python
 tests/test_golden_estimate.py`` and say so in ``CHANGES.md``.
 """
@@ -100,6 +103,37 @@ CASES = {
 }
 
 
+#: CSV writing, table-node sampling and CSV loading: name -> same fields
+IO_CASES = {
+    # the preset model: logistic nodes, no covariates
+    "simulate_preset": (
+        [],
+        [],
+        ["simulate", "--preset", "logistic-bernoulli", "--n", "2000", "--seed", "11",
+         "--out", "data.csv"],
+        ["data.csv"],
+    ),
+    # table nodes over two covariates, with -0.0 and 0.0 levels and tiny
+    # and huge outcome values
+    "simulate_negzero": (
+        ["negzero_scm.json"],
+        [],
+        ["simulate", "--config", "negzero_scm.json", "--n", "3000", "--seed", "4",
+         "--out", "negzero.csv"],
+        ["negzero.csv"],
+    ),
+    # an empirical y sweep over the table drawn above, with its chart
+    "sweep_negzero": (
+        ["negzero_scm.json"],
+        [["simulate", "--config", "negzero_scm.json", "--n", "3000", "--seed", "4",
+          "--out", "negzero.csv"]],
+        ["sweep", "--input", "negzero.csv", "--x-base", "0", "--x-alt", "1",
+         "--m-fixed", "0.5", "--out", "sweep.csv", "--svg", "sweep.svg"],
+        ["sweep.csv", "sweep.svg"],
+    ),
+}
+
+
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,7 +143,7 @@ def _run(argv) -> tuple[int, str, str]:
 
 def _capture(name: str, work: Path) -> dict[str, str]:
     """Run one case inside ``work``; return every recorded artefact."""
-    inputs, setup, argv, written = CASES[name]
+    inputs, setup, argv, written = {**CASES, **IO_CASES}[name]
     for file in inputs:
         shutil.copy(GOLDEN / file, work / file)
     cwd = os.getcwd()
@@ -132,10 +166,15 @@ def test_estimate_matches_golden(name, tmp_path):
         assert text == expected, f"{name}/{file} differs from the golden copy"
 
 
+@pytest.mark.parametrize("name", sorted(IO_CASES))
+def test_simulate_and_sweep_match_golden(name, tmp_path):
+    test_estimate_matches_golden(name, tmp_path)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    for case in sorted(CASES):
+    for case in sorted({**CASES, **IO_CASES}):
         with tempfile.TemporaryDirectory() as tmp:
             artefacts = _capture(case, Path(tmp))
         (GOLDEN / case).mkdir(exist_ok=True)

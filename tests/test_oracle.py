@@ -1,5 +1,7 @@
 """Ground-truth engine: sampling, exact measure, diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pocmed.errors import ConditioningError, UnsupportedSpecError
 from pocmed.oracle import analytic_cdf
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
+from _sampling_reference import mask_loop_values
 
 INF = float("inf")
 
@@ -22,6 +25,54 @@ def test_sampling_deterministic(preset):
 def test_sampling_rejects_empty(preset):
     with pytest.raises(ValueError):
         pm.sample_observational(preset, 0, seed=1)
+
+
+def _random_table_case(rng):
+    """A table node over 0 to 3 parent columns, parent rows drawn from its
+    keys (levels include -0.0 next to 0.0), sometimes with a key missing."""
+    k = int(rng.integers(0, 4))
+    level_sets = [rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, -3.0], size=rng.integers(1, 4),
+                             replace=False) for _ in range(k)]
+    keys = list(itertools.product(*level_sets))
+    cells = {}
+    for key in keys:
+        n_cuts = int(rng.integers(0, 4))
+        cuts = np.sort(rng.choice(np.arange(1, 20), size=n_cuts, replace=False)) / 20.0
+        cells[key] = (cuts, rng.choice([-0.0, 0.0, 1.0, 2.5, 7.0], size=n_cuts + 1))
+    node = pm.TableNode(cells)
+    n = int(rng.integers(0, 300))
+    rows = np.asarray(keys, dtype=np.float64)[rng.integers(0, len(keys), n)]
+    parent_cols = rows.reshape(n, k)
+    if k and n and rng.random() < 0.3:
+        parent_cols[rng.integers(0, n), 0] = 4.0
+    # cut points themselves are drawn as uniforms to exercise ties
+    u = np.where(rng.random(n) < 0.2, rng.integers(1, 20, n) / 20.0, rng.random(n))
+    return node, parent_cols, u
+
+
+def _values_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedSpecError as exc:
+        # equal keys; when a column holds both -0.0 and 0.0, either sort may
+        # pick either spelling to name the zero in the message
+        return str(exc).replace("-0.0", "0.0")
+
+
+def test_table_node_values_match_mask_loop():
+    shapes, errors = set(), 0
+    for seed in range(200):
+        node, parent_cols, u = _random_table_case(np.random.default_rng(seed))
+        got = _values_or_error(node.values, parent_cols, u)
+        want = _values_or_error(mask_loop_values, node, parent_cols, u)
+        if isinstance(want, str):
+            assert got == want, seed
+            errors += 1
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+            shapes.add(parent_cols.shape[1])
+    # missing cells, and every parent count from none to three, were reached
+    assert errors and shapes == {0, 1, 2, 3}
 
 
 def test_sampling_moments(preset):
