@@ -39,7 +39,6 @@ from .oracle import (
     ScmSpec,
     TableNode,
     TruthReport,
-    analytic_cdf,
     bernoulli_cell,
     check_monotonicity,
     logistic_bernoulli_preset,
@@ -72,7 +71,6 @@ __all__ = [
     "ScmSpec",
     "TableNode",
     "TruthReport",
-    "analytic_cdf",
     "bernoulli_cell",
     "bootstrap_ci",
     "cd_pns",

@@ -40,7 +40,7 @@ from .data import (
     stratum_mask,
 )
 from .ecdf import CdfModel
-from .errors import PocError, PositivityError
+from .errors import ConfigError, PocError, PositivityError
 from .identify import MediatorMonotonicityWarning
 from .oracle import (
     AnalyticCdf,
@@ -77,31 +77,76 @@ def _parse_interval(text: str, upper_closed: bool) -> Interval:
     return Interval(lo, hi, upper_closed=upper_closed)
 
 
-def _parse_node(spec: dict):
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _field(body: dict, key: str, where: str):
+    if key not in body:
+        raise ConfigError(f"{where} has no {key!r} key")
+    return body[key]
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where) for v in value]
+
+
+def _parse_node(spec, where: str):
+    spec = _mapping(spec, where)
     if "logistic" in spec:
-        body = spec["logistic"]
-        return LogisticNode(body["intercept"], body.get("coefs", ()))
+        where = f"{where}.logistic"
+        body = _mapping(spec["logistic"], where)
+        return LogisticNode(
+            _number(_field(body, "intercept", where), f"{where}.intercept"),
+            _numbers(body.get("coefs", []), f"{where}.coefs"),
+        )
     if "table" in spec:
-        cells = {
-            tuple(cell.get("parents", ())): (cell["cuts"], cell["values"])
-            for cell in spec["table"]
-        }
+        where = f"{where}.table"
+        if not isinstance(spec["table"], list):
+            raise ConfigError(f"{where} must be a list of cells, got {spec['table']!r}")
+        cells = {}
+        for cell in spec["table"]:
+            cell = _mapping(cell, f"{where} cell")
+            key = tuple(_numbers(cell.get("parents", []), f"{where} cell parents"))
+            cells[key] = (
+                _numbers(_field(cell, "cuts", f"{where} cell"), f"{where} cell cuts"),
+                _numbers(_field(cell, "values", f"{where} cell"), f"{where} cell values"),
+            )
         return TableNode(cells)
-    raise PocError(f"unknown node spec {sorted(spec)!r}")
+    raise ConfigError(f"unknown node spec {sorted(spec)!r}")
 
 
 def _parse_scm(doc: dict) -> ScmSpec:
-    body = doc["scm"] if "scm" in doc else doc
+    body = _mapping(doc["scm"], "scm") if "scm" in doc else doc
     covariates = None
     if body.get("covariates"):
-        covariates = tuple(
-            (tuple(entry["values"]), float(entry["weight"]))
-            for entry in body["covariates"]
-        )
+        entries = body["covariates"]
+        if not isinstance(entries, list):
+            raise ConfigError(f"scm.covariates must be a list, got {entries!r}")
+        covariates = []
+        for entry in entries:
+            entry = _mapping(entry, "scm.covariates entry")
+            covariates.append((
+                tuple(_numbers(_field(entry, "values", "scm.covariates entry"),
+                               "scm.covariates values")),
+                _number(_field(entry, "weight", "scm.covariates entry"),
+                        "scm.covariates weight"),
+            ))
+        covariates = tuple(covariates)
     return ScmSpec(
-        treatment=_parse_node(body["treatment"]),
-        mediator=_parse_node(body["mediator"]),
-        outcome=_parse_node(body["outcome"]),
+        treatment=_parse_node(_field(body, "treatment", "scm"), "scm.treatment"),
+        mediator=_parse_node(_field(body, "mediator", "scm"), "scm.mediator"),
+        outcome=_parse_node(_field(body, "outcome", "scm"), "scm.outcome"),
         covariates=covariates,
     )
 
@@ -110,7 +155,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _mapping(json.load(fh), "the config document")
 
 
 def _resolve_scm(args, config: dict) -> ScmSpec:

@@ -300,18 +300,21 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
 
 
 def _read_text(source) -> str:
+    """The text of ``source``, without one leading UTF-8 byte-order mark."""
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        return source.decode("utf-8-sig")
     if isinstance(source, os.PathLike) or (
         isinstance(source, str) and "\n" not in source and "\r" not in source
     ):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     if isinstance(source, str):
-        return source
+        return source.removeprefix("\ufeff")
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         raw = source.read()
-        return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        if isinstance(raw, bytes):
+            return raw.decode("utf-8-sig")
+        return raw.removeprefix("\ufeff")
     raise SchemaError(f"unsupported source type {type(source)!r}")
 
 
@@ -322,6 +325,9 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     ``str`` with one is the CSV text itself.  The first line is a header;
     the delimiter is ``,``; decimals use ``.`` regardless of locale; blank
     lines are skipped and cells are parsed by ``float`` after stripping.
+    Text is UTF-8; one leading byte-order mark (``\\ufeff``, as spreadsheet
+    programs write it) is dropped, so it never becomes part of the first
+    column name.  Quoted cells and headers are not unquoted.
     Non-role columns are ignored.  Errors: a row with more or fewer cells
     than the header, or a role cell that is not a finite number, raises
     :class:`ParseError` naming the line; a missing role column raises

@@ -13,6 +13,11 @@ class SchemaError(PocError):
     """A declared role column is missing or the role mapping is inconsistent."""
 
 
+class ConfigError(PocError):
+    """A config document has the wrong shape: a value of the wrong type or
+    a missing key."""
+
+
 class EmptyDataError(PocError):
     """The input table contains a header but no data rows."""
 

@@ -18,6 +18,7 @@ identification formulas can be evaluated at infinite-sample truth.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -47,6 +48,11 @@ class LogisticNode:
     def __init__(self, intercept: float, coefs: Sequence[float] = ()):
         self.intercept = float(intercept)
         self.coefs = tuple(float(c) for c in coefs)
+        if not all(map(math.isfinite, (self.intercept, *self.coefs))):
+            raise UnsupportedSpecError(
+                f"logistic node needs finite parameters, got intercept "
+                f"{self.intercept!r} and coefs {list(self.coefs)!r}"
+            )
 
     def prob_one(self, parents: Sequence[float]) -> float:
         if len(parents) != len(self.coefs):
@@ -161,6 +167,8 @@ def bernoulli_cell(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Table cell for a binary node with success probability ``p`` under the
     shared-uniform coupling (value 1 iff u < p)."""
     p = float(p)
+    if math.isnan(p):
+        raise UnsupportedSpecError("success probability is NaN")
     if p <= 0.0:
         return (), (0.0,)
     if p >= 1.0:
@@ -288,7 +296,11 @@ def _step_cdf(step, y: float, strict: bool) -> float:
 
 class AnalyticCdf:
     """Infinite-sample observational conditional CDFs of a threshold model,
-    exposing the same query surface as the empirical estimator."""
+    exposing the same query surface as the empirical estimator.
+
+    The node steps, mediator pmfs and mediator supports are pure functions
+    of the immutable model, so each instance caches them, keyed by
+    ``float`` (``-0.0`` and ``0.0`` share a key, as they compare equal)."""
 
     def __init__(self, scm: ScmSpec, c_stratum: Sequence[float] | None = None):
         c = tuple(float(v) for v in (c_stratum or ()))
@@ -298,23 +310,45 @@ class AnalyticCdf:
             )
         self.scm = scm
         self.c = c
+        self._med_steps: dict = {}
+        self._out_steps: dict = {}
+        self._pmfs: dict = {}
+        self._supports: dict = {}
 
     def _mediator_step(self, x: float):
-        return self.scm.mediator.step((float(x), *self.c))
+        x = float(x)
+        step = self._med_steps.get(x)
+        if step is None:
+            step = self._med_steps[x] = self.scm.mediator.step((x, *self.c))
+        return step
 
     def _outcome_step(self, x: float, m: float):
-        return self.scm.outcome.step((float(x), float(m), *self.c))
+        key = (float(x), float(m))
+        step = self._out_steps.get(key)
+        if step is None:
+            step = self._out_steps[key] = self.scm.outcome.step((*key, *self.c))
+        return step
 
     def x_levels(self) -> tuple[float, ...]:
         return self.scm.treatment_levels(self.c)
 
     def mediator_support(self, x: float) -> tuple[float, ...]:
-        _, values = self._mediator_step(x)
-        support = sorted({v for v in values if self.mediator_pmf(v, x) > 0.0})
-        return tuple(support)
+        x = float(x)
+        support = self._supports.get(x)
+        if support is None:
+            _, values = self._mediator_step(x)
+            support = tuple(sorted({v for v in values if self.mediator_pmf(v, x) > 0.0}))
+            self._supports[x] = support
+        return support
 
     def mediator_pmf(self, m: float, x: float) -> float:
-        return _step_mass(self._mediator_step(x), lambda v: v == float(m))
+        key = (float(m), float(x))
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            pmf = self._pmfs[key] = _step_mass(
+                self._mediator_step(x), lambda v: v == key[0]
+            )
+        return pmf
 
     def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
         return _step_cdf(self._outcome_step(x, m), y, strict)
@@ -374,34 +408,6 @@ class AnalyticCdf:
         return tuple(sorted(levels))
 
 
-def analytic_cdf(scm: ScmSpec, kind: str, c_stratum=None, **args) -> float:
-    """Functional dispatcher over :class:`AnalyticCdf` queries.
-
-    ``kind`` is one of ``y|x``, ``y|x&m``, ``m-pmf|x``, ``joint y&m|x``,
-    ``crossworld``.
-    """
-    model = AnalyticCdf(scm, c_stratum)
-    if kind == "y|x":
-        return model.cdf_y_given_x(args["y"], args["x"], args.get("strict", True))
-    if kind == "y|x&m":
-        return model.cdf_y_given_xm(
-            args["y"], args["x"], args["m"], args.get("strict", True)
-        )
-    if kind == "m-pmf|x":
-        return model.mediator_pmf(args["m"], args["x"])
-    if kind == "joint y&m|x":
-        return model.joint_cdf_ym_given_x(
-            args["y"],
-            args["m"],
-            args["x"],
-            args.get("strict_y", True),
-            args.get("strict_m", True),
-        )
-    if kind == "crossworld":
-        return model.crossworld_cdf(args["y"], args["x_base"], args["x_alt"])
-    raise UnsupportedSpecError(f"unknown analytic CDF kind {kind!r}")
-
-
 # -- exact counterfactual measure --------------------------------------------
 
 
@@ -435,7 +441,7 @@ def _square_rects(
         med = {}
         for x in x_levels:
             cuts, values = med_steps[x]
-            med[x] = values[int(np.searchsorted(cuts, mid_m, side="right"))]
+            med[x] = values[bisect.bisect_right(cuts, mid_m)]
         pairs = {(x1, med[x2]) for x1 in x_levels for x2 in x_levels}
         pairs.update((float(a), float(b)) for a, b in xm_pairs)
         out_steps = {pair: scm.outcome.step((pair[0], pair[1], *c)) for pair in pairs}
@@ -448,7 +454,7 @@ def _square_rects(
             mid_y = 0.5 * (y_edges[j] + y_edges[j + 1])
             out = {}
             for pair, (cuts, values) in out_steps.items():
-                out[pair] = values[int(np.searchsorted(cuts, mid_y, side="right"))]
+                out[pair] = values[bisect.bisect_right(cuts, mid_y)]
             rects.append(_Rect(w_m * w_y, med, out))
     return rects
 
@@ -798,10 +804,6 @@ def _step_regions(step, thresholds) -> dict[float, tuple[tuple[float, float], ..
     return out
 
 
-def _interval_measure(ivs) -> float:
-    return sum(hi - lo for lo, hi in ivs)
-
-
 def _interval_subtract_measure(a, b) -> float:
     """Measure of set difference a - b for sorted disjoint interval lists."""
     total = 0.0
@@ -856,9 +858,52 @@ class MonotonicityReport:
         return self.outcome_ok and self.compound_ok
 
 
+def _crossings(regions: Sequence[Sequence], weights: Sequence[float]):
+    """Every pair ``i < j`` of ``regions``, in row-major order, whose two
+    set differences both exceed ``_TOL``, as ``(i, j, d1, d2)``.
+
+    A region is one sorted disjoint interval list per stripe of weight
+    ``weights[s]``.  All differences are first estimated at once: the unit
+    interval is cut at every region end, a 0/1 matrix marks the pieces
+    each region covers, and ``d[i, j] = |i| - |i & j|`` is one matrix
+    product.  The estimate differs from the exact subtraction by rounding
+    only, a few ulps per piece (~1e-15 for a few dozen pieces), so a pair
+    whose estimate stays below ``_TOL / 2`` (or below a margin widened by
+    that rounding bound, for very many pieces) cannot cross.  The pairs
+    kept are measured again by exact interval subtraction, which alone
+    decides and reports them; a single stripe of weight ``1.0`` leaves
+    that measure unchanged."""
+    points = sorted({p for region in regions for ivs in region for iv in ivs for p in iv})
+    if len(points) < 2:
+        return
+    index = {p: k for k, p in enumerate(points)}
+    n_pieces = len(points) - 1
+    cover = np.zeros((len(regions), len(weights) * n_pieces))
+    for r, region in enumerate(regions):
+        for s, ivs in enumerate(region):
+            for lo, hi in ivs:
+                cover[r, s * n_pieces + index[lo] : s * n_pieces + index[hi]] = 1.0
+    widths = np.diff(points)
+    mass = cover * np.concatenate([w * widths for w in weights])
+    d = mass.sum(axis=1)[:, None] - mass @ cover.T
+    rounding = 4 * np.finfo(np.float64).eps * cover.shape[1]
+    candidates = np.triu(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding), 1)
+    for i, j in zip(*np.nonzero(candidates)):
+        d1 = d2 = 0.0
+        for w, iv1, iv2 in zip(weights, regions[i], regions[j]):
+            d1 += w * _interval_subtract_measure(iv1, iv2)
+            d2 += w * _interval_subtract_measure(iv2, iv1)
+        if d1 > _TOL and d2 > _TOL:
+            yield int(i), int(j), d1, d2
+
+
 def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
-    """Exhaustively compare counterfactual sub-level regions over the
-    threshold partition and report every two-sided crossing."""
+    """Compare every pair of counterfactual sub-level regions over the
+    threshold partition and report every two-sided crossing.
+
+    Pairs are pruned by a vectorised estimate of both set differences;
+    every reported crossing is measured by exact interval subtraction
+    (see :func:`_crossings`)."""
     outcome_v = []
     compound_v = []
     mediator_v = []
@@ -879,17 +924,10 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
         cell_regions = {
             key: _step_regions(step, y_grid) for key, step in out_steps.items()
         }
-        tagged = [
-            (key, y, cell_regions[key][y]) for key in out_steps for y in y_grid
-        ]
-        for i in range(len(tagged)):
-            for j in range(i + 1, len(tagged)):
-                k1, y1, r1 = tagged[i]
-                k2, y2, r2 = tagged[j]
-                d1 = _interval_subtract_measure(r1, r2)
-                d2 = _interval_subtract_measure(r2, r1)
-                if d1 > _TOL and d2 > _TOL:
-                    outcome_v.append((c, (k1, y1), (k2, y2), d1, d2))
+        tagged = [(key, y) for key in out_steps for y in y_grid]
+        regions = [(cell_regions[key][y],) for key, y in tagged]
+        for i, j, d1, d2 in _crossings(regions, (1.0,)):
+            outcome_v.append((c, tagged[i], tagged[j], d1, d2))
 
         # compound regions on the square, expressed on shared stripes
         med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
@@ -899,44 +937,27 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
         for i in range(len(m_edges) - 1):
             mid = 0.5 * (m_edges[i] + m_edges[i + 1])
             med = {
-                x: med_steps[x][1][int(np.searchsorted(med_steps[x][0], mid, side="right"))]
+                x: med_steps[x][1][bisect.bisect_right(med_steps[x][0], mid)]
                 for x in x_levels
             }
             stripes.append((m_edges[i + 1] - m_edges[i], med))
 
-        def compound_region(x_out, x_med, y):
-            return [cell_regions[(x_out, med[x_med])][y] for _w2, med in stripes]
-
-        ctagged = [
-            ((x1, x2), y, compound_region(x1, x2, y))
-            for x1 in x_levels
-            for x2 in x_levels
-            for y in y_grid
+        ctagged = [((x1, x2), y) for x1 in x_levels for x2 in x_levels for y in y_grid]
+        regions = [
+            [cell_regions[(x_out, med[x_med])][y] for _w2, med in stripes]
+            for (x_out, x_med), y in ctagged
         ]
-        for i in range(len(ctagged)):
-            for j in range(i + 1, len(ctagged)):
-                k1, y1, r1 = ctagged[i]
-                k2, y2, r2 = ctagged[j]
-                d1 = d2 = 0.0
-                for (w_s, _), iv1, iv2 in zip(stripes, r1, r2):
-                    d1 += w_s * _interval_subtract_measure(iv1, iv2)
-                    d2 += w_s * _interval_subtract_measure(iv2, iv1)
-                if d1 > _TOL and d2 > _TOL:
-                    compound_v.append((c, (k1, y1), (k2, y2), d1, d2))
+        for i, j, d1, d2 in _crossings(regions, [w_s for w_s, _ in stripes]):
+            compound_v.append((c, ctagged[i], ctagged[j], d1, d2))
 
         # mediator response regions (relevant to joint-evidence use)
         m_grid = tuple(sorted(m_levels))
         med_regions = {
             x: _step_regions(med_steps[x], m_grid) for x in x_levels
         }
-        mtagged = [(x, m, med_regions[x][m]) for x in x_levels for m in m_grid]
-        for i in range(len(mtagged)):
-            for j in range(i + 1, len(mtagged)):
-                k1, m1, r1 = mtagged[i]
-                k2, m2, r2 = mtagged[j]
-                d1 = _interval_subtract_measure(r1, r2)
-                d2 = _interval_subtract_measure(r2, r1)
-                if d1 > _TOL and d2 > _TOL:
-                    mediator_v.append((c, (k1, m1), (k2, m2), d1, d2))
+        mtagged = [(x, m) for x in x_levels for m in m_grid]
+        regions = [(med_regions[x][m],) for x, m in mtagged]
+        for i, j, d1, d2 in _crossings(regions, (1.0,)):
+            mediator_v.append((c, mtagged[i], mtagged[j], d1, d2))
 
     return MonotonicityReport(tuple(outcome_v), tuple(compound_v), tuple(mediator_v))

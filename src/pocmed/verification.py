@@ -603,7 +603,8 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0, max_attempts: int = 40) 
                 stripes=int(rng.integers(2, 4)),
                 inner=int(rng.integers(2, 4)),
             )
-            if check_monotonicity(lex).ok and check_monotonicity(lex).mediator_ok:
+            lex_report = check_monotonicity(lex)
+            if lex_report.ok and lex_report.mediator_ok:
                 diffs.extend(_lex_equivalence_checks(lex, rng))
         for name, diff in diffs:
             n_checks += 1

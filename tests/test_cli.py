@@ -195,6 +195,88 @@ def test_estimate_config_document(sim_csv, tmp_path, capsys):
     assert report["queries"][1]["query"]["evidence"]["x_star"] == 0.0
 
 
+def test_estimate_reads_byte_order_mark(tmp_path, capsys):
+    # exited 2 with "missing role columns ['x'] in header ['\\ufeffx', ...]"
+    text = b"x,m,y\n0,0,0\n0,1,1\n1,0,1\n1,1,1\n0,0,1\n"
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+    runs = [
+        _run(capsys, "estimate", "--input", str(tmp_path / name), "--x-base", "0",
+             "--x-alt", "1", "--y", "1", "--replicates", "0", "--format", "json")
+        for name in ("plain.csv", "bom.csv")
+    ]
+    (code, out, err), (bom_code, bom_out, bom_err) = runs
+    assert code == bom_code == 0 and err == bom_err == ""
+    assert bom_out == out.replace("plain.csv", "bom.csv")
+
+
+_LOGISTIC_SCM = {
+    "treatment": {"logistic": {"intercept": 0.0}},
+    "mediator": {"logistic": {"intercept": 1.0, "coefs": [0.5]}},
+    "outcome": {"logistic": {"intercept": 1.0, "coefs": [0.5, 0.5]}},
+}
+
+
+def _with(path, value):
+    """``_LOGISTIC_SCM`` with the entry at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(_LOGISTIC_SCM))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return {"scm": doc}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"scm": []}, "ConfigError: scm must be an object, got []"),
+        ([], "ConfigError: the config document must be an object"),
+        (_with(("mediator", "logistic", "coefs"), 5),
+         "ConfigError: scm.mediator.logistic.coefs must be a list of numbers, got 5"),
+        (_with(("mediator", "logistic", "coefs"), ["0.5"]),
+         "ConfigError: scm.mediator.logistic.coefs must be a number, got '0.5'"),
+        (_with(("mediator", "logistic", "intercept"), True),
+         "ConfigError: scm.mediator.logistic.intercept must be a number, got True"),
+        (_with(("mediator", "logistic"), [1.0]),
+         "ConfigError: scm.mediator.logistic must be an object"),
+        (_with(("treatment",), {"logistic": {}}),
+         "ConfigError: scm.treatment.logistic has no 'intercept' key"),
+        (_with(("outcome",), "logistic"), "ConfigError: scm.outcome must be an object"),
+        (_with(("outcome",), {"spline": {}}),
+         "ConfigError: unknown node spec ['spline']"),
+        (_with(("treatment",), {"table": {"cuts": [0.5]}}),
+         "ConfigError: scm.treatment.table must be a list of cells"),
+        (_with(("treatment",), {"table": [[0.5]]}),
+         "ConfigError: scm.treatment.table cell must be an object"),
+        (_with(("treatment",), {"table": [{"cuts": [0.5]}]}),
+         "ConfigError: scm.treatment.table cell has no 'values' key"),
+        (_with(("treatment",), {"table": [{"parents": 0, "cuts": [], "values": [1]}]}),
+         "ConfigError: scm.treatment.table cell parents must be a list of numbers"),
+        (_with(("covariates",), {"values": [0], "weight": 1}),
+         "ConfigError: scm.covariates must be a list"),
+        (_with(("covariates",), [{"values": 0, "weight": 1}]),
+         "ConfigError: scm.covariates values must be a list of numbers, got 0"),
+        (_with(("covariates",), [{"values": [0]}]),
+         "ConfigError: scm.covariates entry has no 'weight' key"),
+        (_with(("covariates",), [{"values": [0], "weight": None}]),
+         "ConfigError: scm.covariates weight must be a number, got None"),
+        # a missing node exited 2 through a bare KeyError before
+        ({"scm": {k: v for k, v in _LOGISTIC_SCM.items() if k != "outcome"}},
+         "ConfigError: scm has no 'outcome' key"),
+        # a NaN parameter used to simulate an all-zero mediator column
+        (_with(("mediator", "logistic", "intercept"), float("nan")),
+         "UnsupportedSpecError: logistic node needs finite parameters"),
+    ],
+)
+def test_malformed_scm_document_exits_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "scm.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", "--config", str(path), "--n", "5")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_verify_quick_passes_and_is_deterministic(capsys):
     code, stdout, _ = _run(capsys, "verify", "--quick", "--seed", "1")
     assert code == 0

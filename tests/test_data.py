@@ -1,5 +1,6 @@
 """Ordered data layer: loading, stratification, intervals, evidence."""
 
+import io
 import itertools
 import math
 
@@ -52,6 +53,27 @@ def test_path_with_commas_is_a_path(tmp_path):
     code = main(["estimate", "--input", str(path), "--x-base", "0", "--x-alt", "1",
                  "--y", "1", "--replicates", "0"])
     assert code == 0
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    # a spreadsheet's UTF-8 BOM used to become part of the first column name
+    text = "x,m,y\n0,0,1\n1,1,0\n"
+    want = pm.load_dataset(text, ROLES)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    sources = [
+        str(path),
+        path,
+        path.read_bytes(),
+        "\ufeff" + text,
+        io.BytesIO(path.read_bytes()),
+        io.StringIO("\ufeff" + text),
+    ]
+    for source in sources:
+        assert pm.load_dataset(source, ROLES).equals(want), source
+    # only one mark is dropped; a second one is part of the name
+    with pytest.raises(SchemaError, match="ufeffx"):
+        pm.load_dataset("\ufeff\ufeff" + text, ROLES)
 
 
 def test_parse_error_names_line():

@@ -1,5 +1,5 @@
-"""Golden outputs of ``pocmed estimate``, ``simulate`` and ``sweep``,
-compared byte for byte.
+"""Golden outputs of ``pocmed estimate``, ``simulate``, ``sweep`` and
+``verify``, and of the randomized oracle suites, compared byte for byte.
 
 Each case runs the CLI in a scratch directory on inputs from
 ``tests/fixtures/golden`` (or on a table that ``simulate`` draws first) and
@@ -9,7 +9,9 @@ writes with the recorded copies under ``tests/fixtures/golden/<case>/``.
 The ``estimate`` copies were captured with the row-resampling bootstrap,
 before the count-table bootstrap replaced it; the ``simulate`` and ``sweep``
 copies with the per-row CSV loader, writer and table-node sampler, before
-their bulk numpy versions replaced them.  To record them again after an
+their bulk numpy versions replaced them; the ``verify`` and suite copies
+with the pairwise monotonicity scan and the uncached analytic CDFs, before
+the exact oracle's fast path replaced them.  To record them again after an
 intended change of output, run ``PYTHONPATH=src python
 tests/test_golden_estimate.py`` and say so in ``CHANGES.md``.
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from pocmed import cli
+from pocmed import cli, verification
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -134,6 +136,32 @@ IO_CASES = {
 }
 
 
+#: the exact oracle behind ``verify``: name -> same fields
+VERIFY_CASES = {
+    # the quick suite at a seed other than the default
+    "verify_quick": (
+        [],
+        [],
+        ["verify", "--quick", "--seed", "1", "--out", "verify.json"],
+        ["verify.json"],
+    ),
+    # the suite sizes of the ``verify-oracle`` benchmark workload
+    "verify_bench": (
+        [],
+        [],
+        ["verify", "--replicates", "25", "--scms", "100", "--decomposition", "300",
+         "--seed", "0", "--out", "verify.json"],
+        ["verify.json"],
+    ),
+}
+
+#: randomized oracle suites: name -> call whose ``repr`` is recorded
+SUITE_CASES = {
+    "suite_equivalence": lambda: verification.equivalence_suite(n_scms=200, seed=0),
+    "suite_decomposition": lambda: verification.decomposition_suite(n_scms=1000, seed=0),
+}
+
+
 def _run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -143,7 +171,9 @@ def _run(argv) -> tuple[int, str, str]:
 
 def _capture(name: str, work: Path) -> dict[str, str]:
     """Run one case inside ``work``; return every recorded artefact."""
-    inputs, setup, argv, written = {**CASES, **IO_CASES}[name]
+    if name in SUITE_CASES:
+        return {"repr.txt": repr(SUITE_CASES[name]()) + "\n"}
+    inputs, setup, argv, written = {**CASES, **IO_CASES, **VERIFY_CASES}[name]
     for file in inputs:
         shutil.copy(GOLDEN / file, work / file)
     cwd = os.getcwd()
@@ -171,13 +201,18 @@ def test_simulate_and_sweep_match_golden(name, tmp_path):
     test_estimate_matches_golden(name, tmp_path)
 
 
+@pytest.mark.parametrize("name", sorted({**VERIFY_CASES, **SUITE_CASES}))
+def test_verify_and_suites_match_golden(name, tmp_path):
+    test_estimate_matches_golden(name, tmp_path)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    for case in sorted({**CASES, **IO_CASES}):
+    for case in sorted({**CASES, **IO_CASES, **VERIFY_CASES, **SUITE_CASES}):
         with tempfile.TemporaryDirectory() as tmp:
             artefacts = _capture(case, Path(tmp))
         (GOLDEN / case).mkdir(exist_ok=True)
         for file, text in artefacts.items():
             (GOLDEN / case / file).write_text(text, encoding="utf-8")
-        print(case, artefacts["exit_code.txt"].strip(), file=sys.stderr)
+        print(case, artefacts.get("exit_code.txt", "").strip(), file=sys.stderr)

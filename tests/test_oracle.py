@@ -1,15 +1,17 @@
 """Ground-truth engine: sampling, exact measure, diagnostics."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import pocmed as pm
+from pocmed import oracle, verification
 from pocmed.errors import ConditioningError, UnsupportedSpecError
-from pocmed.oracle import analytic_cdf
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
+import _oracle_reference
 from _sampling_reference import mask_loop_values
 
 INF = float("inf")
@@ -167,20 +169,15 @@ def test_effects_decomposition(preset):
     assert mc.values["te"] == pytest.approx(fwd.values["te"], abs=0.01)
 
 
-def test_analytic_cdf_dispatcher(preset):
-    assert analytic_cdf(preset, "y|x", y=1.0, x=1.0) == pytest.approx(B_ALT, abs=1e-12)
-    assert analytic_cdf(preset, "y|x&m", y=1.0, x=0.0, m=1.0) == pytest.approx(
-        1 - S15, abs=1e-15
+def test_analytic_cdf_queries(preset):
+    an = pm.AnalyticCdf(preset)
+    assert an.cdf_y_given_x(1.0, 1.0) == pytest.approx(B_ALT, abs=1e-12)
+    assert an.cdf_y_given_xm(1.0, 0.0, 1.0) == pytest.approx(1 - S15, abs=1e-15)
+    assert an.mediator_pmf(1.0, 1.0) == pytest.approx(S15, abs=1e-15)
+    assert an.joint_cdf_ym_given_x(1.0, 1.0, 1.0) == pytest.approx(
+        (1 - S15) * (1 - S15), abs=1e-12
     )
-    assert analytic_cdf(preset, "m-pmf|x", m=1.0, x=1.0) == pytest.approx(S15, abs=1e-15)
-    assert analytic_cdf(
-        preset, "joint y&m|x", y=1.0, m=1.0, x=1.0
-    ) == pytest.approx((1 - S15) * (1 - S15), abs=1e-12)
-    assert analytic_cdf(
-        preset, "crossworld", y=1.0, x_base=0.0, x_alt=1.0
-    ) == pytest.approx(CROSSWORLD, abs=1e-12)
-    with pytest.raises(UnsupportedSpecError):
-        analytic_cdf(preset, "nope", y=1.0)
+    assert an.crossworld_cdf(1.0, 0.0, 1.0) == pytest.approx(CROSSWORLD, abs=1e-12)
 
 
 def test_analytic_degenerate_mediator():
@@ -256,6 +253,171 @@ def test_monotonicity_flags_crossing():
     rep = pm.check_monotonicity(scm)
     assert not rep.ok
     assert rep.compound_violations
+
+
+def _crossing_scm():
+    """The model of ``test_monotonicity_flags_crossing``."""
+    return pm.ScmSpec(
+        treatment=pm.TableNode({(): ((0.5,), (0.0, 1.0))}),
+        mediator=pm.TableNode(
+            {(x,): pm.bernoulli_cell(0.5 + 0.4 * x) for x in (0.0, 1.0)}
+        ),
+        outcome=pm.TableNode(
+            {
+                (x, m): pm.bernoulli_cell(0.5 + 0.4 * x - 0.6 * m)
+                for x in (0.0, 1.0)
+                for m in (0.0, 1.0)
+            }
+        ),
+    )
+
+
+def _random_logistic_scm(rng):
+    """Logistic nodes, sometimes over one binary covariate; intercepts far
+    from zero give steps without cuts."""
+    k = int(rng.integers(0, 2))
+
+    def node(n_parents):
+        intercept = float(rng.choice([rng.normal(0, 1.5), rng.choice([-60.0, 60.0])]))
+        return pm.LogisticNode(intercept, tuple(rng.normal(0, 1.5, n_parents)))
+
+    covariates = (((-0.0,), 0.3), ((1.0,), 0.7)) if k else None
+    return pm.ScmSpec(node(k), node(1 + k), node(2 + k), covariates)
+
+
+def _random_covariate_table_scm(rng):
+    """Table nodes over a two-level covariate, cuts on a coarse grid (so
+    region ends coincide across cells), some moved by a few 1e-12 (so
+    crossings come near ``_TOL``), and unordered, repeated values."""
+
+    def cell(levels):
+        n_cuts = int(rng.integers(0, 4))
+        cuts = np.sort(rng.choice(np.arange(1, 10), size=n_cuts, replace=False)) / 10.0
+        cuts += rng.choice([0.0, 0.0, -2e-12, 1e-12, 3e-12], size=n_cuts)
+        return tuple(cuts), tuple(rng.choice(levels, size=n_cuts + 1))
+
+    cs = (0.0, 2.0)
+    x_levels, m_levels, y_levels = (0.0, 1.0), (0.0, 1.0, 2.0), (-1.0, 0.0, 1.5, 3.0)
+    treatment = pm.TableNode({(c,): ((0.5,), x_levels) for c in cs})
+    mediator = pm.TableNode({(x, c): cell(m_levels) for x in x_levels for c in cs})
+    outcome = pm.TableNode(
+        {(x, m, c): cell(y_levels) for x in x_levels for m in m_levels for c in cs}
+    )
+    return pm.ScmSpec(treatment, mediator, outcome, (((0.0,), 0.25), ((2.0,), 0.75)))
+
+
+def _random_oracle_scm(seed):
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    if kind in (0, 1):
+        return verification.random_threshold_scm(
+            rng,
+            treatment_levels=int(rng.integers(2, 4)),
+            mediator_levels=int(rng.integers(2, 4)),
+            outcome_levels=int(rng.integers(2, 4)),
+            coherent=kind == 0,
+        )
+    if kind == 2:
+        return verification.random_lex_scm(
+            rng,
+            treatment_levels=2,
+            stripes=int(rng.integers(2, 4)),
+            inner=int(rng.integers(2, 4)),
+        )
+    if kind == 3:
+        return _random_logistic_scm(rng)
+    return _random_covariate_table_scm(rng)
+
+
+def test_monotonicity_and_rectangles_match_pairwise_reference():
+    reached = dict.fromkeys(("outcome", "compound", "mediator"), 0)
+    models = [_crossing_scm()] + [_random_oracle_scm(seed) for seed in range(600)]
+    for seed, scm in enumerate(models):
+        got = pm.check_monotonicity(scm)
+        want = _oracle_reference.check_monotonicity(scm)
+        assert got == want and repr(got) == repr(want), seed
+        for part in reached:
+            reached[part] += len(getattr(got, f"{part}_violations"))
+
+        rng = np.random.default_rng(seed)
+        for c, _ in scm.covariate_support():
+            x_levels = list(scm.treatment_levels(c))
+            m_levels = scm.mediator_levels(c)
+            xs = [x_levels[i] for i in rng.integers(0, len(x_levels), 3)]
+            pairs = [(x, m_levels[rng.integers(len(m_levels))]) for x in xs[:2]]
+            got = oracle._square_rects(scm, c, xs, pairs)
+            want = _oracle_reference._square_rects(scm, c, xs, pairs)
+            assert got == want and repr(got) == repr(want), seed
+    # every kind of crossing was reported, so the exact recompute was reached
+    assert all(reached.values()), reached
+
+
+def test_monotonicity_with_many_pieces_matches_pairwise_reference():
+    # ~1200 pieces: the pruning margin widens by its rounding bound
+    rng = np.random.default_rng(5)
+
+    def cell():
+        cuts = np.sort(rng.choice(np.arange(1, 4000), size=600, replace=False)) / 4000.0
+        return tuple(cuts), tuple(rng.choice([0.0, 1.0, 2.0], size=601))
+
+    scm = pm.ScmSpec(
+        treatment=pm.TableNode({(): ((0.5,), (0.0, 1.0))}),
+        mediator=pm.TableNode({(x,): ((0.3,), (0.0, 1.0)) for x in (0.0, 1.0)}),
+        outcome=pm.TableNode({(x, m): cell() for x in (0.0, 1.0) for m in (0.0, 1.0)}),
+    )
+    got = pm.check_monotonicity(scm)
+    assert got.outcome_violations and got.compound_violations
+    assert repr(got) == repr(_oracle_reference.check_monotonicity(scm))
+
+
+def _analytic_queries(an, rng):
+    """Random queries over the model's levels, zeros in both spellings."""
+    x_levels = list(an.x_levels())
+    m_levels = sorted({m for x in x_levels for m in an.mediator_support(x)})
+    y_levels = list(an.outcome_levels())
+
+    def pick(levels, extra):
+        v = float(rng.choice(levels + extra))
+        return -0.0 if v == 0.0 and rng.random() < 0.5 else v
+
+    for _ in range(60):
+        x, x2 = pick(x_levels, []), pick(x_levels, [])
+        m, y = pick(m_levels, [0.5, -9.0]), pick(y_levels, [0.25, 99.0])
+        strict, strict_m = bool(rng.random() < 0.5), bool(rng.random() < 0.5)
+        yield from (
+            ("mediator_support", (x,)),
+            ("mediator_pmf", (m, x)),
+            ("cdf_y_given_xm", (y, x, m if m in m_levels else m_levels[0], strict)),
+            ("cdf_y_given_x", (y, x, strict)),
+            ("joint_cdf_ym_given_x", (y, m, x, strict, strict_m)),
+            ("crossworld_cdf", (y, x, x2)),
+            ("outcome_levels", ()),
+        )
+
+
+def test_cached_analytic_cdf_matches_fresh_instances():
+    for seed in range(60):
+        scm = _random_oracle_scm(seed)
+        rng = np.random.default_rng(seed)
+        for c, _ in scm.covariate_support():
+            an = pm.AnalyticCdf(scm, c)
+            for name, args in _analytic_queries(an, rng):
+                got = getattr(an, name)(*args)
+                want = getattr(pm.AnalyticCdf(scm, c), name)(*args)
+                assert repr(got) == repr(want), (seed, name, args)
+
+
+def test_logistic_node_rejects_non_finite_parameters():
+    for intercept, coefs in ((math.nan, (0.5,)), (0.0, (math.inf,)), (-math.inf, ())):
+        with pytest.raises(UnsupportedSpecError, match="finite"):
+            pm.LogisticNode(intercept, coefs)
+    with pytest.raises(UnsupportedSpecError, match="NaN"):
+        pm.bernoulli_cell(math.nan)
+    # finite parameters whose sum is inf + -inf
+    node = pm.LogisticNode(0.0, (1e308, 1e308))
+    with pytest.raises(UnsupportedSpecError, match="NaN"):
+        node.step((1e308, -1e308))
+    assert pm.bernoulli_cell(math.inf) == ((), (1.0,))
 
 
 def test_monotonicity_constant_outcome():
