@@ -118,6 +118,8 @@ def _parse_node(spec, where: str):
         for cell in spec["table"]:
             cell = _mapping(cell, f"{where} cell")
             key = tuple(_numbers(cell.get("parents", []), f"{where} cell parents"))
+            if key in cells:
+                raise ConfigError(f"{where} has two cells for parents {list(key)!r}")
             cells[key] = (
                 _numbers(_field(cell, "cuts", f"{where} cell"), f"{where} cell cuts"),
                 _numbers(_field(cell, "values", f"{where} cell"), f"{where} cell values"),
@@ -182,34 +184,50 @@ def _roles_from(args, config: dict) -> ColumnRoles:
     return ColumnRoles(x, m, y, c)
 
 
-def _evidence_from_spec(spec: dict | None):
+def _interval_from(spec: dict, axis: str, where: str) -> Interval | None:
+    """``spec["<axis>_interval"]``, a list of two numbers, closed above when
+    ``spec["<axis>_upper_closed"]`` is true; None when absent."""
+    bounds = spec.get(f"{axis}_interval")
+    if bounds is None:
+        return None
+    bounds = _numbers(bounds, f"{where}.{axis}_interval")
+    if len(bounds) != 2:
+        raise ConfigError(
+            f"{where}.{axis}_interval must be a list of two numbers, got {bounds!r}"
+        )
+    closed = spec.get(f"{axis}_upper_closed", False)
+    if not isinstance(closed, bool):
+        raise ConfigError(
+            f"{where}.{axis}_upper_closed must be true or false, got {closed!r}"
+        )
+    return Interval(bounds[0], bounds[1], upper_closed=closed)
+
+
+def _evidence_from_spec(spec, where: str):
     """Split one evidence description into the per-family evidence records:
     the natural family conditions on (x*, Y interval[, M interval]); the
     controlled-direct family additionally needs the exact mediator value."""
-    if not spec or spec.get("x_star") is None:
+    if spec is None:
         return None, None
-    x_star = float(spec["x_star"])
-    iy = spec.get("y_interval")
-    interval_y = (
-        Interval(iy[0], iy[1], upper_closed=bool(spec.get("y_upper_closed", False)))
-        if iy
-        else Interval.full()
-    )
-    im = spec.get("m_interval")
-    interval_m = (
-        Interval(im[0], im[1], upper_closed=bool(spec.get("m_upper_closed", False)))
-        if im
-        else None
-    )
+    spec = _mapping(spec, where)
+    if spec.get("x_star") is None:
+        return None, None
+    x_star = _number(spec["x_star"], f"{where}.x_star")
+    interval_y = _interval_from(spec, "y", where) or Interval.full()
+    interval_m = _interval_from(spec, "m", where)
     natural = Evidence(x_star=x_star, interval_y=interval_y, interval_m=interval_m)
     cd = None
     if spec.get("m_star") is not None:
-        cd = Evidence(x_star=x_star, interval_y=interval_y, m_star=float(spec["m_star"]))
+        m_star = _number(spec["m_star"], f"{where}.m_star")
+        cd = Evidence(x_star=x_star, interval_y=interval_y, m_star=m_star)
     return natural, cd
 
 
 def _queries_from(args, config: dict) -> list[dict]:
-    queries = list(config.get("queries", ()))
+    queries = config.get("queries", [])
+    if not isinstance(queries, list):
+        raise ConfigError(f"queries must be a list of objects, got {queries!r}")
+    queries = [_mapping(spec, f"queries[{i}]") for i, spec in enumerate(queries)]
     flag_query = {}
     if args.x_base is not None or args.x_alt is not None or args.y is not None:
         if args.x_base is None or args.x_alt is None or args.y is None:
@@ -244,15 +262,19 @@ def _queries_from(args, config: dict) -> list[dict]:
     return queries
 
 
-def _query_from_spec(spec: dict) -> tuple[Query, Evidence | None, Evidence | None]:
-    natural_e, cd_e = _evidence_from_spec(spec.get("evidence"))
+def _query_from_spec(
+    spec: dict, where: str
+) -> tuple[Query, Evidence | None, Evidence | None]:
+    natural_e, cd_e = _evidence_from_spec(spec.get("evidence"), f"{where}.evidence")
+    m_fixed = spec.get("m_fixed")
+    stratum = spec.get("stratum")
+    stratum = () if stratum is None else tuple(_numbers(stratum, f"{where}.stratum"))
     q = Query(
-        x_base=spec["x_base"],
-        x_alt=spec["x_alt"],
-        y_threshold=spec["y"],
-        m_fixed=spec.get("m_fixed"),
-        c_stratum=tuple(spec["stratum"]) if spec.get("stratum") else None,
-        evidence=natural_e,
+        x_base=_number(_field(spec, "x_base", where), f"{where}.x_base"),
+        x_alt=_number(_field(spec, "x_alt", where), f"{where}.x_alt"),
+        y_threshold=_number(_field(spec, "y", where), f"{where}.y"),
+        m_fixed=None if m_fixed is None else _number(m_fixed, f"{where}.m_fixed"),
+        c_stratum=stratum or None,
     )
     return q, natural_e, cd_e
 
@@ -371,7 +393,7 @@ def cmd_estimate(args) -> int:
     )
 
     specs = _queries_from(args, config)
-    parsed = [_query_from_spec(spec) for spec in specs]
+    parsed = [_query_from_spec(spec, f"queries[{i}]") for i, spec in enumerate(specs)]
     for q, _, _ in parsed:
         _validate_query(dataset, q)
 

@@ -136,11 +136,9 @@ class Query:
     """One estimation request: contrast ``x_base -> x_alt`` for the event
     ``outcome >= y_threshold``.
 
-    ``m_fixed`` selects controlled-direct quantities, ``c_stratum`` restricts
-    to an exact covariate match, and ``evidence`` (optional) carries the
-    factual conditioning event for the with-evidence variants.  Every
-    number must be finite: NaN or an infinity raises
-    :class:`InvalidEvidenceError`.
+    ``m_fixed`` selects controlled-direct quantities and ``c_stratum``
+    restricts to an exact covariate match.  Every number must be finite:
+    NaN or an infinity raises :class:`InvalidEvidenceError`.
     """
 
     x_base: float
@@ -148,7 +146,6 @@ class Query:
     y_threshold: float
     m_fixed: float | None = None
     c_stratum: tuple | None = None
-    evidence: Evidence | None = None
 
     def __post_init__(self):
         for name in ("x_base", "x_alt", "y_threshold"):

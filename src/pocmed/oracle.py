@@ -8,9 +8,14 @@ Discrete nodes are encoded as step functions of their uniform source
 draw is shared by a node across all interventions, so counterfactual
 quantities are well defined and exactly computable.
 
-The exact path partitions the (mediator-noise, outcome-noise) unit square
-into rectangles on which every requested counterfactual is constant and
-sums rectangle areas; the Monte Carlo path samples the noise sources.
+Both ways of computing a truth fill one table of counterfactual columns
+(the mediator and outcome under each intervention) with one weight per
+row.  The exact path partitions the (mediator-noise, outcome-noise) unit
+square of each covariate stratum into rectangles on which every column is
+constant, one row per rectangle weighted by its area times the stratum
+weight; the Monte Carlo path samples the noise sources, one row of weight
+1.0 per draw.  Every truth is then a weighted sum of indicators on that
+table, the same code for both paths.
 Observational conditional CDFs implied by a model are exposed through
 :class:`AnalyticCdf`, which duck-types the empirical estimator surface so
 identification formulas can be evaluated at infinite-sample truth.
@@ -21,11 +26,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import ColumnRoles, Dataset, Evidence, Query, KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR, NEG_INF
+from .data import ColumnRoles, Dataset, Evidence, Query, KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR
 from .errors import ConditioningError, InvalidEvidenceError, UnsupportedSpecError
 
 _MC_CHUNK = 1 << 17
@@ -408,55 +413,7 @@ class AnalyticCdf:
         return tuple(sorted(levels))
 
 
-# -- exact counterfactual measure --------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Rect:
-    weight: float
-    med: dict          # x level -> mediator value on this rectangle
-    out: dict          # (x level, mediator value) -> outcome value
-
-
-def _square_rects(
-    scm: ScmSpec,
-    c: tuple,
-    x_levels: Iterable[float],
-    xm_pairs: Iterable[tuple[float, float]] = (),
-) -> list[_Rect]:
-    """Rectangle partition of the (u_M, u_Y) unit square on which the
-    mediator responses for all ``x_levels`` and the outcome responses for
-    every reachable (x, mediator) pair plus ``xm_pairs`` are constant."""
-    x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
-    med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
-    m_cuts = sorted({cut for cuts, _ in med_steps.values() for cut in cuts})
-    m_edges = (0.0, *m_cuts, 1.0)
-
-    rects: list[_Rect] = []
-    for i in range(len(m_edges) - 1):
-        w_m = m_edges[i + 1] - m_edges[i]
-        if w_m <= 0.0:
-            continue
-        mid_m = 0.5 * (m_edges[i] + m_edges[i + 1])
-        med = {}
-        for x in x_levels:
-            cuts, values = med_steps[x]
-            med[x] = values[bisect.bisect_right(cuts, mid_m)]
-        pairs = {(x1, med[x2]) for x1 in x_levels for x2 in x_levels}
-        pairs.update((float(a), float(b)) for a, b in xm_pairs)
-        out_steps = {pair: scm.outcome.step((pair[0], pair[1], *c)) for pair in pairs}
-        y_cuts = sorted({cut for cuts, _ in out_steps.values() for cut in cuts})
-        y_edges = (0.0, *y_cuts, 1.0)
-        for j in range(len(y_edges) - 1):
-            w_y = y_edges[j + 1] - y_edges[j]
-            if w_y <= 0.0:
-                continue
-            mid_y = 0.5 * (y_edges[j] + y_edges[j + 1])
-            out = {}
-            for pair, (cuts, values) in out_steps.items():
-                out[pair] = values[bisect.bisect_right(cuts, mid_y)]
-            rects.append(_Rect(w_m * w_y, med, out))
-    return rects
+# -- counterfactual table ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -479,104 +436,98 @@ def _strata(scm: ScmSpec, q: Query):
     return scm.covariate_support()
 
 
-def _xm_pairs_for(q: Query, e: Evidence | None):
-    pairs = []
+def _stripes(scm: ScmSpec, c: tuple, x_levels: Sequence[float]) -> list:
+    """Stripes of the mediator-noise axis in stratum ``c`` on which the
+    mediator under every one of ``x_levels`` is constant, as
+    ``(width, {x: mediator value})`` pairs in increasing-``u`` order."""
+    med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
+    m_cuts = sorted({cut for cuts, _ in med_steps.values() for cut in cuts})
+    m_edges = (0.0, *m_cuts, 1.0)
+    stripes = []
+    for lo, hi in zip(m_edges, m_edges[1:]):
+        mid = 0.5 * (lo + hi)
+        med = {
+            x: values[bisect.bisect_right(cuts, mid)]
+            for x, (cuts, values) in med_steps.items()
+        }
+        stripes.append((hi - lo, med))
+    return stripes
+
+
+def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
+    """Rectangles of the (u_M, u_Y) unit square of every stratum on which
+    the mediator under each treatment level of ``q`` and ``e``, and the
+    outcome of every reachable (x, mediator) pair and of the fixed
+    mediator values, are constant.
+
+    Returns the rectangle weights ``w_c * (w_m * w_y)`` in stratum,
+    stripe, outcome-piece order (they sum to 1.0) and the ``med`` and
+    ``outc`` column makers of :func:`_columns`.  Every mediator column
+    those makers see is constant on a stripe, so ``outc`` reads it once
+    per stripe."""
+    x_levels = [q.x_base, q.x_alt] + ([e.x_star] if e is not None else [])
+    x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
+    xm_pairs = []
     if q.m_fixed is not None:
-        pairs.append((q.x_base, q.m_fixed))
-        pairs.append((q.x_alt, q.m_fixed))
+        xm_pairs += [(q.x_base, q.m_fixed), (q.x_alt, q.m_fixed)]
     if e is not None and e.kind == KIND_POINT_MEDIATOR:
-        pairs.append((e.x_star, e.m_star))
-    return pairs
+        xm_pairs.append((e.x_star, e.m_star))
+    weights, stripes = [], []
+    for c, w_c in _strata(scm, q):
+        steps = {}
+        for w_m, by_x in _stripes(scm, c, x_levels):
+            pairs = {(x1, by_x[x2]) for x1 in x_levels for x2 in x_levels}
+            pairs.update(xm_pairs)
+            for pair in pairs:
+                if pair not in steps:
+                    steps[pair] = scm.outcome.step((*pair, *c))
+            y_cuts = sorted({cut for pair in pairs for cut in steps[pair][0]})
+            y_edges = (0.0, *y_cuts, 1.0)
+            mids = []
+            stripes.append((len(weights), by_x, mids, steps, {}))
+            for lo, hi in zip(y_edges, y_edges[1:]):
+                weights.append(w_c * (w_m * (hi - lo)))
+                mids.append(0.5 * (lo + hi))
+
+    def med(x):
+        return np.array([by_x[x] for _, by_x, mids, _, _ in stripes for _ in mids])
+
+    def outc(x, m_col):
+        m_col, col = m_col.tolist(), []
+        for start, _, mids, steps, seen in stripes:
+            pair = (x, m_col[start])
+            if pair not in seen:
+                cuts, levels = steps[pair]
+                seen[pair] = [levels[bisect.bisect_right(cuts, mid)] for mid in mids]
+            col += seen[pair]
+        return np.array(col)
+
+    return np.array(weights), med, outc
 
 
-def _x_levels_for(q: Query, e: Evidence | None):
-    levels = [q.x_base, q.x_alt]
-    if e is not None:
-        levels.append(e.x_star)
-    return levels
-
-
-def _counterfactual_flags(rect: _Rect, q: Query):
-    y = q.y_threshold
-    y_base = rect.out[(q.x_base, rect.med[q.x_base])]
-    y_alt = rect.out[(q.x_alt, rect.med[q.x_alt])]
-    y_cross = rect.out[(q.x_base, rect.med[q.x_alt])]
-    flip = y_base < y <= y_alt
-    return {
-        "t_pns": flip,
-        "nd_pns": flip and y_cross < y,
-        "ni_pns": flip and y <= y_cross,
-    }
-
-
-def _cd_flag(rect: _Rect, q: Query) -> bool:
-    y = q.y_threshold
-    return (
-        rect.out[(q.x_base, q.m_fixed)] < y <= rect.out[(q.x_alt, q.m_fixed)]
-    )
-
-
-def _evidence_flag(rect: _Rect, e: Evidence) -> bool:
-    if e.kind == KIND_POINT_MEDIATOR:
-        return rect.med[e.x_star] == e.m_star and e.interval_y.contains(
-            rect.out[(e.x_star, e.m_star)]
-        )
-    factual_y = rect.out[(e.x_star, rect.med[e.x_star])]
-    if e.kind == KIND_INTERVAL_MEDIATOR:
-        return e.interval_m.contains(rect.med[e.x_star]) and e.interval_y.contains(
-            factual_y
-        )
-    return e.interval_y.contains(factual_y)
-
-
-def truth_pns(
-    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
-) -> TruthReport:
-    """Definitional total/direct/indirect flip probabilities (and the
-    controlled-direct one when ``m_fixed`` is set), computed from the
-    counterfactual events on shared noise."""
-    names = ["t_pns", "nd_pns", "ni_pns"] + (["cd_pns"] if q.m_fixed is not None else [])
-    if method == "exact":
-        totals = dict.fromkeys(names, 0.0)
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
-            for rect in rects:
-                flags = _counterfactual_flags(rect, q)
-                if q.m_fixed is not None:
-                    flags["cd_pns"] = _cd_flag(rect, q)
-                for name in names:
-                    if flags[name]:
-                        totals[name] += w_c * rect.weight
-        return TruthReport(totals, "exact", None, {k: 0.0 for k in totals})
-    if method != "mc":
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-    cols = _mc_counterfactuals(scm, q, None, n, seed)
-    y = q.y_threshold
-    flip = (cols["y_base"] < y) & (y <= cols["y_alt"])
-    ind = {
-        "t_pns": flip,
-        "nd_pns": flip & (cols["y_cross"] < y),
-        "ni_pns": flip & (y <= cols["y_cross"]),
-    }
-    if q.m_fixed is not None:
-        ind["cd_pns"] = (cols["y_base_m"] < y) & (y <= cols["y_alt_m"])
-    values = {k: float(np.mean(v)) for k, v in ind.items()}
-    se = {k: math.sqrt(max(p * (1 - p), 0.0) / n) for k, p in values.items()}
-    return TruthReport(values, "mc", n, se)
-
-
-def _mc_counterfactuals(scm, q, e, n, seed):
-    """Vector counterfactual draws on shared noise (marginal over covariates
-    unless the query fixes a stratum)."""
+def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
+    """``n`` draws of the noise, shared by every intervention (marginal over
+    covariates unless the query fixes a stratum): weights of 1.0 and the
+    ``med`` and ``outc`` column makers of :func:`_columns`."""
     c_matrix, _, u_m, u_y = _draw_exogenous(scm, n, seed)
     if q.c_stratum is not None:
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
+
     def med(x):
         xs = np.full(n, float(x))
         return scm.mediator.values(np.column_stack([xs, c_matrix]), u_m)
+
     def outc(x, m_col):
         xs = np.full(n, float(x))
         return scm.outcome.values(np.column_stack([xs, m_col, c_matrix]), u_y)
+
+    return np.ones(n), med, outc
+
+
+def _columns(q: Query, e: Evidence | None, med, outc) -> dict:
+    """The counterfactual columns of ``q`` and ``e``: ``med(x)`` is the
+    mediator under treatment ``x`` and ``outc(x, m_col)`` the outcome under
+    treatment ``x`` with the mediator held at ``m_col``, row by row."""
     m_base, m_alt = med(q.x_base), med(q.x_alt)
     cols = {
         "m_base": m_base,
@@ -587,7 +538,7 @@ def _mc_counterfactuals(scm, q, e, n, seed):
         "y_nde": outc(q.x_alt, m_base),
     }
     if q.m_fixed is not None:
-        fixed = np.full(n, q.m_fixed)
+        fixed = np.full_like(m_base, q.m_fixed)
         cols["y_base_m"] = outc(q.x_base, fixed)
         cols["y_alt_m"] = outc(q.x_alt, fixed)
     if e is not None:
@@ -595,60 +546,91 @@ def _mc_counterfactuals(scm, q, e, n, seed):
         cols["m_star"] = m_star
         cols["y_star"] = outc(e.x_star, m_star)
         if e.kind == KIND_POINT_MEDIATOR:
-            cols["y_star_cell"] = outc(e.x_star, np.full(n, e.m_star))
+            cols["y_star_cell"] = outc(e.x_star, np.full_like(m_star, e.m_star))
     return cols
 
 
-def _limit_indicators(scm: ScmSpec, q: Query, e: Evidence) -> dict:
+def _table(scm: ScmSpec, q: Query, e: Evidence | None, method: str, n: int, seed: int):
+    """Row weights, their total and the counterfactual columns of ``q`` and
+    ``e``: one row per rectangle of the exact partition (total 1.0), or per
+    Monte Carlo draw (total ``n``)."""
+    if method == "exact":
+        (w, med, outc), total = _square_cells(scm, q, e), 1.0
+    elif method == "mc":
+        (w, med, outc), total = _mc_draws(scm, q, n, seed), float(n)
+    else:
+        raise UnsupportedSpecError(f"unknown method {method!r}")
+    return w, total, _columns(q, e, med, outc)
+
+
+def _sum(v: np.ndarray) -> float:
+    """Left-to-right sum of ``v``: the bits of a running ``+=`` from 0.0
+    (``0.0 +`` turns a sum of ``-0.0`` terms into 0.0, as that running sum
+    does).  Over weights of 1.0 it is the integer count that ``np.mean``
+    divides."""
+    return 0.0 + float(np.cumsum(v)[-1]) if v.size else 0.0
+
+
+def _inside(iv, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``iv.contains``."""
+    below_upper = v <= iv.upper if iv.upper_closed else v < iv.upper
+    return (iv.lower <= v) & below_upper
+
+
+def _flips(q: Query, cols: dict) -> dict:
+    """Total, natural direct and natural indirect flip events (and the
+    controlled-direct one when ``m_fixed`` is set)."""
+    y = q.y_threshold
+    flip = (cols["y_base"] < y) & (y <= cols["y_alt"])
+    ind = {
+        "t_pns": flip,
+        "nd_pns": flip & (cols["y_cross"] < y),
+        "ni_pns": flip & (y <= cols["y_cross"]),
+    }
+    if q.m_fixed is not None:
+        ind["cd_pns"] = (cols["y_base_m"] < y) & (y <= cols["y_alt_m"])
+    return ind
+
+
+def _report(values: dict, method: str, n: int | None) -> TruthReport:
+    """Exact values, or Monte Carlo ones from ``n`` draws with their
+    binomial standard errors."""
+    if method == "exact":
+        return TruthReport(values, "exact", None, dict.fromkeys(values, 0.0))
+    se = {k: math.sqrt(max(p * (1 - p), 0.0) / n) for k, p in values.items()}
+    return TruthReport(values, "mc", n, se)
+
+
+def truth_pns(
+    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
+) -> TruthReport:
+    """Definitional total/direct/indirect flip probabilities (and the
+    controlled-direct one when ``m_fixed`` is set), computed from the
+    counterfactual events on shared noise."""
+    w, total, cols = _table(scm, q, None, method, n, seed)
+    values = {k: _sum(w[flip]) / total for k, flip in _flips(q, cols).items()}
+    return _report(values, method, n)
+
+
+def _limit_indicators(q: Query, e: Evidence, w: np.ndarray, cols: dict) -> dict:
     """Zero-mass evidence: value of the conditional quantities in the limit
     construction, i.e. the counterfactual event evaluated at the noise
     threshold that the evidence interval collapses onto.  Region measures
     are interventional (computed on the noise partition, not through
     observational conditionals); the boundary point groups with the closed
     side, matching the half-open interval convention."""
-    strata = _strata(scm, q)
+    y = q.y_threshold
     if e.kind == KIND_POINT_MEDIATOR:
         # one-dimensional: everything lives on the outcome-noise axis
-        a = b = low = 0.0
-        for c, w_c in strata:
-            a += w_c * _step_cdf(
-                scm.outcome.step((q.x_base, q.m_fixed, *c)), q.y_threshold, True
-            )
-            b += w_c * _step_cdf(
-                scm.outcome.step((q.x_alt, q.m_fixed, *c)), q.y_threshold, True
-            )
-            if e.interval_y.lower != NEG_INF:
-                low += w_c * _step_cdf(
-                    scm.outcome.step((e.x_star, e.m_star, *c)), e.interval_y.lower, True
-                )
+        a = _sum(w[cols["y_base_m"] < y])
+        b = _sum(w[cols["y_alt_m"] < y])
+        low = _sum(w[cols["y_star_cell"] < e.interval_y.lower])
         return {"cd_pns": 1.0 if (b <= low < a) else 0.0}
-
-    a = b = r = low = 0.0
-    for c, w_c in strata:
-        rects = _square_rects(scm, c, _x_levels_for(q, e), _xm_pairs_for(q, e))
-        for rect in rects:
-            y_base = rect.out[(q.x_base, rect.med[q.x_base])]
-            y_alt = rect.out[(q.x_alt, rect.med[q.x_alt])]
-            y_cross = rect.out[(q.x_base, rect.med[q.x_alt])]
-            w = w_c * rect.weight
-            if y_base < q.y_threshold:
-                a += w
-            if y_alt < q.y_threshold:
-                b += w
-            if y_cross < q.y_threshold:
-                r += w
-            factual_y = rect.out[(e.x_star, rect.med[e.x_star])]
-            if e.kind == KIND_OUTCOME:
-                if e.interval_y.lower != NEG_INF and factual_y < e.interval_y.lower:
-                    low += w
-            else:
-                if (
-                    e.interval_y.lower != NEG_INF
-                    and e.interval_m.lower != NEG_INF
-                    and factual_y < e.interval_y.lower
-                    and rect.med[e.x_star] < e.interval_m.lower
-                ):
-                    low += w
+    a, b, r = (_sum(w[cols[k] < y]) for k in ("y_base", "y_alt", "y_cross"))
+    below = cols["y_star"] < e.interval_y.lower
+    if e.kind == KIND_INTERVAL_MEDIATOR:
+        below &= cols["m_star"] < e.interval_m.lower
+    low = _sum(w[below])
     inside = b <= low < a
     return {
         "t_pns": 1.0 if inside else 0.0,
@@ -676,64 +658,25 @@ def truth_with_evidence(
     """
     if e.kind == KIND_POINT_MEDIATOR and q.m_fixed is None:
         raise InvalidEvidenceError("point-mediator evidence requires m_fixed")
-    names = (
-        ["cd_pns"]
-        if e.kind == KIND_POINT_MEDIATOR
-        else ["t_pns", "nd_pns", "ni_pns"]
-    )
-    if method == "exact":
-        num = dict.fromkeys(names, 0.0)
-        den = 0.0
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, e), _xm_pairs_for(q, e))
-            for rect in rects:
-                if not _evidence_flag(rect, e):
-                    continue
-                w = w_c * rect.weight
-                den += w
-                if e.kind == KIND_POINT_MEDIATOR:
-                    flags = {"cd_pns": _cd_flag(rect, q)}
-                else:
-                    flags = _counterfactual_flags(rect, q)
-                for name in names:
-                    if flags[name]:
-                        num[name] += w
-        if den == 0.0:
-            if degenerate == "threshold-limit":
-                values = _limit_indicators(scm, q, e)
-                return TruthReport(values, "exact", None, {k: 0.0 for k in values})
-            raise ConditioningError("evidence event has zero probability")
-        values = {k: v / den for k, v in num.items()}
-        return TruthReport(values, "exact", None, {k: 0.0 for k in values})
-    if method != "mc":
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-    cols = _mc_counterfactuals(scm, q, e, n, seed)
+    w, _, cols = _table(scm, q, e, method, n, seed)
     if e.kind == KIND_POINT_MEDIATOR:
-        ev = (cols["m_star"] == e.m_star) & np.fromiter(
-            (e.interval_y.contains(v) for v in cols["y_star_cell"]), bool, n
-        )
+        ev = (cols["m_star"] == e.m_star) & _inside(e.interval_y, cols["y_star_cell"])
+        names = ["cd_pns"]
     else:
-        ev = np.fromiter((e.interval_y.contains(v) for v in cols["y_star"]), bool, n)
+        ev = _inside(e.interval_y, cols["y_star"])
         if e.kind == KIND_INTERVAL_MEDIATOR:
-            ev &= np.fromiter(
-                (e.interval_m.contains(v) for v in cols["m_star"]), bool, n
-            )
-    k = int(np.count_nonzero(ev))
-    if k == 0:
-        raise ConditioningError("no Monte Carlo draws satisfy the evidence event")
-    y = q.y_threshold
-    if e.kind == KIND_POINT_MEDIATOR:
-        ind = {"cd_pns": (cols["y_base_m"] < y) & (y <= cols["y_alt_m"])}
-    else:
-        flip = (cols["y_base"] < y) & (y <= cols["y_alt"])
-        ind = {
-            "t_pns": flip,
-            "nd_pns": flip & (cols["y_cross"] < y),
-            "ni_pns": flip & (y <= cols["y_cross"]),
-        }
-    values = {name: float(np.mean(v[ev])) for name, v in ind.items()}
-    se = {name: math.sqrt(max(p * (1 - p), 0.0) / k) for name, p in values.items()}
-    return TruthReport(values, "mc", k, se)
+            ev &= _inside(e.interval_m, cols["m_star"])
+        names = ["t_pns", "nd_pns", "ni_pns"]
+    den = _sum(w[ev])
+    if den == 0.0:
+        if method == "mc":
+            raise ConditioningError("no Monte Carlo draws satisfy the evidence event")
+        if degenerate == "threshold-limit":
+            return _report(_limit_indicators(q, e, w, cols), method, None)
+        raise ConditioningError("evidence event has zero probability")
+    flips = _flips(q, cols)
+    values = {k: _sum(w[flips[k] & ev]) / den for k in names}
+    return _report(values, method, int(den))
 
 
 def truth_effects(
@@ -742,45 +685,23 @@ def truth_effects(
     """Mean-scale diagnostics: total, controlled-direct (when ``m_fixed``
     is set), natural direct, and natural indirect effects.  The total
     effect decomposes as te(x', x) = nde(x', x) - nie(x, x')."""
-    if method == "exact":
-        means = {"y_base": 0.0, "y_alt": 0.0, "y_nde": 0.0, "y_cross": 0.0,
-                 "y_base_m": 0.0, "y_alt_m": 0.0}
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
-            for rect in rects:
-                w = w_c * rect.weight
-                means["y_base"] += w * rect.out[(q.x_base, rect.med[q.x_base])]
-                means["y_alt"] += w * rect.out[(q.x_alt, rect.med[q.x_alt])]
-                means["y_nde"] += w * rect.out[(q.x_alt, rect.med[q.x_base])]
-                means["y_cross"] += w * rect.out[(q.x_base, rect.med[q.x_alt])]
-                if q.m_fixed is not None:
-                    means["y_base_m"] += w * rect.out[(q.x_base, q.m_fixed)]
-                    means["y_alt_m"] += w * rect.out[(q.x_alt, q.m_fixed)]
-        n_used = None
-        se = {}
-    elif method == "mc":
-        cols = _mc_counterfactuals(scm, q, None, n, seed)
-        diffs = {
-            "te": cols["y_alt"] - cols["y_base"],
-            "nde": cols["y_nde"] - cols["y_base"],
-            "nie": cols["y_cross"] - cols["y_base"],
-        }
-        if q.m_fixed is not None:
-            diffs["cde"] = cols["y_alt_m"] - cols["y_base_m"]
-        values = {k: float(np.mean(v)) for k, v in diffs.items()}
-        se = {k: float(np.std(v) / math.sqrt(n)) for k, v in diffs.items()}
-        return TruthReport(values, "mc", n, se)
-    else:
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-
-    values = {
-        "te": means["y_alt"] - means["y_base"],
-        "nde": means["y_nde"] - means["y_base"],
-        "nie": means["y_cross"] - means["y_base"],
+    w, total, cols = _table(scm, q, None, method, n, seed)
+    contrasts = {
+        "te": ("y_alt", "y_base"),
+        "nde": ("y_nde", "y_base"),
+        "nie": ("y_cross", "y_base"),
     }
     if q.m_fixed is not None:
-        values["cde"] = means["y_alt_m"] - means["y_base_m"]
-    return TruthReport(values, "exact", n_used, se)
+        contrasts["cde"] = ("y_alt_m", "y_base_m")
+    sums = {k: _sum(w * cols[k]) for pair in contrasts.values() for k in pair}
+    values = {k: (sums[a] - sums[b]) / total for k, (a, b) in contrasts.items()}
+    if method == "exact":
+        return TruthReport(values, "exact", None, {})
+    se = {
+        k: float(np.std(cols[a] - cols[b]) / math.sqrt(n))
+        for k, (a, b) in contrasts.items()
+    }
+    return TruthReport(values, "mc", n, se)
 
 
 # -- monotone-coupling diagnostics --------------------------------------------
@@ -930,18 +851,7 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
             outcome_v.append((c, tagged[i], tagged[j], d1, d2))
 
         # compound regions on the square, expressed on shared stripes
-        med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
-        m_cuts = sorted({cut for cuts, _ in med_steps.values() for cut in cuts})
-        m_edges = (0.0, *m_cuts, 1.0)
-        stripes = []
-        for i in range(len(m_edges) - 1):
-            mid = 0.5 * (m_edges[i] + m_edges[i + 1])
-            med = {
-                x: med_steps[x][1][bisect.bisect_right(med_steps[x][0], mid)]
-                for x in x_levels
-            }
-            stripes.append((m_edges[i + 1] - m_edges[i], med))
-
+        stripes = _stripes(scm, c, x_levels)
         ctagged = [((x1, x2), y) for x1 in x_levels for x2 in x_levels for y in y_grid]
         regions = [
             [cell_regions[(x_out, med[x_med])][y] for _w2, med in stripes]
@@ -953,7 +863,7 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
         # mediator response regions (relevant to joint-evidence use)
         m_grid = tuple(sorted(m_levels))
         med_regions = {
-            x: _step_regions(med_steps[x], m_grid) for x in x_levels
+            x: _step_regions(scm.mediator.step((x, *c)), m_grid) for x in x_levels
         }
         mtagged = [(x, m) for x in x_levels for m in m_grid]
         regions = [(med_regions[x][m],) for x, m in mtagged]

@@ -267,6 +267,15 @@ def _with(path, value):
         # a NaN parameter used to simulate an all-zero mediator column
         (_with(("mediator", "logistic", "intercept"), float("nan")),
          "UnsupportedSpecError: logistic node needs finite parameters"),
+        # the last of two cells with the same parents used to win silently
+        (_with(("treatment",), {"table": [{"cuts": [0.5], "values": [0, 1]},
+                                          {"cuts": [], "values": [1]}]}),
+         "ConfigError: scm.treatment.table has two cells for parents []"),
+        (_with(("mediator",), {"table": [
+            {"parents": [0], "cuts": [], "values": [1]},
+            {"parents": [-0.0], "cuts": [], "values": [0]},
+            {"parents": [1], "cuts": [], "values": [1]}]}),
+         "ConfigError: scm.mediator.table has two cells for parents [-0.0]"),
     ],
 )
 def test_malformed_scm_document_exits_2(tmp_path, capsys, doc, message):
@@ -275,6 +284,60 @@ def test_malformed_scm_document_exits_2(tmp_path, capsys, doc, message):
     code, out, err = _run(capsys, "simulate", "--config", str(path), "--n", "5")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+def _query_with(**fields):
+    """A one-query ``queries`` list; ``None`` fields are left out."""
+    query = {"x_base": 0, "x_alt": 1, "y": 1, **fields}
+    return [{k: v for k, v in query.items() if v is not None}]
+
+
+def _evidence_with(**fields):
+    return _query_with(evidence={"x_star": 0, **fields})
+
+
+@pytest.mark.parametrize(
+    "queries, message",
+    [
+        # a TypeError traceback before
+        (5, "queries must be a list of objects, got 5"),
+        ([5], "queries[0] must be an object, got 5"),
+        (_query_with(x_base=None), "queries[0] has no 'x_base' key"),
+        (_query_with(x_alt="1"), "queries[0].x_alt must be a number, got '1'"),
+        (_query_with(y=True), "queries[0].y must be a number, got True"),
+        (_query_with(m_fixed=[1]), "queries[0].m_fixed must be a number, got [1]"),
+        (_query_with(stratum=1), "queries[0].stratum must be a list of numbers, got 1"),
+        (_query_with(stratum=["a"]), "queries[0].stratum must be a number, got 'a'"),
+        (_query_with(evidence=3), "queries[0].evidence must be an object, got 3"),
+        (_query_with(evidence={"x_star": "0"}),
+         "queries[0].evidence.x_star must be a number, got '0'"),
+        # a TypeError traceback before
+        (_evidence_with(y_interval=3),
+         "queries[0].evidence.y_interval must be a list of numbers, got 3"),
+        (_evidence_with(y_interval=[1]),
+         "queries[0].evidence.y_interval must be a list of two numbers, got [1.0]"),
+        (_evidence_with(y_interval=[0, "2"]),
+         "queries[0].evidence.y_interval must be a number, got '2'"),
+        (_evidence_with(y_interval=[0, 2], y_upper_closed=1),
+         "queries[0].evidence.y_upper_closed must be true or false, got 1"),
+        (_evidence_with(m_interval={"lower": 0}),
+         "queries[0].evidence.m_interval must be a list of numbers"),
+        (_evidence_with(m_interval=[0, 1, 2]),
+         "queries[0].evidence.m_interval must be a list of two numbers"),
+        (_evidence_with(m_interval=[0, 1], m_upper_closed="yes"),
+         "queries[0].evidence.m_upper_closed must be true or false, got 'yes'"),
+        (_evidence_with(m_star=None, y_interval=[0, 2], m_upper_closed=False) + [
+            {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 1,
+             "evidence": {"x_star": 0, "m_star": "1"}}],
+         "queries[1].evidence.m_star must be a number, got '1'"),
+    ],
+)
+def test_malformed_estimate_document_exits_2(tmp_path, capsys, sim_csv, queries, message):
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps({"input": sim_csv, "queries": queries}))
+    code, out, err = _run(capsys, "estimate", "--config", str(path), "--replicates", "0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: ConfigError: {message}")
 
 
 def test_verify_quick_passes_and_is_deterministic(capsys):

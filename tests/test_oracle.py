@@ -8,6 +8,7 @@ import pytest
 
 import pocmed as pm
 from pocmed import oracle, verification
+from pocmed.data import KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR
 from pocmed.errors import ConditioningError, UnsupportedSpecError
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
@@ -329,7 +330,7 @@ def _random_oracle_scm(seed):
     return _random_covariate_table_scm(rng)
 
 
-def test_monotonicity_and_rectangles_match_pairwise_reference():
+def test_monotonicity_matches_pairwise_reference():
     reached = dict.fromkeys(("outcome", "compound", "mediator"), 0)
     models = [_crossing_scm()] + [_random_oracle_scm(seed) for seed in range(600)]
     for seed, scm in enumerate(models):
@@ -338,18 +339,147 @@ def test_monotonicity_and_rectangles_match_pairwise_reference():
         assert got == want and repr(got) == repr(want), seed
         for part in reached:
             reached[part] += len(getattr(got, f"{part}_violations"))
-
-        rng = np.random.default_rng(seed)
-        for c, _ in scm.covariate_support():
-            x_levels = list(scm.treatment_levels(c))
-            m_levels = scm.mediator_levels(c)
-            xs = [x_levels[i] for i in rng.integers(0, len(x_levels), 3)]
-            pairs = [(x, m_levels[rng.integers(len(m_levels))]) for x in xs[:2]]
-            got = oracle._square_rects(scm, c, xs, pairs)
-            want = _oracle_reference._square_rects(scm, c, xs, pairs)
-            assert got == want and repr(got) == repr(want), seed
     # every kind of crossing was reported, so the exact recompute was reached
     assert all(reached.values()), reached
+
+
+def _signed_zero_scm():
+    """Mediator equal to the treatment, outcome ``0.0`` when the mediator
+    equals the treatment and ``-0.0`` otherwise: the natural effects of two
+    arms are differences of zeros of both signs."""
+    return pm.ScmSpec(
+        treatment=pm.TableNode({(): ((0.5,), (0.0, 1.0))}),
+        mediator=pm.TableNode({(x,): ((), (x,)) for x in (0.0, 1.0)}),
+        outcome=pm.TableNode(
+            {(x, m): ((), (0.0 if x == m else -0.0,)) for x in (0.0, 1.0) for m in (0.0, 1.0)}
+        ),
+    )
+
+
+def _non_dyadic_scm(rng):
+    """Table nodes whose outcome levels are not sums of powers of two, so
+    that sums of outcomes round."""
+
+    def cell(levels):
+        cuts = np.sort(rng.choice(np.arange(1, 10), size=int(rng.integers(0, 4)), replace=False))
+        return tuple(cuts / 10.0), tuple(rng.choice(levels, size=cuts.size + 1))
+
+    return pm.ScmSpec(
+        treatment=pm.TableNode({(): ((0.5,), (0.0, 1.0))}),
+        mediator=pm.TableNode({(x,): cell((0.0, 1.0)) for x in (0.0, 1.0)}),
+        outcome=pm.TableNode(
+            {(x, m): cell((0.1, 0.7, 2.3)) for x in (0.0, 1.0) for m in (0.0, 1.0)}
+        ),
+    )
+
+
+def _function_scm():
+    return pm.ScmSpec(
+        treatment=pm.LogisticNode(0.0),
+        mediator=pm.LogisticNode(1.0, (0.5,)),
+        outcome=pm.FunctionNode(lambda u, x, m: float(u < 0.3 + 0.1 * x + 0.2 * m)),
+    )
+
+
+def _truth_cases(scm, rng):
+    """Queries and evidence over the model's levels and the gaps between
+    them, some in a covariate stratum, some with a mediator value or an
+    evidence mediator that has no table cell or no mass."""
+    support = scm.covariate_support()
+    c = support[rng.integers(len(support))][0]
+    xs = list(scm.treatment_levels(c))
+    ms = list(scm.mediator_levels(c))
+    fn = isinstance(scm.outcome, pm.FunctionNode)
+    ys = [0.0, 1.0] if fn else sorted(scm.outcome.value_levels())
+    grid = ys + [v + 0.5 for v in ys] + [ys[0] - 1.0]
+
+    def pick(levels):
+        return float(levels[rng.integers(len(levels))])
+
+    def interval(levels, closed):
+        lo, hi = sorted((pick(levels + [-INF]), pick(levels + [INF])))
+        if lo == hi:
+            return pm.Interval.point(lo)
+        return pm.Interval(lo, hi, upper_closed=closed)
+
+    for _ in range(4):
+        stratum = tuple(c) if scm.covariates is not None and rng.random() < 0.7 else None
+        m_fixed = pick(ms + [9.0]) if rng.random() < 0.6 else None
+        q = pm.Query(pick(xs), pick(xs), pick(grid), m_fixed=m_fixed, c_stratum=stratum)
+        closed = bool(rng.random() < 0.5)
+        iy = pm.Interval.point(pick(grid)) if rng.random() < 0.3 else interval(grid, closed)
+        kind = rng.integers(3)
+        if kind == 0:
+            e = pm.Evidence(pick(xs), iy)
+        elif kind == 1:
+            e = pm.Evidence(pick(xs), iy, m_star=pick(ms + [7.0]))
+        else:
+            e = pm.Evidence(pick(xs), iy, interval_m=interval(ms, True))
+        yield q, e
+
+
+def _report_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same_effects(got, want, whole, key) -> bool:
+    """MC effects on whole-number outcomes are ``==``; otherwise the mean of
+    per-draw differences is a difference of sums, equal up to rounding.
+    Returns whether any value differs."""
+    if isinstance(want, str) or whole:
+        assert got == want, key
+        return False
+    assert (got.method, got.n, got.se) == (want.method, want.n, want.se), key
+    assert got.values.keys() == want.values.keys(), key
+    for k, v in want.values.items():
+        assert abs(got.values[k] - v) <= 1e-12, key
+    return got.values != want.values
+
+
+def test_truths_match_reference():
+    """Every truth, exact and Monte Carlo, against the per-rectangle and
+    per-method reference the counterfactual table replaced."""
+    reached = set()
+    models = [_crossing_scm(), _signed_zero_scm(), _function_scm()]
+    models += [_non_dyadic_scm(np.random.default_rng(seed)) for seed in range(10)]
+    models += [_random_oracle_scm(seed) for seed in range(150)]
+    for seed, scm in enumerate(models):
+        rng = np.random.default_rng(seed)
+        whole = isinstance(scm.outcome, pm.FunctionNode) or all(
+            float(v).is_integer() for v in scm.outcome.value_levels()
+        )
+        for q, e in _truth_cases(scm, rng):
+            for method in ("exact", "mc"):
+                kw = dict(method=method, n=400, seed=seed)
+                for name in ("truth_pns", "truth_effects"):
+                    got = _report_or_error(getattr(pm, name), scm, q, **kw)
+                    want = _report_or_error(getattr(_oracle_reference, name), scm, q, **kw)
+                    key = (seed, name, method, q)
+                    if name == "truth_effects" and method == "mc":
+                        if _assert_same_effects(got, want, whole, key):
+                            reached.add("rounded effects")
+                    else:
+                        assert repr(got) == repr(want), key
+                got = {}
+                for degenerate in ("error", "threshold-limit"):
+                    got[degenerate], want = (
+                        _report_or_error(
+                            impl.truth_with_evidence, scm, q, e, degenerate=degenerate, **kw
+                        )
+                        for impl in (pm, _oracle_reference)
+                    )
+                    assert repr(got[degenerate]) == repr(want), (seed, method, degenerate, q, e)
+                if method == "exact" and isinstance(got["threshold-limit"], oracle.TruthReport):
+                    zero = got["error"] == "ConditioningError: evidence event has zero probability"
+                    reached.add((e.kind, "limit" if zero else "mass"))
+    # every evidence kind was reached with positive and with zero mass, and
+    # some Monte Carlo effect moved by rounding
+    kinds = (KIND_OUTCOME, KIND_POINT_MEDIATOR, KIND_INTERVAL_MEDIATOR)
+    branches = {(kind, branch) for kind in kinds for branch in ("mass", "limit")}
+    assert reached == branches | {"rounded effects"}, reached
 
 
 def test_monotonicity_with_many_pieces_matches_pairwise_reference():
