@@ -101,6 +101,30 @@ def _numbers(value, where: str) -> list[float]:
     return [_number(v, where) for v in value]
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> list[str]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
+    return [_string(v, where) for v in value]
+
+
 def _parse_node(spec, where: str):
     spec = _mapping(spec, where)
     if "logistic" in spec:
@@ -173,14 +197,14 @@ def _resolve_scm(args, config: dict) -> ScmSpec:
 
 
 def _roles_from(args, config: dict) -> ColumnRoles:
-    schema = dict(config.get("schema", {}))
-    x = args.x_col or schema.get("x", "x")
-    m = args.m_col or schema.get("m", "m")
-    y = args.y_col or schema.get("y", "y")
+    schema = _mapping(config.get("schema", {}), "schema")
+    x = args.x_col or _string(schema.get("x", "x"), "schema.x")
+    m = args.m_col or _string(schema.get("m", "m"), "schema.m")
+    y = args.y_col or _string(schema.get("y", "y"), "schema.y")
     if args.c_cols is not None:
         c = tuple(s for s in args.c_cols.split(",") if s)
     else:
-        c = tuple(schema.get("c", ()))
+        c = tuple(_strings(schema.get("c", []), "schema.c"))
     return ColumnRoles(x, m, y, c)
 
 
@@ -195,11 +219,7 @@ def _interval_from(spec: dict, axis: str, where: str) -> Interval | None:
         raise ConfigError(
             f"{where}.{axis}_interval must be a list of two numbers, got {bounds!r}"
         )
-    closed = spec.get(f"{axis}_upper_closed", False)
-    if not isinstance(closed, bool):
-        raise ConfigError(
-            f"{where}.{axis}_upper_closed must be true or false, got {closed!r}"
-        )
+    closed = _boolean(spec.get(f"{axis}_upper_closed", False), f"{where}.{axis}_upper_closed")
     return Interval(bounds[0], bounds[1], upper_closed=closed)
 
 
@@ -210,9 +230,7 @@ def _evidence_from_spec(spec, where: str):
     if spec is None:
         return None, None
     spec = _mapping(spec, where)
-    if spec.get("x_star") is None:
-        return None, None
-    x_star = _number(spec["x_star"], f"{where}.x_star")
+    x_star = _number(_field(spec, "x_star", where), f"{where}.x_star")
     interval_y = _interval_from(spec, "y", where) or Interval.full()
     interval_m = _interval_from(spec, "m", where)
     natural = Evidence(x_star=x_star, interval_y=interval_y, interval_m=interval_m)
@@ -228,8 +246,14 @@ def _queries_from(args, config: dict) -> list[dict]:
     if not isinstance(queries, list):
         raise ConfigError(f"queries must be a list of objects, got {queries!r}")
     queries = [_mapping(spec, f"queries[{i}]") for i, spec in enumerate(queries)]
+    if args.evidence_x is None:
+        for flag, value in (("--evidence-m", args.evidence_m), ("--y-interval", args.y_interval),
+                            ("--m-interval", args.m_interval)):
+            if value is not None:
+                raise PocError(f"{flag} needs --evidence-x")
     flag_query = {}
-    if args.x_base is not None or args.x_alt is not None or args.y is not None:
+    per_query = (args.x_base, args.x_alt, args.y, args.m_fixed, args.stratum, args.evidence_x)
+    if any(value is not None for value in per_query):
         if args.x_base is None or args.x_alt is None or args.y is None:
             raise PocError("a query needs --x-base, --x-alt, and --y together")
         flag_query = {
@@ -376,20 +400,26 @@ def cmd_estimate(args) -> int:
     roles = _roles_from(args, config)
     dataset = load_dataset(input_path, roles)
 
-    families = tuple(
-        (args.families or ",".join(config.get("families", ["pns", "cd"]))).split(",")
+    families = args.families or ",".join(
+        _strings(config.get("families", ["pns", "cd"]), "families")
     )
+    families = tuple(families.split(","))
     for family in families:
         if family not in _FAMILY_ORDER:
             raise PocError(f"unknown family {family!r}; choose from {_FAMILY_ORDER}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    boot = dict(config.get("bootstrap", {}))
-    replicates = args.replicates if args.replicates is not None else int(
-        boot.get("replicates", 1000)
+    seed = args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
+    boot = _mapping(config.get("bootstrap", {}), "bootstrap")
+    replicates, where, error = args.replicates, "--replicates", PocError
+    if replicates is None:
+        replicates = _integer(boot.get("replicates", 1000), "bootstrap.replicates")
+        where, error = "bootstrap.replicates", ConfigError
+    if replicates < 0 or replicates == 1:
+        raise error(f"{where} must be 0 (no bootstrap) or at least 2, got {replicates}")
+    level = args.level if args.level is not None else _number(
+        boot.get("level", 0.95), "bootstrap.level"
     )
-    level = args.level if args.level is not None else float(boot.get("level", 0.95))
-    mediator_monotone = bool(
-        args.assume_mediator_monotone or config.get("assume_mediator_monotone", False)
+    mediator_monotone = args.assume_mediator_monotone or _boolean(
+        config.get("assume_mediator_monotone", False), "assume_mediator_monotone"
     )
 
     specs = _queries_from(args, config)
@@ -543,6 +573,9 @@ def cmd_sweep(args) -> int:
                 raise PocError("the model has no covariates to sweep over")
             if args.y is None:
                 raise PocError("covariate sweep needs --y")
+            if args.grid:
+                raise PocError("--grid does not apply to a model covariate sweep, "
+                               "which runs every covariate stratum")
             grid = [c[0] for c, _ in scm.covariate_support()]
             points = [
                 (v, lambda v=v: measure(AnalyticCdf(scm, (v,)), args.y, None))
@@ -607,11 +640,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config document")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int, default=None, help="64-bit seed")
-    p.add_argument("--format", choices=("json", "table"), default="table")
+_COMMON = {
+    "--config": {"help": "JSON config document"},
+    "--out": {"help": "output path"},
+    "--seed": {"type": int, "default": None, "help": "64-bit seed"},
+    "--format": {"choices": ("json", "table"), "default": "table"},
+}
+
+
+def _add_common(p, *flags):
+    """Declare the shared flags that the command reads."""
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def _add_schema(p):
@@ -648,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate from a CSV table")
-    _add_common(p_est)
+    _add_common(p_est, "--config", "--out", "--seed", "--format")
     _add_schema(p_est)
     _add_query(p_est)
     p_est.add_argument("--input", help="CSV input path")
@@ -665,13 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="sample an observational CSV from a model")
-    _add_common(p_sim)
+    _add_common(p_sim, "--config", "--out", "--seed")
     p_sim.add_argument("--preset", help="built-in model name (logistic-bernoulli)")
     p_sim.add_argument("--n", type=int, help="number of rows")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="check the stack against exact truths")
-    _add_common(p_ver)
+    _add_common(p_ver, "--out", "--seed")
     p_ver.add_argument("--replicates", type=int, help="bootstrap replicates")
     p_ver.add_argument("--scms", type=int, help="equivalence-suite model count")
     p_ver.add_argument("--decomposition", type=int, help="decomposition-suite model count")
@@ -679,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="evaluate measures over a grid")
-    _add_common(p_sw)
+    _add_common(p_sw, "--config", "--out")
     _add_schema(p_sw)
     p_sw.add_argument("--input", help="CSV input path (empirical sweep)")
     p_sw.add_argument("--preset", help="built-in model name (analytic sweep)")

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset, stratum_values
+from .data import POS_INF, Dataset, stratum_values
 from .errors import EmptyDataError, PositivityError
 
 
@@ -118,8 +118,10 @@ class CdfModel:
 
     ``source`` is a :class:`Dataset`, whose rows in ``c_stratum`` are
     counted, or a :class:`CountTable` already restricted to it.  Either way
-    the model keeps, per ``(x, m)`` cell and per treatment arm, the sorted
-    outcome levels with the cumulative counts below each of them.
+    the model keeps, per ``(x, m)`` cell, the sorted outcome levels with the
+    cumulative counts below each of them, and per treatment arm only its
+    row total: an arm's outcome CDF is the joint CDF at ``m = +inf``, a sum
+    over its cells.
     """
 
     def __init__(self, source: Dataset | CountTable, c_stratum=None):
@@ -140,28 +142,22 @@ class CdfModel:
         names = zip(x[cells[:-1]].tolist(), m[cells[:-1]].tolist())
         self._cells = _runs(names, cells, y, counts)
         self._m_levels: dict[float, list[float]] = {}
-        for x_level, m_level in self._cells:
+        self._arm_n: dict[float, int] = {}
+        for (x_level, m_level), cell in self._cells.items():
             self._m_levels.setdefault(x_level, []).append(m_level)
-
-        # treatment arms: runs of x, outcome levels sorted across their cells
-        arms = _bounds(x)
-        b = arms.tolist()
-        order = np.concatenate(
-            [s + np.argsort(y[s:e], kind="stable") for s, e in zip(b, b[1:])]
-        )
-        self._arms = _runs(x[arms[:-1]].tolist(), arms, y[order], counts[order])
+            self._arm_n[x_level] = self._arm_n.get(x_level, 0) + cell[3]
 
     # -- basic surface --------------------------------------------------
 
     def x_levels(self) -> tuple[float, ...]:
-        return tuple(sorted(self._arms))
+        return tuple(sorted(self._arm_n))
 
     def mediator_support(self, x: float) -> tuple[float, ...]:
         self._require_x(float(x))
         return tuple(self._m_levels[float(x)])
 
     def _require_x(self, x: float) -> None:
-        if x not in self._arms:
+        if x not in self._arm_n:
             raise PositivityError(f"no rows with treatment level {x!r}")
 
     def _cell(self, x: float, m: float) -> tuple:
@@ -177,10 +173,7 @@ class CdfModel:
 
     def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
         """P(outcome < y | treatment = x); ``strict=False`` gives <=."""
-        x = float(x)
-        self._require_x(x)
-        arm = self._arms[x]
-        return _count_below(arm, y, strict) / arm[3]
+        return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
 
     def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
         """P(outcome < y | treatment = x, mediator = m)."""
@@ -192,7 +185,7 @@ class CdfModel:
         x = float(x)
         self._require_x(x)
         cell = self._cells.get((x, float(m)))
-        return (cell[3] if cell is not None else 0) / self._arms[x][3]
+        return (cell[3] if cell is not None else 0) / self._arm_n[x]
 
     def joint_cdf_ym_given_x(
         self,
@@ -210,7 +203,7 @@ class CdfModel:
             inside = level < m if strict_m else level <= m
             if inside:
                 total += _count_below(self._cells[(x, level)], y, strict_y)
-        return total / self._arms[x][3]
+        return total / self._arm_n[x]
 
     def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> float:
         """CDF of the outcome that would arise with treatment held at
@@ -235,4 +228,4 @@ class CdfModel:
                 )
             below = _count_below(base_cell, y, True)
             acc += Fraction(below * self._cells[(x_alt, level)][3], base_cell[3])
-        return float(acc / self._arms[x_alt][3])
+        return float(acc / self._arm_n[x_alt])

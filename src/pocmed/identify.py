@@ -24,9 +24,12 @@ Quantities, for the contrast ``x_base -> x_alt`` and the event
 
 Writing ``a`` and ``b`` for the outcome CDFs at the base and alt arms,
 ``r`` for the cross-world CDF, and ``l <= u`` for the evidence CDF bounds,
-the non-degenerate ("case A") forms are ratios of clipped margins such as
-``max(min(a, u) - max(b, l), 0) / (u - l)``.  When the evidence event has
-zero empirical mass (``u == l``, "case B") the ratio degenerates to the
+every quantity is one clipped-margin kernel over the flip band ``[b, a)``:
+the non-degenerate ("case A") forms are ratios such as
+``max(min(a, u) - max(b, l), 0) / (u - l)``, the unconditional quantities
+are the band ``(l, u) = (0, 1)``, and the controlled-direct ones have no
+cross-world split (``r = +inf``).  When the evidence event has zero
+empirical mass (``u == l``, "case B") the ratio degenerates to the
 indicator of the evidence boundary falling inside the flip band, namely
 ``b <= l < a``, with the direct/indirect split decided by ``l < r`` versus
 ``r <= l``.  The case-B orientation follows the continuous limit of case A
@@ -103,20 +106,75 @@ def _make_triple(nd: float, ni: float, case_flag: str) -> PnsTriple:
     return PnsTriple(t, nd, ni, prop_nd, prop_ni, case_flag)
 
 
-def _interval_cdf_bounds(cdf_at, interval: Interval) -> tuple[float, float]:
-    """CDF mass strictly below each endpoint of an evidence interval.
+def _evidence_bounds(model, e: Evidence) -> tuple[float, float]:
+    """Evidence CDF bounds ``(l, u)`` in the ``x*`` arm: the mass strictly
+    below each end of the evidence event, so that ``u - l`` is its mass.
 
-    The lower endpoint is always included in the interval, so the excluded
-    lower mass uses the strict CDF; the upper endpoint uses the strict CDF
-    for a half-open interval and the non-strict CDF for a closed one.
-    Infinite endpoints evaluate to 0 and 1 by convention.
+    Outcome evidence reads the arm's outcome CDF at the interval ends,
+    point-mediator evidence the same CDF in the ``(x*, m*)`` cell, and
+    interval-mediator evidence the joint outcome-mediator CDF at the box
+    corners; the first two are boxes whose mediator ends lie at ``+inf``.
+    The lower ends are always included, so the lower mass uses the strict
+    CDFs; an upper end uses the strict CDF when open and the non-strict one
+    when closed.  Infinite ends give 0 and 1.
     """
-    low = 0.0 if interval.lower == NEG_INF else cdf_at(interval.lower, True)
-    if interval.upper == POS_INF:
+    iy, im = e.interval_y, e.interval_m
+    if im is not None:
+        m_lower, m_upper, m_strict = im.lower, im.upper, not im.upper_closed
+
+        def below(y, m, strict_y, strict_m):
+            return model.joint_cdf_ym_given_x(y, m, e.x_star, strict_y, strict_m)
+    else:
+        m_lower, m_upper, m_strict = POS_INF, POS_INF, True
+
+        def below(y, m, strict_y, strict_m):
+            if e.m_star is None:
+                return model.cdf_y_given_x(y, e.x_star, strict_y)
+            return model.cdf_y_given_xm(y, e.x_star, e.m_star, strict_y)
+    low = 0.0 if NEG_INF in (iy.lower, m_lower) else below(iy.lower, m_lower, True, True)
+    if iy.upper == m_upper == POS_INF:
         high = 1.0
     else:
-        high = cdf_at(interval.upper, not interval.upper_closed)
+        high = below(iy.upper, m_upper, not iy.upper_closed, m_strict)
     return low, high
+
+
+def _clipped(a: float, b: float, r: float, low: float, high: float) -> tuple:
+    """The clipped-margin kernel: ``(nd, ni, (total, direct, indirect)
+    margins, case)`` for base/alt CDFs ``a``, ``b``, cross-world CDF ``r``
+    and evidence CDF bounds ``low <= high``.
+
+    The unconditional quantities are the band ``(0, 1)``; ``r = +inf``
+    leaves no cross-world split, so the controlled-direct quantity is
+    ``nd``.
+    """
+    mass = high - low
+    margins = (
+        min(a, high) - max(b, low),
+        min(a, high, r) - max(b, low),
+        min(a, high) - max(b, low, r),
+    )
+    if mass != 0.0:
+        return max(margins[1] / mass, 0.0), max(margins[2] / mass, 0.0), margins, CASE_A
+    inside = b <= low < a
+    nd = 1.0 if (inside and low < r) else 0.0
+    ni = 1.0 if (inside and r <= low) else 0.0
+    return nd, ni, margins, CASE_B
+
+
+def _cd_cdfs(model, q: Query) -> tuple[float, float]:
+    return (
+        model.cdf_y_given_xm(q.y_threshold, q.x_base, q.m_fixed),
+        model.cdf_y_given_xm(q.y_threshold, q.x_alt, q.m_fixed),
+    )
+
+
+def _natural_cdfs(model, q: Query) -> tuple[float, float, float]:
+    return (
+        model.cdf_y_given_x(q.y_threshold, q.x_base),
+        model.cdf_y_given_x(q.y_threshold, q.x_alt),
+        model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt),
+    )
 
 
 # -- unconditional quantities ---------------------------------------------
@@ -127,9 +185,8 @@ def cd_pns(model, q: Query) -> float:
     ``q.m_fixed``: ``max(P(Y<y | x_base, m) - P(Y<y | x_alt, m), 0)``."""
     if q.m_fixed is None:
         raise InvalidEvidenceError("controlled-direct query requires m_fixed")
-    a = model.cdf_y_given_xm(q.y_threshold, q.x_base, q.m_fixed)
-    b = model.cdf_y_given_xm(q.y_threshold, q.x_alt, q.m_fixed)
-    return max(a - b, 0.0)
+    a, b = _cd_cdfs(model, q)
+    return _clipped(a, b, POS_INF, 0.0, 1.0)[0]
 
 
 def natural_pns(model, q: Query) -> PnsTriple:
@@ -139,11 +196,7 @@ def natural_pns(model, q: Query) -> PnsTriple:
     direct ``max(min(a, r) - b, 0)``, indirect ``max(a - max(b, r), 0)``;
     the total equals ``max(a - b, 0)`` and the sum of the two parts.
     """
-    a = model.cdf_y_given_x(q.y_threshold, q.x_base)
-    b = model.cdf_y_given_x(q.y_threshold, q.x_alt)
-    r = model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt)
-    nd = max(min(a, r) - b, 0.0)
-    ni = max(a - max(b, r), 0.0)
+    nd, ni, _, _ = _clipped(*_natural_cdfs(model, q), 0.0, 1.0)
     return _make_triple(nd, ni, CASE_UNCONDITIONAL)
 
 
@@ -168,68 +221,19 @@ def cd_pns_with_evidence(model, q: Query, e: Evidence) -> tuple[float, EvidenceT
     if q.m_fixed is None:
         raise InvalidEvidenceError("controlled-direct query requires m_fixed")
     _require_kind(e, KIND_POINT_MEDIATOR, "cd_pns_with_evidence")
-    a = model.cdf_y_given_xm(q.y_threshold, q.x_base, q.m_fixed)
-    b = model.cdf_y_given_xm(q.y_threshold, q.x_alt, q.m_fixed)
-    low, high = _interval_cdf_bounds(
-        lambda v, strict: model.cdf_y_given_xm(v, e.x_star, e.m_star, strict),
-        e.interval_y,
-    )
-    mass = high - low
-    margin = min(a, high) - max(b, low)
-    if mass != 0.0:
-        value = max(margin / mass, 0.0)
-        case = CASE_A
-    else:
-        value = 1.0 if (b <= low < a) else 0.0
-        case = CASE_B
-    terms = EvidenceTerms(
-        cdf_base=a,
-        cdf_alt=b,
-        crossworld=None,
-        ev_low=low,
-        ev_high=high,
-        ev_mass=mass,
-        margin_total=margin,
-        margin_direct=None,
-        margin_indirect=None,
-        case_flag=case,
-    )
+    a, b = _cd_cdfs(model, q)
+    low, high = _evidence_bounds(model, e)
+    value, _, (margin, _, _), case = _clipped(a, b, POS_INF, low, high)
+    terms = EvidenceTerms(a, b, None, low, high, high - low, margin, None, None, case)
     return value, terms
 
 
-def _natural_with_bounds(
-    model, q: Query, low: float, high: float
-) -> tuple[PnsTriple, EvidenceTerms]:
-    a = model.cdf_y_given_x(q.y_threshold, q.x_base)
-    b = model.cdf_y_given_x(q.y_threshold, q.x_alt)
-    r = model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt)
-    mass = high - low
-    m_total = min(a, high) - max(b, low)
-    m_direct = min(a, high, r) - max(b, low)
-    m_indirect = min(a, high) - max(b, low, r)
-    if mass != 0.0:
-        nd = max(m_direct / mass, 0.0)
-        ni = max(m_indirect / mass, 0.0)
-        case = CASE_A
-    else:
-        inside = b <= low < a
-        nd = 1.0 if (inside and low < r) else 0.0
-        ni = 1.0 if (inside and r <= low) else 0.0
-        case = CASE_B
-    triple = _make_triple(nd, ni, case)
-    terms = EvidenceTerms(
-        cdf_base=a,
-        cdf_alt=b,
-        crossworld=r,
-        ev_low=low,
-        ev_high=high,
-        ev_mass=mass,
-        margin_total=m_total,
-        margin_direct=m_direct,
-        margin_indirect=m_indirect,
-        case_flag=case,
-    )
-    return triple, terms
+def _natural_given(model, q: Query, e: Evidence) -> tuple[PnsTriple, EvidenceTerms]:
+    low, high = _evidence_bounds(model, e)
+    a, b, r = _natural_cdfs(model, q)
+    nd, ni, margins, case = _clipped(a, b, r, low, high)
+    terms = EvidenceTerms(a, b, r, low, high, high - low, *margins, case)
+    return _make_triple(nd, ni, case), terms
 
 
 def natural_pns_with_evidence(model, q: Query, e: Evidence) -> tuple[PnsTriple, EvidenceTerms]:
@@ -244,10 +248,7 @@ def natural_pns_with_evidence(model, q: Query, e: Evidence) -> tuple[PnsTriple, 
     bit-for-bit.
     """
     _require_kind(e, KIND_OUTCOME, "natural_pns_with_evidence")
-    low, high = _interval_cdf_bounds(
-        lambda v, strict: model.cdf_y_given_x(v, e.x_star, strict), e.interval_y
-    )
-    return _natural_with_bounds(model, q, low, high)
+    return _natural_given(model, q, e)
 
 
 def natural_pns_with_mediator_evidence(
@@ -276,22 +277,7 @@ def natural_pns_with_mediator_evidence(
         MediatorMonotonicityWarning,
         stacklevel=2,
     )
-    iy, im = e.interval_y, e.interval_m
-    if iy.lower == NEG_INF or im.lower == NEG_INF:
-        low = 0.0
-    else:
-        low = model.joint_cdf_ym_given_x(iy.lower, im.lower, e.x_star, True, True)
-    if iy.upper == POS_INF and im.upper == POS_INF:
-        high = 1.0
-    else:
-        high = model.joint_cdf_ym_given_x(
-            iy.upper,
-            im.upper,
-            e.x_star,
-            not iy.upper_closed,
-            not im.upper_closed,
-        )
-    return _natural_with_bounds(model, q, low, high)
+    return _natural_given(model, q, e)
 
 
 # -- necessity / sufficiency families ---------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import ColumnRoles, Dataset, Evidence, Query, KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR
+from .data import ColumnRoles, Dataset, Evidence, Query, KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR, POS_INF
 from .errors import ConditioningError, InvalidEvidenceError, UnsupportedSpecError
 
 _MC_CHUNK = 1 << 17
@@ -373,24 +373,17 @@ class AnalyticCdf:
         return num / den
 
     def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
-        terms = [
-            (self.mediator_pmf(m, x), self.cdf_y_given_xm(y, x, m, strict))
-            for m in self.mediator_support(x)
-        ]
-        return self._mixture(terms)
+        return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
 
     def joint_cdf_ym_given_x(
         self, y: float, m: float, x: float, strict_y: bool = True, strict_m: bool = True
     ) -> float:
         support = self.mediator_support(x)
-        total = 0.0
-        included = []
-        for level in support:
-            inside = level < m if strict_m else level <= m
-            if inside:
-                included.append(
-                    (self.mediator_pmf(level, x), self.cdf_y_given_xm(y, x, level, strict_y))
-                )
+        included = [
+            (self.mediator_pmf(level, x), self.cdf_y_given_xm(y, x, level, strict_y))
+            for level in support
+            if (level < m if strict_m else level <= m)
+        ]
         if len(included) == len(support):
             return self._mixture(included)
         num = math.fsum(p * c for p, c in included)
@@ -557,6 +550,8 @@ def _table(scm: ScmSpec, q: Query, e: Evidence | None, method: str, n: int, seed
     if method == "exact":
         (w, med, outc), total = _square_cells(scm, q, e), 1.0
     elif method == "mc":
+        if n < 1:
+            raise ValueError("sample size must be at least 1")
         (w, med, outc), total = _mc_draws(scm, q, n, seed), float(n)
     else:
         raise UnsupportedSpecError(f"unknown method {method!r}")

@@ -335,8 +335,7 @@ def _random_outcome_interval(rng, an: AnalyticCdf, x_star: float) -> Interval:
         if not (lo < hi or (lo == hi and closed and not math.isinf(lo))):
             continue
         interval = Interval(lo, hi, upper_closed=closed)
-        low = 0.0 if lo == NEG_INF else an.cdf_y_given_x(lo, x_star, True)
-        high = 1.0 if hi == POS_INF else an.cdf_y_given_x(hi, x_star, not closed)
+        low, high = identify._evidence_bounds(an, Evidence(x_star, interval))
         if high - low > 1e-6:
             return interval
     return Interval.full()
@@ -464,15 +463,11 @@ def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
     support = an.mediator_support(x_star)
     m_star = float(support[rng.integers(len(support))])
 
-    def cell_cdf(v, strict):
-        return an.cdf_y_given_xm(v, x_star, m_star, strict)
-
     levels = an.outcome_levels()
     interval = None
     for _ in range(50):
         cand = _random_outcome_interval(rng, an, x_star)
-        low = 0.0 if cand.lower == NEG_INF else cell_cdf(cand.lower, True)
-        high = 1.0 if cand.upper == POS_INF else cell_cdf(cand.upper, not cand.upper_closed)
+        low, high = identify._evidence_bounds(an, Evidence(x_star, cand, m_star=m_star))
         if high - low > 1e-6:
             interval = cand
             break
@@ -531,7 +526,6 @@ def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
     # upper corner: any mediator cut above m_lo, any outcome threshold above y_lo
     j_hi = int(rng.integers(len(support)))
     m_hi = float(support[j_hi]) + 0.5
-    levels = [lv for lv in an.outcome_levels()] + [POS_INF]
     y_hi_choices = [lv + 0.5 for lv in an.outcome_levels() if lv + 0.5 > (y_lo if y_lo != NEG_INF else -1e18)]
     y_hi = float(y_hi_choices[rng.integers(len(y_hi_choices))]) if y_hi_choices else POS_INF
     if m_lo != NEG_INF and m_hi <= m_lo:
@@ -544,14 +538,7 @@ def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
         )
     except Exception:
         return diffs
-    low = (
-        0.0
-        if (y_lo == NEG_INF or m_lo == NEG_INF)
-        else an.joint_cdf_ym_given_x(y_lo, m_lo, x_star, True, True)
-    )
-    high = an.joint_cdf_ym_given_x(y_hi, m_hi, x_star, True, True) if y_hi != POS_INF else (
-        an.joint_cdf_ym_given_x(POS_INF, m_hi, x_star, True, True)
-    )
+    low, high = identify._evidence_bounds(an, e)
     if high - low <= 1e-6:
         return diffs
     with warnings.catch_warnings():

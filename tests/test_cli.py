@@ -340,6 +340,82 @@ def test_malformed_estimate_document_exits_2(tmp_path, capsys, sim_csv, queries,
     assert err.startswith(f"error: ConfigError: {message}")
 
 
+@pytest.mark.parametrize(
+    "fields, flags, message",
+    [
+        # run unconditioned, exit 0, before
+        ({"queries": _query_with(evidence={"y_interval": [1, 2]})}, [],
+         "ConfigError: queries[0].evidence has no 'x_star' key"),
+        ({"queries": _query_with(evidence={"x_star": None, "m_star": 1})}, [],
+         "ConfigError: queries[0].evidence.x_star must be a number, got None"),
+        ({}, ["--x-base", "0", "--x-alt", "1", "--y", "1", "--y-interval", "1,2"],
+         "PocError: --y-interval needs --evidence-x"),
+        ({}, ["--x-base", "0", "--x-alt", "1", "--y", "1", "--m-interval", "0,1"],
+         "PocError: --m-interval needs --evidence-x"),
+        ({}, ["--x-base", "0", "--x-alt", "1", "--y", "1", "--evidence-m", "1"],
+         "PocError: --evidence-m needs --evidence-x"),
+        # dropped beside a config query before
+        ({}, ["--evidence-x", "0", "--y-interval", "0,1"],
+         "PocError: a query needs --x-base, --x-alt, and --y together"),
+        ({}, ["--m-fixed", "1"], "PocError: a query needs --x-base, --x-alt, and --y together"),
+        # TypeError tracebacks with exit 1 before
+        ({"schema": 5}, [], "ConfigError: schema must be an object, got 5"),
+        ({"bootstrap": 5}, [], "ConfigError: bootstrap must be an object, got 5"),
+        # looked up as columns named 1 and 'g' before
+        ({"schema": {"x": 1}}, [], "ConfigError: schema.x must be a string, got 1"),
+        ({"schema": {"c": "g"}}, [],
+         "ConfigError: schema.c must be a list of strings, got 'g'"),
+        ({"schema": {"c": [1]}}, [], "ConfigError: schema.c must be a string, got 1"),
+        # converted from strings, exit 0, before
+        ({"bootstrap": {"replicates": "9"}}, [],
+         "ConfigError: bootstrap.replicates must be an integer, got '9'"),
+        ({"bootstrap": {"level": "0.9"}}, [],
+         "ConfigError: bootstrap.level must be a number, got '0.9'"),
+        # an untyped ValueError before
+        ({"seed": "abc"}, [], "ConfigError: seed must be an integer, got 'abc'"),
+        # split into letters before
+        ({"families": "pns"}, [], "ConfigError: families must be a list of strings, got 'pns'"),
+        # asserted the assumption before
+        ({"assume_mediator_monotone": "false"}, [],
+         "ConfigError: assume_mediator_monotone must be true or false, got 'false'"),
+        # no bootstrap, silently, before
+        ({"bootstrap": {"replicates": 1}}, [],
+         "ConfigError: bootstrap.replicates must be 0 (no bootstrap) or at least 2, got 1"),
+        ({}, ["--replicates", "1"],
+         "PocError: --replicates must be 0 (no bootstrap) or at least 2, got 1"),
+        ({}, ["--replicates=-5"],
+         "PocError: --replicates must be 0 (no bootstrap) or at least 2, got -5"),
+    ],
+)
+def test_malformed_estimate_settings_exit_2(tmp_path, capsys, sim_csv, fields, flags, message):
+    doc = {"input": sim_csv, "queries": _query_with(), **fields}
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "estimate", "--config", str(path), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--preset", "logistic-bernoulli", "--n", "5"], ["--format", "json"]),
+        (["verify", "--quick"], ["--config", "run.json"]),
+        (["verify", "--quick"], ["--format", "json"]),
+        (["sweep", "--preset", "logistic-bernoulli", "--x-base", "0", "--x-alt", "1"],
+         ["--seed", "1"]),
+        (["sweep", "--preset", "logistic-bernoulli", "--x-base", "0", "--x-alt", "1"],
+         ["--format", "json"]),
+    ],
+)
+def test_unread_flags_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_verify_quick_passes_and_is_deterministic(capsys):
     code, stdout, _ = _run(capsys, "verify", "--quick", "--seed", "1")
     assert code == 0
@@ -441,3 +517,32 @@ def test_sweep_mediator_intercept_monotone(capsys):
     # raising the mediator threshold parameter raises mediator take-up and
     # hence lowers the probability of staying below the outcome threshold
     assert all(a >= b - 1e-12 for a, b in zip(cross, cross[1:]))
+
+
+def test_model_covariate_sweep_runs_every_stratum(tmp_path, capsys):
+    scm = {
+        "treatment": {"logistic": {"intercept": 0.0, "coefs": [0.5]}},
+        "mediator": {"logistic": {"intercept": -0.5, "coefs": [1.0, 0.3]}},
+        "outcome": {"logistic": {"intercept": -1.0, "coefs": [0.8, 1.2, -0.4]}},
+        "covariates": [{"values": [1], "weight": 0.6}, {"values": [0], "weight": 0.4}],
+    }
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({"scm": scm}))
+    argv = ["sweep", "--config", str(path), "--x-base", "0", "--x-alt", "1", "--y", "1",
+            "--grid-over", "covariate"]
+    code, stdout, _ = _run(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+    keys = ["t_pns", "nd_pns", "ni_pns", "cdf_base", "cdf_alt", "crossworld"]
+    # one block per stratum, in the model's support order
+    assert [(grid, key) for grid, key, _, _ in rows] == [
+        (grid, key) for grid in ("1.0", "0.0") for key in keys
+    ]
+    assert {status for *_, status in rows} == {"ok"}
+    for block in (rows[:6], rows[6:]):
+        t, nd, ni = (float(value) for _, _, value, _ in block[:3])
+        assert t == nd + ni
+    # every stratum runs, so a grid would be ignored: it is rejected instead
+    code, stdout, err = _run(capsys, *argv, "--grid", "1")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: PocError: --grid does not apply to a model covariate sweep")

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pocmed as pm
-from pocmed.errors import AssumptionError, InvalidEvidenceError
+from pocmed.ecdf import RowCounts
+from pocmed.errors import AssumptionError, InvalidEvidenceError, PocError
 from pocmed import verification
 
+import _identify_reference as reference
 from conftest import B_ALT, ND_PNS, ND_PN, NI_PNS, NI_PN, S15, S2, T_PNS, T_PN, T_PS
+from test_count_bootstrap import M_LEVELS, Y_LEVELS, _random_dataset
 
 INF = float("inf")
 
@@ -344,3 +347,146 @@ def test_crossworld_monotone_clipping(a, b, l, u):
             assert triple.nd_pns >= last_nd - 1e-12
             assert triple.ni_pns <= last_ni + 1e-12
         last_nd, last_ni = triple.nd_pns, triple.ni_pns
+
+
+# -- the one kernel against the formulas it replaced --------------------------------
+
+
+_FORMULAS = (
+    ("cd_pns", lambda mod, m, q, e: mod.cd_pns(m, q)),
+    ("natural_pns", lambda mod, m, q, e: mod.natural_pns(m, q)),
+    ("pn_family", lambda mod, m, q, e: mod.pn_family(m, q)),
+    ("ps_family", lambda mod, m, q, e: mod.ps_family(m, q)),
+    ("cd_pns_with_evidence", lambda mod, m, q, e: mod.cd_pns_with_evidence(m, q, e)),
+    ("natural_pns_with_evidence",
+     lambda mod, m, q, e: mod.natural_pns_with_evidence(m, q, e)),
+    ("natural_pns_with_mediator_evidence",
+     lambda mod, m, q, e: mod.natural_pns_with_mediator_evidence(m, q, e)),
+    ("natural_pns_with_mediator_evidence, asserted",
+     lambda mod, m, q, e: mod.natural_pns_with_mediator_evidence(
+         m, q, e, mediator_monotone=True)),
+)
+
+
+def _with_gaps(levels):
+    """The outcome levels as given (a ``-0.0`` beside ``0.0`` kept), the
+    gaps between them and a point beyond each end."""
+    ordered = sorted(set(levels))
+    gaps = [0.5 * (a + b) for a, b in zip(ordered, ordered[1:])]
+    return [*levels, *gaps, ordered[0] - 1.0, ordered[-1] + 1.0]
+
+
+def _random_interval(rng, ends):
+    """A valid interval over ``ends``: closed, half-open or infinite at
+    either end; a point when both ends meet."""
+    while True:
+        lo = -INF if rng.random() < 0.25 else float(rng.choice(ends))
+        hi = INF if rng.random() < 0.25 else float(rng.choice(ends))
+        closed = bool(rng.random() < 0.5) and hi != INF
+        try:
+            return pm.Interval(lo, hi, upper_closed=closed)
+        except InvalidEvidenceError:
+            continue
+
+
+def _random_case(rng, xs, ms, ys):
+    """One query and one evidence record of a random kind over the given
+    treatment, mediator and outcome values."""
+    q = pm.Query(
+        x_base=float(rng.choice(xs)),
+        x_alt=float(rng.choice(xs)),
+        y_threshold=float(rng.choice(ys)),
+        m_fixed=None if rng.random() < 0.2 else float(rng.choice(ms)),
+    )
+    x_star = float(rng.choice(xs))
+    interval_y = _random_interval(rng, ys)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        e = pm.Evidence(x_star, interval_y)
+    elif kind == 1:
+        e = pm.Evidence(x_star, interval_y, m_star=float(rng.choice(ms)))
+    else:
+        e = pm.Evidence(x_star, interval_y, interval_m=_random_interval(rng, ms))
+    return q, e
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except PocError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_providers():
+    """``(source, current provider, reference provider, treatment values,
+    mediator values, outcome values)``: CdfModels of random count tables
+    (one model serves both sides) and analytic CDFs of random threshold
+    and lexicographic models."""
+    xs, ms, ys = (0.0, -0.0, 1.0, 2.0, 3.0), (*M_LEVELS, 7.0, 9.0), _with_gaps(Y_LEVELS)
+    for seed in range(12):
+        data = _random_dataset(seed)
+        for stratum in (None, (1.0,)):
+            counter = RowCounts(data, stratum)
+            draws = [None] + [
+                np.random.default_rng(child).integers(0, data.n, data.n)
+                for child in np.random.SeedSequence(seed).spawn(2)
+            ]
+            for idx in draws:
+                try:
+                    model = pm.CdfModel(counter.table(idx), stratum)
+                except PocError:  # a resample that leaves the stratum empty
+                    continue
+                yield "table", model, model, xs, ms, ys
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        if i % 2:
+            scm = verification.random_lex_scm(
+                rng, treatment_levels=int(rng.integers(2, 4)),
+                stripes=int(rng.integers(2, 4)), inner=int(rng.integers(2, 4)))
+        else:
+            scm = verification.random_threshold_scm(
+                rng, treatment_levels=int(rng.integers(2, 4)),
+                mediator_levels=int(rng.integers(2, 4)),
+                outcome_levels=int(rng.integers(2, 4)))
+        an = pm.AnalyticCdf(scm)
+        x_levels = an.x_levels()
+        m_levels = sorted({m for x in x_levels for m in an.mediator_support(x)})
+        yield (
+            "lex" if i % 2 else "threshold",
+            an,
+            reference.ReferenceAnalyticCdf(scm),
+            (*x_levels, x_levels[-1] + 1.0),
+            (*m_levels, *(m + 0.5 for m in m_levels)),
+            _with_gaps(an.outcome_levels()),
+        )
+
+
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+def test_formulas_match_reference():
+    rng = np.random.default_rng(6)
+    reached = set()
+    for source, model, ref_model, xs, ms, ys in _reference_providers():
+        for _ in range(40):
+            q, e = _random_case(rng, xs, ms, ys)
+            for name, formula in _FORMULAS:
+                got = _outcome(lambda: formula(pm.identify, model, q, e))
+                want = _outcome(lambda: formula(reference, ref_model, q, e))
+                assert got == want, (source, name, q, e)
+                if isinstance(got, tuple):
+                    reached.add(got[0])
+                    continue
+                reached.update(f"case {c}" for c in "AB" if f"case_flag='{c}'" in got)
+                if "prop_nd=None" in got:
+                    reached.add("undefined share")
+                if source == "lex" and name == "natural_pns" and any(
+                    model.mediator_pmf(m, q.x_base) == 0.0
+                    for m in model.mediator_support(q.x_alt)
+                ):
+                    reached.add("lex cross-world over a zero-mass cell")
+    assert {
+        "case A",
+        "case B",
+        "undefined share",
+        "PositivityError",
+        "lex cross-world over a zero-mass cell",
+    } <= reached, reached

@@ -108,6 +108,18 @@ def test_exact_seed_invariant(preset, base_query):
     assert a.values == b.values
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_mc_truths_reject_empty_samples(preset, base_query, n):
+    e = pm.Evidence(x_star=1.0, interval_y=pm.Interval(1.0, INF))
+    for truth in (
+        lambda: pm.truth_pns(preset, base_query, method="mc", n=n),
+        lambda: pm.truth_with_evidence(preset, base_query, e, method="mc", n=n),
+        lambda: pm.truth_effects(preset, base_query, method="mc", n=n),
+    ):
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            truth()
+
+
 def test_mc_close_to_exact(preset, base_query):
     rep = pm.truth_pns(preset, base_query, method="mc", n=1_000_000, seed=4)
     assert rep.method == "mc" and rep.n == 1_000_000
