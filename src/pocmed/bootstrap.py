@@ -5,15 +5,29 @@ percentile intervals are formed from the replicate values.  Replicates that
 hit an empty conditioning cell are dropped and counted rather than imputed,
 matching the estimators' hard positivity contract.
 
-The estimators depend on the data only through the counts of its distinct
-``(x, m, y)`` tuples, so for targets built by :func:`estimator_target` a
-replicate is evaluated from the counts of the resampled rows: each row is
-mapped once to its tuple id, every replicate draws the same row indices as a
-row resample would and counts them with ``bincount``, and one
-:class:`~pocmed.ecdf.CdfModel` built from those counts serves every target of
-the call.  The resampled multiset of rows is the same, so the values are
-identical to re-running the targets on copied rows, which is what other
-callables still get.
+The estimators depend on the data only through the counts of their
+distinct ``(x, m, y)`` tuples, and a resample only changes those counts.  So
+a callable built by :func:`estimator_target` runs once, on the full data,
+and its replicates are evaluated in batches.  Each row is mapped once to
+its tuple id; every replicate draws the same row indices as a row resample
+would, and one ``bincount`` of their ids fills that replicate's row of a
+replicate-by-tuple count matrix (:class:`~pocmed.ecdf.CountMatrix`).  Each
+of its CDF queries returns one value per replicate, from integer counts:
+the base and alt CDFs ``a``, ``b`` and the evidence bounds are count ratios
+with the bits of Python's ``int / int``, and the cross-world CDF ``r`` is
+one integer numerator over the common denominator
+``n(x_alt) * prod_m n(x_base, m)``, exact in float64 while that
+denominator stays below 2**53.  A replicate above it takes the rational
+(``Fraction``) sum of the scalar model.  The family's kernel inputs come
+from the same collector as the scalar formulas,
+``identify._margin_inputs``, and go one replicate at a time through the
+same kernel, ``identify._clipped``, so every replicate value equals the
+value of the target on a row copy of that resample.  A replicate is
+degenerate for a family exactly where one of its inputs is NaN, which is
+where the scalar query raises :class:`PositivityError`.  The matrix is
+filled in chunks of replicates, so it stays small when there are many
+distinct tuples.  Any other callable still runs on a row copy of each
+resample.
 
 The quantile rule is linear interpolation between order statistics: for
 sorted replicate values ``v[0..B-1]`` and probability ``p``, with
@@ -31,15 +45,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .data import Dataset, Evidence, Query
-from .ecdf import CdfModel, RowCounts
+from .ecdf import CdfModel, CountMatrix, RowCounts
 from .errors import BootstrapFailureError, InvalidEvidenceError, PositivityError
 from . import identify
 from .data import KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR
+
+
+#: Entries of the replicate-by-tuple count matrix held at once (int64, so
+#: 2 MiB); with many distinct tuples the replicates are counted in chunks.
+_CHUNK_COUNTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,27 @@ class FamilyResult(dict):
         self.case_flag = case_flag
 
 
+class Estimand(NamedTuple):
+    """What a target built by :func:`estimator_target` estimates."""
+
+    kind: str
+    query: Query
+    evidence: Evidence | None
+
+
+def _shares(prefix: str, triple: identify.PnsTriple) -> FamilyResult:
+    return FamilyResult(
+        {
+            f"t_{prefix}": triple.t_pns,
+            f"nd_{prefix}": triple.nd_pns,
+            f"ni_{prefix}": triple.ni_pns,
+            "prop_nd": triple.prop_nd,
+            "prop_ni": triple.prop_ni,
+        },
+        triple.case_flag,
+    )
+
+
 def estimator_target(
     kind: str,
     query: Query,
@@ -93,8 +133,9 @@ def estimator_target(
 
     The callable accepts a :class:`Dataset` or a :class:`CdfModel` already
     restricted to ``query.c_stratum`` and returns a :class:`FamilyResult`
-    carrying the case flag.  Its ``c_stratum`` attribute marks it for the
-    count-table path of :func:`bootstrap_ci`.
+    carrying the case flag.  Its ``estimand`` attribute, an
+    :class:`Estimand`, marks it for the count-matrix path of
+    :func:`bootstrap_ci`.
     """
     if evidence is not None:
         if kind == "cd" and evidence.kind != KIND_POINT_MEDIATOR:
@@ -107,18 +148,6 @@ def estimator_target(
             )
         if kind in ("pn", "ps"):
             raise InvalidEvidenceError(f"{kind} family does not accept evidence")
-
-    def shares(prefix: str, triple: identify.PnsTriple) -> FamilyResult:
-        return FamilyResult(
-            {
-                f"t_{prefix}": triple.t_pns,
-                f"nd_{prefix}": triple.nd_pns,
-                f"ni_{prefix}": triple.ni_pns,
-                "prop_nd": triple.prop_nd,
-                "prop_ni": triple.prop_ni,
-            },
-            triple.case_flag,
-        )
 
     def run(data: Dataset | CdfModel) -> FamilyResult:
         model = data if isinstance(data, CdfModel) else CdfModel(data, query.c_stratum)
@@ -133,20 +162,41 @@ def estimator_target(
                 )
             else:  # pragma: no cover - blocked in the constructor
                 raise InvalidEvidenceError(evidence.kind)
-            return shares("pns", triple)
+            return _shares("pns", triple)
         if kind == "cd":
             if evidence is None:
                 return FamilyResult({"cd_pns": identify.cd_pns(model, query)})
             value, terms = identify.cd_pns_with_evidence(model, query, evidence)
             return FamilyResult({"cd_pns": value}, terms.case_flag)
         if kind == "pn":
-            return shares("pn", identify.pn_family(model, query))
+            return _shares("pn", identify.pn_family(model, query))
         if kind == "ps":
-            return shares("ps", identify.ps_family(model, query))
+            return _shares("ps", identify.ps_family(model, query))
         raise ValueError(f"unknown estimator kind {kind!r}")
 
-    run.c_stratum = tuple(query.c_stratum or ())
+    run.estimand = Estimand(kind, query, evidence)
     return run
+
+
+def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[Mapping | None]:
+    """The values of one family on every resample of ``surface``, or None
+    for a resample on which its evaluation raises :class:`PositivityError`:
+    the family's kernel inputs, read for all resamples at once, go one
+    resample at a time through the kernel of the scalar formulas."""
+    kind, query, evidence = estimand
+    inputs = np.broadcast_arrays(*identify._margin_inputs(surface, kind, query, evidence))
+    table = np.stack(inputs)
+    bad = np.isnan(table).any(axis=0).tolist()
+    prefix = "pns" if kind == "natural" else kind
+    for degenerate, row in zip(bad, table.T.tolist()):
+        if degenerate:
+            yield None
+            continue
+        nd, ni, _, case = identify._clipped(*row)
+        if kind == "cd":
+            yield {"cd_pns": nd}
+        else:
+            yield _shares(prefix, identify._make_triple(nd, ni, case))
 
 
 def _percentile(values: np.ndarray, p: float) -> float:
@@ -161,21 +211,24 @@ def bootstrap_ci(
     """Percentile bootstrap for every quantity produced by ``target``.
 
     ``target`` is one callable, or a mapping of named callables evaluated
-    on the same resamples (one loop, one count table per replicate), which
-    returns one result per name.  Each callable is treated as if it were
-    bootstrapped on its own, in mapping order: it must run successfully on
-    the full dataset; replicates on which it raises
-    :class:`PositivityError` are dropped and counted for it alone; if every
-    replicate degenerates, :class:`BootstrapFailureError` is raised; the
-    first error in that order is the one raised.  Quantities that are
-    ``None`` in a replicate (undefined proportions) are excluded from that
-    quantity's percentile set.  Callables built by :func:`estimator_target`
-    for one query are evaluated from cell counts, any other callable on a
-    row copy of each resample.
+    on the same resamples, which returns one result per name.  Each
+    callable is treated as if it were bootstrapped on its own, in mapping
+    order: it must run successfully on the full dataset; replicates on
+    which it raises :class:`PositivityError` are dropped and counted for it
+    alone; if every replicate degenerates, :class:`BootstrapFailureError`
+    is raised; the first error in that order is the one raised.  Quantities
+    that are ``None`` in a replicate (undefined proportions) are excluded
+    from that quantity's percentile set.  Callables built by
+    :func:`estimator_target` for one query run once, on the full data, and
+    their replicates are evaluated from the count matrix; any other
+    callable runs on a row copy of each resample.
     """
     single = callable(target)
     targets = {"": target} if single else dict(target)
-    strata = {t.c_stratum for t in targets.values() if hasattr(t, "c_stratum")}
+    estimands = {
+        name: t.estimand for name, t in targets.items() if hasattr(t, "estimand")
+    }
+    strata = {tuple(e.query.c_stratum or ()) for e in estimands.values()}
     if len(strata) > 1:
         raise ValueError("estimator targets bootstrapped together must share a stratum")
     c_stratum = strata.pop() if strata else ()
@@ -189,7 +242,7 @@ def bootstrap_ci(
     counter = full = None
     for name, t in targets.items():
         try:
-            if hasattr(t, "c_stratum"):
+            if name in estimands:
                 if full is None:
                     counter = RowCounts(dataset, c_stratum)
                     full = CdfModel(counter.table(), c_stratum or None)
@@ -204,36 +257,54 @@ def bootstrap_ci(
     if failure is not None and not names:
         raise failure
 
-    counted = [hasattr(targets[name], "c_stratum") for name in names]
     n = dataset.n
     samples = {name: {key: [] for key in points[name]} for name in names}
     degenerate = dict.fromkeys(names, 0)
+
+    def record(name: str, values: Mapping | None) -> None:
+        if values is None:
+            degenerate[name] += 1
+            return
+        for key, value in values.items():
+            if value is not None:
+                samples[name][key].append(float(value))
+
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
+    chunk = cfg.replicates
+    if any(name in estimands for name in names):
+        chunk = max(1, min(chunk, _CHUNK_COUNTS // counter.size))
+        counts = np.empty((chunk, counter.size), dtype=np.int64)
     with warnings.catch_warnings():
         # the point evaluations above have already warned
         warnings.simplefilter("ignore", identify.MediatorMonotonicityWarning)
-        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
-            idx = np.random.default_rng(child).integers(0, n, n)
-            model = rows = None
-            for j, name in enumerate(names):
-                try:
-                    if counted[j]:
-                        if model is None:
-                            model = CdfModel(counter.table(idx), c_stratum or None)
-                        values = targets[name](model)
-                    else:
-                        if rows is None:
-                            rows = dataset.take(idx)
+        for lo in range(0, cfg.replicates, chunk):
+            block = children[lo : lo + chunk]
+            batched = [name for name in names if name in estimands]
+            copied = [name for name in names if name not in estimands]
+            for i, child in enumerate(block):
+                idx = np.random.default_rng(child).integers(0, n, n)
+                if batched:
+                    counts[i] = counter.bincount(idx)
+                if copied:
+                    rows = dataset.take(idx)
+                for name in copied:
+                    try:
                         values = targets[name](rows)
-                except PositivityError:
-                    degenerate[name] += 1
-                    continue
-                except Exception as exc:  # re-raised below, as the point failures
-                    failure = exc
-                    del names[j:]
-                    break
-                for key, value in values.items():
-                    if value is not None:
-                        samples[name][key].append(float(value))
+                    except PositivityError:
+                        values = None
+                    except Exception as exc:  # re-raised below, as the point failures
+                        failure = exc
+                        del names[names.index(name) :]
+                        copied = [c for c in copied if c in names]
+                        break
+                    record(name, values)
+            if batched:
+                surface = CountMatrix(counter, counts[: len(block)])
+                for name in names:
+                    if name in estimands:
+                        for values in _replicate_values(surface, estimands[name]):
+                            record(name, values)
+                del surface  # before the next chunk's matrix is built
     for name in names:
         if degenerate[name] == cfg.replicates:
             raise BootstrapFailureError(

@@ -392,13 +392,22 @@ def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_mo
     return block
 
 
+def _bootstrap_setting(args, boot: dict, key: str, default, parse):
+    """A bootstrap setting from its flag, else from the config document's
+    ``bootstrap`` object, with the name and error type to report it by."""
+    value = getattr(args, key)
+    if value is not None:
+        return value, f"--{key}", PocError
+    where = f"bootstrap.{key}"
+    return parse(boot.get(key, default), where), where, ConfigError
+
+
 def cmd_estimate(args) -> int:
     config = _load_config(args.config)
     input_path = args.input or config.get("input")
     if not input_path:
         raise PocError("no input table (use --input or the config document)")
     roles = _roles_from(args, config)
-    dataset = load_dataset(input_path, roles)
 
     families = args.families or ",".join(
         _strings(config.get("families", ["pns", "cd"]), "families")
@@ -409,18 +418,17 @@ def cmd_estimate(args) -> int:
             raise PocError(f"unknown family {family!r}; choose from {_FAMILY_ORDER}")
     seed = args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
     boot = _mapping(config.get("bootstrap", {}), "bootstrap")
-    replicates, where, error = args.replicates, "--replicates", PocError
-    if replicates is None:
-        replicates = _integer(boot.get("replicates", 1000), "bootstrap.replicates")
-        where, error = "bootstrap.replicates", ConfigError
+    replicates, where, error = _bootstrap_setting(args, boot, "replicates", 1000, _integer)
     if replicates < 0 or replicates == 1:
         raise error(f"{where} must be 0 (no bootstrap) or at least 2, got {replicates}")
-    level = args.level if args.level is not None else _number(
-        boot.get("level", 0.95), "bootstrap.level"
-    )
+    # checked with or without a bootstrap, so that a bad level never passes
+    level, where, error = _bootstrap_setting(args, boot, "level", 0.95, _number)
+    if not 0.0 < level < 1.0:
+        raise error(f"{where} must be inside (0, 1), got {level!r}")
     mediator_monotone = args.assume_mediator_monotone or _boolean(
         config.get("assume_mediator_monotone", False), "assume_mediator_monotone"
     )
+    dataset = load_dataset(input_path, roles)
 
     specs = _queries_from(args, config)
     parsed = [_query_from_spec(spec, f"queries[{i}]") for i, spec in enumerate(specs)]
@@ -464,6 +472,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (("--replicates", args.replicates, 2), ("--scms", args.scms, 0),
+                               ("--decomposition", args.decomposition, 0)):
+        if value is not None and value < least:
+            raise PocError(f"{flag} must be at least {least}, got {value}")
     seed = args.seed or 0
     if args.quick:
         sizes = (100, 1000)
@@ -501,6 +513,14 @@ def _sweep_grid(args, levels) -> list[float]:
     grid = sorted(set(levels))
     mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
     return sorted(grid[1:] + mids)
+
+
+def _require_one_covariate(count: int) -> None:
+    if count != 1:
+        raise PocError(
+            f"a covariate sweep needs exactly one covariate column, got {count}: "
+            "each grid value names one stratum"
+        )
 
 
 def cmd_sweep(args) -> int:
@@ -545,6 +565,7 @@ def cmd_sweep(args) -> int:
         elif args.grid_over == "covariate":
             if not roles.c:
                 raise PocError("covariate sweep needs covariate columns (--c-cols)")
+            _require_one_covariate(len(roles.c))
             if args.y is None:
                 raise PocError("covariate sweep needs --y")
             grid = (
@@ -576,10 +597,11 @@ def cmd_sweep(args) -> int:
             if args.grid:
                 raise PocError("--grid does not apply to a model covariate sweep, "
                                "which runs every covariate stratum")
-            grid = [c[0] for c, _ in scm.covariate_support()]
+            strata = [c for c, _ in scm.covariate_support()]
+            _require_one_covariate(len(strata[0]))
             points = [
-                (v, lambda v=v: measure(AnalyticCdf(scm, (v,)), args.y, None))
-                for v in grid
+                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), args.y, None))
+                for c in strata
             ]
         elif args.grid_over == "mediator-intercept":
             if args.y is None:

@@ -11,10 +11,15 @@ is accumulated in rational arithmetic and converted to floating point once,
 so the identity ``crossworld_cdf(y, x, x) == cdf_y_given_x(y, x)`` holds
 bit-for-bit.  Empty conditioning cells raise :class:`PositivityError`
 rather than returning silent zeros.
+
+:class:`CdfModel` answers the queries for one count table;
+:class:`CountMatrix` answers them for many bootstrap resamples at once,
+with the same bits per resample and NaN where :class:`CdfModel` raises.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -80,10 +85,35 @@ class RowCounts:
             keys = [k[self._inside] for k in keys[:3]]
         self._keys = keys
 
+    @property
+    def size(self) -> int:
+        """The number of distinct tuples, the length of :meth:`bincount`."""
+        return self._size
+
+    def bincount(self, idx: np.ndarray | None = None) -> np.ndarray:
+        """The rows carrying each distinct tuple, inside the stratum or not:
+        of every row, or of the rows ``idx`` (repeats counted)."""
+        return np.bincount(self._ids if idx is None else self._ids[idx], minlength=self._size)
+
+    @functools.cached_property
+    def layout(self) -> tuple[dict, dict, dict]:
+        """Where the tuples inside the stratum lie in the tuple order: each
+        ``(x, m)`` cell's run ``{(x, m): (outcome levels, start, end)}``,
+        each arm's mediator levels ``{x: [m, ...]}`` and each arm's run
+        ``{x: (start, end)}``, positions counted inside the stratum."""
+        x, m, y = self._keys
+        bounds = _bounds(x, m)
+        starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
+        cells, m_levels, arms = {}, {}, {}
+        for key, s, e in zip(zip(x[starts].tolist(), m[starts].tolist()), starts, ends):
+            cells[key] = (y[s:e], s, e)
+            m_levels.setdefault(key[0], []).append(key[1])
+            arms[key[0]] = (arms.get(key[0], (s,))[0], e)
+        return cells, m_levels, arms
+
     def table(self, idx: np.ndarray | None = None) -> CountTable:
         """Counts of every row, or of the rows ``idx`` (repeats counted)."""
-        ids = self._ids if idx is None else self._ids[idx]
-        counts = np.bincount(ids, minlength=self._size)
+        counts = self.bincount(idx)
         if self._inside is not None:
             counts = counts[self._inside]
             if not counts.any():
@@ -229,3 +259,116 @@ class CdfModel:
             below = _count_below(base_cell, y, True)
             acc += Fraction(below * self._cells[(x_alt, level)][3], base_cell[3])
         return float(acc / self._arm_n[x_alt])
+
+
+#: Every integer below this is exact in float64.
+_EXACT = 2.0**53
+
+
+def _ratio(num, den) -> np.ndarray:
+    """``num / den`` per resample, NaN where ``den`` is 0.  Both are integer
+    counts below 2**53, exact in float64, so each quotient has the bits of
+    Python's ``int / int``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.true_divide(num, den)
+
+
+class CountMatrix:
+    """The CDF queries of :class:`CdfModel` for many resamples at once.
+
+    Row ``i`` of ``counts`` is :meth:`RowCounts.bincount` of resample ``i``
+    of ``counter``'s rows.  Each query returns one float64 per resample:
+    the value the same :class:`CdfModel` query gives on that resample's
+    count table, bit for bit, or NaN where that query raises
+    :class:`PositivityError` (an empty treatment arm or ``(x, m)`` cell, a
+    mediator level seen under ``x_alt`` but not under ``x_base``; in an
+    empty stratum, every query).
+
+    A count below a threshold is a difference of the row-wise cumulative
+    counts along the tuple order, in which every ``(x, m)`` cell is a run
+    with its outcome levels ascending.  The cross-world CDF is one integer
+    numerator over the common denominator ``n(x_alt) * prod_m n(x_base, m)``
+    (over the levels with rows under ``x_alt``), computed in float64, which
+    is exact while that denominator stays below 2**53; a resample above it
+    takes the rational sum of :meth:`CdfModel.crossworld_cdf`.
+    """
+
+    def __init__(self, counter: RowCounts, counts: np.ndarray):
+        if counter._inside is not None:
+            counts = counts[:, counter._inside]
+        self._cum = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=self._cum[:, 1:])
+        self._cells, self._m_levels, self._arms = counter.layout
+
+    def _rows(self, start: int, end: int) -> np.ndarray:
+        """Rows per resample in the tuples ``start:end``."""
+        return self._cum[:, end] - self._cum[:, start]
+
+    def _below(self, cell: tuple, y: float, strict: bool) -> np.ndarray:
+        levels, s, _ = cell
+        return self._rows(s, s + int(np.searchsorted(levels, y, "left" if strict else "right")))
+
+    # -- estimators ------------------------------------------------------
+
+    def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> np.ndarray:
+        return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
+
+    def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> np.ndarray:
+        cell = self._cells.get((float(x), float(m)))
+        if cell is None:
+            return np.full(self._cum.shape[0], np.nan)
+        return _ratio(self._below(cell, y, strict), self._rows(*cell[1:]))
+
+    def joint_cdf_ym_given_x(
+        self,
+        y: float,
+        m: float,
+        x: float,
+        strict_y: bool = True,
+        strict_m: bool = True,
+    ) -> np.ndarray:
+        x = float(x)
+        below = 0
+        for level in self._m_levels.get(x, ()):
+            if level < m if strict_m else level <= m:
+                below = below + self._below(self._cells[(x, level)], y, strict_y)
+        return _ratio(below, self._rows(*self._arms.get(x, (0, 0))))
+
+    def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> np.ndarray:
+        x_base, x_alt = float(x_base), float(x_alt)
+        replicates = self._cum.shape[0]
+        num, den = np.zeros(replicates), np.ones(replicates)
+        terms = []
+        for level in self._m_levels.get(x_alt, ()):
+            alt = self._rows(*self._cells[(x_alt, level)][1:])
+            base_cell = self._cells.get((x_base, level))
+            if base_cell is None:
+                base = below = np.zeros(replicates, dtype=np.int64)
+            else:
+                base, below = self._rows(*base_cell[1:]), self._below(base_cell, y, True)
+            # a level without rows under x_alt is left out of the sum
+            factor = np.where(alt > 0, base, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                num = num * factor + below * alt * den
+                den = den * factor
+            terms.append((below, alt, base))
+        n_alt = self._rows(*self._arms.get(x_alt, (0, 0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = n_alt * den
+        out = _ratio(num, den)
+        for i in np.flatnonzero(~(den < _EXACT)).tolist():
+            out[i] = _rational_crossworld([(b[i], a[i], n[i]) for b, a, n in terms], n_alt[i])
+        return out
+
+
+def _rational_crossworld(terms: list, n_alt: int) -> float:
+    """:meth:`CdfModel.crossworld_cdf` of one resample from its ``(below,
+    alt, base)`` rows per mediator level; NaN for a level with rows under
+    ``x_alt`` but none under ``x_base``."""
+    acc = Fraction(0)
+    for below, alt, base in terms:
+        if alt:
+            if not base:
+                return np.nan
+            acc += Fraction(int(below) * int(alt), int(base))
+    return float(acc / int(n_alt))

@@ -36,6 +36,11 @@ indicator of the evidence boundary falling inside the flip band, namely
 (let ``u -> l`` from above), which keeps the estimator consistent with the
 exogenous-threshold construction that justifies it; the decomposition
 ``total = direct + indirect`` then holds exactly in both cases.
+
+Every formula reads its kernel inputs ``(a, b, r, l, u)`` through one
+collector, ``_margin_inputs``; the batched bootstrap calls the same
+collector on a :class:`~pocmed.ecdf.CountMatrix`, whose queries return one
+value per replicate, and the same kernel on each replicate.
 """
 
 from __future__ import annotations
@@ -177,16 +182,41 @@ def _natural_cdfs(model, q: Query) -> tuple[float, float, float]:
     )
 
 
+def _margin_inputs(model, kind: str, q: Query, e: Evidence | None = None) -> tuple:
+    """The inputs ``(a, b, r, low, high)`` of the clipped-margin kernel for
+    one estimand family, read from ``model`` in the order its formula reads
+    them.
+
+    ``kind`` is ``"natural"`` (``e`` absent, outcome or interval-mediator
+    evidence), ``"cd"`` (``e`` absent or point-mediator evidence), ``"pn"``
+    or ``"ps"`` (their own outcome evidence).  Every formula of this module
+    takes its inputs from here, and so does the batched bootstrap, whose
+    :class:`~pocmed.ecdf.CountMatrix` answers each query with one value per
+    resample.
+    """
+    if kind == "cd":
+        if q.m_fixed is None:
+            raise InvalidEvidenceError("controlled-direct query requires m_fixed")
+        if e is not None:
+            _require_kind(e, KIND_POINT_MEDIATOR, "cd_pns_with_evidence")
+        a, b = _cd_cdfs(model, q)
+        low, high = (0.0, 1.0) if e is None else _evidence_bounds(model, e)
+        return a, b, POS_INF, low, high
+    if kind == "pn":
+        e = Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF))
+    elif kind == "ps":
+        e = Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold))
+    low, high = (0.0, 1.0) if e is None else _evidence_bounds(model, e)
+    return (*_natural_cdfs(model, q), low, high)
+
+
 # -- unconditional quantities ---------------------------------------------
 
 
 def cd_pns(model, q: Query) -> float:
     """Controlled-direct flip probability with the mediator clamped at
     ``q.m_fixed``: ``max(P(Y<y | x_base, m) - P(Y<y | x_alt, m), 0)``."""
-    if q.m_fixed is None:
-        raise InvalidEvidenceError("controlled-direct query requires m_fixed")
-    a, b = _cd_cdfs(model, q)
-    return _clipped(a, b, POS_INF, 0.0, 1.0)[0]
+    return _clipped(*_margin_inputs(model, "cd", q))[0]
 
 
 def natural_pns(model, q: Query) -> PnsTriple:
@@ -196,7 +226,7 @@ def natural_pns(model, q: Query) -> PnsTriple:
     direct ``max(min(a, r) - b, 0)``, indirect ``max(a - max(b, r), 0)``;
     the total equals ``max(a - b, 0)`` and the sum of the two parts.
     """
-    nd, ni, _, _ = _clipped(*_natural_cdfs(model, q), 0.0, 1.0)
+    nd, ni, _, _ = _clipped(*_margin_inputs(model, "natural", q))
     return _make_triple(nd, ni, CASE_UNCONDITIONAL)
 
 
@@ -218,19 +248,14 @@ def cd_pns_with_evidence(model, q: Query, e: Evidence) -> tuple[float, EvidenceT
     ``b <= l < a`` with both comparison CDFs taken in their
     (treatment, mediator) cells, mirroring case A's structure.
     """
-    if q.m_fixed is None:
-        raise InvalidEvidenceError("controlled-direct query requires m_fixed")
-    _require_kind(e, KIND_POINT_MEDIATOR, "cd_pns_with_evidence")
-    a, b = _cd_cdfs(model, q)
-    low, high = _evidence_bounds(model, e)
-    value, _, (margin, _, _), case = _clipped(a, b, POS_INF, low, high)
+    a, b, r, low, high = _margin_inputs(model, "cd", q, e)
+    value, _, (margin, _, _), case = _clipped(a, b, r, low, high)
     terms = EvidenceTerms(a, b, None, low, high, high - low, margin, None, None, case)
     return value, terms
 
 
 def _natural_given(model, q: Query, e: Evidence) -> tuple[PnsTriple, EvidenceTerms]:
-    low, high = _evidence_bounds(model, e)
-    a, b, r = _natural_cdfs(model, q)
+    a, b, r, low, high = _margin_inputs(model, "natural", q, e)
     nd, ni, margins, case = _clipped(a, b, r, low, high)
     terms = EvidenceTerms(a, b, r, low, high, high - low, *margins, case)
     return _make_triple(nd, ni, case), terms
@@ -288,14 +313,12 @@ def pn_family(model, q: Query) -> PnsTriple:
     quantities under the factual event (treatment at ``x_alt``, outcome
     already at-or-above the threshold), i.e. evidence interval
     ``[y, +inf)`` at ``x* = x_alt``."""
-    e = Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF))
-    triple, _ = natural_pns_with_evidence(model, q, e)
-    return triple
+    nd, ni, _, case = _clipped(*_margin_inputs(model, "pn", q))
+    return _make_triple(nd, ni, case)
 
 
 def ps_family(model, q: Query) -> PnsTriple:
     """Sufficiency variants: evidence interval ``(-inf, y)`` at
     ``x* = x_base`` (factual outcome strictly below the threshold)."""
-    e = Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold))
-    triple, _ = natural_pns_with_evidence(model, q, e)
-    return triple
+    nd, ni, _, case = _clipped(*_margin_inputs(model, "ps", q))
+    return _make_triple(nd, ni, case)

@@ -385,6 +385,18 @@ def test_malformed_estimate_document_exits_2(tmp_path, capsys, sim_csv, queries,
          "PocError: --replicates must be 0 (no bootstrap) or at least 2, got 1"),
         ({}, ["--replicates=-5"],
          "PocError: --replicates must be 0 (no bootstrap) or at least 2, got -5"),
+        # ignored without a bootstrap, and an untyped ValueError with one, before
+        ({}, ["--replicates", "0", "--level", "7"],
+         "PocError: --level must be inside (0, 1), got 7.0"),
+        ({}, ["--replicates", "2", "--level", "7"],
+         "PocError: --level must be inside (0, 1), got 7.0"),
+        ({}, ["--replicates", "2", "--level", "nan"],
+         "PocError: --level must be inside (0, 1), got nan"),
+        ({}, ["--level", "0"], "PocError: --level must be inside (0, 1), got 0.0"),
+        ({"bootstrap": {"replicates": 0, "level": 1}}, [],
+         "ConfigError: bootstrap.level must be inside (0, 1), got 1.0"),
+        ({"bootstrap": {"level": -0.5}}, [],
+         "ConfigError: bootstrap.level must be inside (0, 1), got -0.5"),
     ],
 )
 def test_malformed_estimate_settings_exit_2(tmp_path, capsys, sim_csv, fields, flags, message):
@@ -394,6 +406,24 @@ def test_malformed_estimate_settings_exit_2(tmp_path, capsys, sim_csv, fields, f
     code, out, err = _run(capsys, "estimate", "--config", str(path), *flags)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # an untyped ValueError before
+        (["--replicates", "1"], "--replicates must be at least 2, got 1"),
+        (["--replicates", "0"], "--replicates must be at least 2, got 0"),
+        (["--quick", "--replicates", "1"], "--replicates must be at least 2, got 1"),
+        # silently run as 0 models before
+        (["--scms", "-3", "--decomposition", "-1"], "--scms must be at least 0, got -3"),
+        (["--decomposition", "-1"], "--decomposition must be at least 0, got -1"),
+    ],
+)
+def test_malformed_verify_settings_exit_2(capsys, flags, message):
+    code, out, err = _run(capsys, "verify", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: PocError: {message}")
 
 
 @pytest.mark.parametrize(
@@ -546,3 +576,34 @@ def test_model_covariate_sweep_runs_every_stratum(tmp_path, capsys):
     code, stdout, err = _run(capsys, *argv, "--grid", "1")
     assert code == 2 and stdout == ""
     assert err.startswith("error: PocError: --grid does not apply to a model covariate sweep")
+
+
+_ONE_COVARIATE = ("error: PocError: a covariate sweep needs exactly one covariate column, "
+                  "got 2: each grid value names one stratum")
+
+
+def test_model_covariate_sweep_rejects_two_covariates(tmp_path, capsys):
+    scm = {
+        "treatment": {"logistic": {"intercept": 0.0, "coefs": [0.5, 0.2]}},
+        "mediator": {"logistic": {"intercept": -0.5, "coefs": [1.0, 0.3, -0.2]}},
+        "outcome": {"logistic": {"intercept": -1.0, "coefs": [0.8, 1.2, -0.4, 0.1]}},
+        "covariates": [{"values": [0, 0], "weight": 0.5}, {"values": [0, 1], "weight": 0.5}],
+    }
+    path = tmp_path / "cov2.json"
+    path.write_text(json.dumps({"scm": scm}))
+    # exited 2 naming the logistic node's parents before
+    code, stdout, err = _run(capsys, "sweep", "--config", str(path), "--x-base", "0",
+                             "--x-alt", "1", "--y", "1", "--grid-over", "covariate")
+    assert code == 2 and stdout == ""
+    assert err.startswith(_ONE_COVARIATE)
+
+
+def test_empirical_covariate_sweep_rejects_two_covariates(tmp_path, capsys):
+    path = tmp_path / "cov2.csv"
+    path.write_text("x,m,y,c1,c2\n0,0,0,0,1\n1,1,1,0,1\n0,1,1,1,0\n1,0,0,1,0\n")
+    # swept the first column alone before
+    code, stdout, err = _run(capsys, "sweep", "--input", str(path), "--c-cols", "c1,c2",
+                             "--x-base", "0", "--x-alt", "1", "--y", "1",
+                             "--grid-over", "covariate")
+    assert code == 2 and stdout == ""
+    assert err.startswith(_ONE_COVARIATE)

@@ -9,7 +9,9 @@ whose count differs by family), zero totals (undefined shares) and all
 three evidence shapes.
 """
 
+import functools
 import itertools
+from collections import Counter
 import shutil
 from pathlib import Path
 
@@ -17,9 +19,9 @@ import numpy as np
 import pytest
 
 import pocmed as pm
-from pocmed.ecdf import RowCounts
+from pocmed.ecdf import CountMatrix, RowCounts
 from pocmed.cli import main
-from pocmed.errors import PocError
+from pocmed.errors import PocError, PositivityError
 
 from _bootstrap_reference import RowCdfModel, row_bootstrap_ci
 
@@ -69,6 +71,11 @@ def _targets(seed: int) -> dict:
     )
     x_star = float(rng.choice((0.0, x_alt)))
     interval_y = pm.Interval(float(rng.choice((-1.5, 0.0))), 1.75, bool(rng.integers(0, 2)))
+    return _family_targets(q, shape, x_star, interval_y)
+
+
+def _family_targets(q, shape, x_star, interval_y) -> dict:
+    """The four family targets of ``q`` with evidence of one shape."""
     natural_e = cd_e = None
     if shape == "outcome":
         natural_e = pm.Evidence(x_star, interval_y)
@@ -97,12 +104,48 @@ def _reference(data, targets, cfg):
     return {name: row_bootstrap_ci(data, t, cfg) for name, t in targets.items()}
 
 
-@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
-@pytest.mark.parametrize("seed", range(48))
-def test_shared_count_loop_matches_row_loop(seed):
-    data = _random_dataset(seed)
-    targets = _targets(seed)
-    cfg = pm.BootstrapConfig(replicates=30, level=0.9, seed=seed)
+def _wide_dataset(seed: int) -> pm.Dataset:
+    """Two arms over many mediator levels, and a rare mediator level 9 with
+    one row per arm, which some replicates leave out of both arms and some
+    leave in the ``x_alt`` arm alone.  With six levels of about 147 rows per
+    cell (seeds 0-3) the cross-world denominator ``n(x_alt) * prod_m
+    n(x_base, m)`` lies near 2**53, some replicates above it and some below;
+    with eight levels of about 200 (seeds 4-7) it lies near 2**72, where
+    float64 products are no longer exact."""
+    rng = np.random.default_rng(seed)
+    levels, cell = (6, 147) if seed < 4 else (8, 200)
+    n = 2 * levels * cell
+    cols = {
+        "x": np.append(rng.integers(0, 2, n), (0, 1)).astype(float),
+        "m": np.append(rng.integers(0, levels, n), (9, 9)).astype(float),
+        "y": rng.choice(Y_LEVELS, n + 2),
+    }
+    return pm.Dataset(cols, pm.ColumnRoles("x", "m", "y"))
+
+
+def _wide_targets(seed: int) -> dict:
+    """Every evidence shape; seeds 2, 3, 6 and 7 read the rare level 9 in
+    the cd cells, and 2 and 6 also in the point-mediator evidence, whose
+    mass is then often exactly 0."""
+    q = pm.Query(x_base=0.0, x_alt=1.0, y_threshold=0.25, m_fixed=(1.0, 9.0)[seed // 2 % 2])
+    shape = SHAPES[seed % len(SHAPES)]
+    return _family_targets(q, shape, float(seed // 4 % 2), pm.Interval(0.0, 1.75, True))
+
+
+#: (dataset, targets, config) makers of the random cases
+_CASES = {
+    "random": lambda seed: (
+        _random_dataset(seed), _targets(seed), pm.BootstrapConfig(30, 0.9, seed)),
+    "wide": lambda seed: (
+        _wide_dataset(seed), _wide_targets(seed), pm.BootstrapConfig(24, 0.9, seed)),
+}
+_SEEDS = {"random": range(48), "wide": range(8)}
+
+
+def _assert_matches_reference(data, targets, cfg):
+    """``bootstrap_ci`` of every family together equals each family
+    bootstrapped on its own over row copies: the same ``CiResult``s, case
+    flags and first error."""
     got = _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))
     want = _outcome(lambda: _reference(data, targets, cfg))
     if isinstance(want, tuple):
@@ -116,45 +159,86 @@ def test_shared_count_loop_matches_row_loop(seed):
         assert pm.bootstrap_ci(data, targets[name], cfg) == want[name]
 
 
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+@pytest.mark.parametrize("seed", _SEEDS["random"])
+def test_shared_count_loop_matches_row_loop(seed):
+    _assert_matches_reference(*_CASES["random"](seed))
+
+
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+@pytest.mark.parametrize("seed", _SEEDS["wide"])
+def test_wide_mediator_count_loop_matches_row_loop(seed):
+    _assert_matches_reference(*_CASES["wide"](seed))
+
+
 def _degenerate(cis) -> int:
     return next(iter(cis.values())).degenerate_count
+
+
+def _crossworld_edges(table, q) -> set:
+    """The edges of the cross-world sum that one replicate's count table
+    reaches: its common denominator at or above 2**53, and a mediator level
+    of the data with rows in neither arm."""
+    sizes = Counter()
+    for x, m, count in zip(table.x.tolist(), table.m.tolist(), table.counts.tolist()):
+        sizes[x, m] += count
+    levels = {m for x, m in sizes if x in (q.x_base, q.x_alt)}
+    den = sum(sizes[q.x_alt, m] for m in levels)
+    for m in levels:
+        if sizes[q.x_alt, m]:
+            den *= sizes[q.x_base, m]
+    if den == 0:
+        return set()
+    edges = {"crossworld denominator >= 2**53" if den >= 2**53 else "crossworld exact ratio"}
+    if any(not sizes[q.x_base, m] and not sizes[q.x_alt, m] for m in levels):
+        edges.add("mediator level empty in both arms")
+    return edges
 
 
 @pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
 def test_random_cases_cover_the_edges():
     """The random cases above reach every edge they are meant to cover."""
     seen = set()
-    for seed in range(48):
-        data = _random_dataset(seed)
-        targets = _targets(seed)
-        cfg = pm.BootstrapConfig(replicates=30, level=0.9, seed=seed)
-        result = _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))
-        if isinstance(result, tuple):
-            seen.add(result[0])
-            continue
-        if _degenerate(result["cd"]) != _degenerate(result["pns"]):
-            seen.add("per-family degenerate counts")
-        counter = RowCounts(data, targets["pns"].c_stratum)
-        for child in np.random.SeedSequence(seed).spawn(cfg.replicates):
-            idx = np.random.default_rng(child).integers(0, data.n, data.n)
-            model = _outcome(lambda: pm.CdfModel(counter.table(idx)))
-            if isinstance(model, tuple):
-                seen.add("empty stratum")
+    for kind, seeds in _SEEDS.items():
+        for seed in seeds:
+            data, targets, cfg = _CASES[kind](seed)
+            result = _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))
+            if isinstance(result, tuple):
+                seen.add(result[0])
                 continue
-            for target in targets.values():
-                values = _outcome(lambda: target(model))
-                if isinstance(values, tuple):
+            if _degenerate(result["cd"]) != _degenerate(result["pns"]):
+                seen.add("per-family degenerate counts")
+            q = targets["pns"].estimand.query
+            counter = RowCounts(data, q.c_stratum)
+            for child in np.random.SeedSequence(seed).spawn(cfg.replicates):
+                idx = np.random.default_rng(child).integers(0, data.n, data.n)
+                try:
+                    table = counter.table(idx)
+                except PositivityError:
+                    seen.add("empty stratum")
                     continue
-                if values.get("prop_nd", 0.0) is None:
-                    seen.add("undefined share")
-                seen.add(f"case {values.case_flag}")
+                if not table.counts[table.x == q.x_alt].any():
+                    seen.add("empty x_alt arm")
+                seen |= _crossworld_edges(table, q)
+                model = pm.CdfModel(table)
+                for target in targets.values():
+                    values = _outcome(lambda: target(model))
+                    if isinstance(values, tuple):
+                        continue
+                    if values.get("prop_nd", 0.0) is None:
+                        seen.add("undefined share")
+                    seen.add(f"case {values.case_flag}")
     assert {
         "PositivityError",
         "per-family degenerate counts",
         "empty stratum",
+        "empty x_alt arm",
         "undefined share",
         "case A",
         "case B",
+        "crossworld denominator >= 2**53",
+        "crossworld exact ratio",
+        "mediator level empty in both arms",
     } <= seen, seen
 
 
@@ -197,6 +281,99 @@ def test_count_build_matches_row_build(seed, stratum):
         want = _outcome(lambda: _queries(RowCdfModel(data.take(idx), stratum)))
         got = _outcome(lambda: _queries(pm.CdfModel(counter.table(idx), stratum)))
         assert got == want
+
+
+def _batched_grid(ys, ms, xs):
+    """(query, args) of every query of the batched CDF surface."""
+    for x, y, strict in itertools.product(xs, ys, (True, False)):
+        yield "cdf_y_given_x", (y, x, strict)
+        for m in ms:
+            yield "cdf_y_given_xm", (y, x, m, strict)
+            for strict_m in (True, False):
+                yield "joint_cdf_ym_given_x", (y, m, x, strict, strict_m)
+    for x_base, x_alt, y in itertools.product(xs, xs, ys):
+        yield "crossworld_cdf", (y, x_base, x_alt)
+
+
+@pytest.mark.parametrize(
+    "kind, seed, stratum",
+    [*(("random", seed, stratum) for seed in range(12) for stratum in (None, (1.0,))),
+     *(("wide", seed, None) for seed in range(8))],
+)
+def test_count_matrix_matches_count_tables(kind, seed, stratum):
+    """Each query of the count matrix gives, per replicate, the bits of the
+    same query of a CdfModel built from that replicate's count table, and
+    NaN where that query (or the build, for an empty stratum) raises
+    PositivityError."""
+    data = _CASES[kind](seed)[0]
+    counter = RowCounts(data, stratum)
+    draws = [np.random.default_rng(child).integers(0, data.n, data.n)
+             for child in np.random.SeedSequence(seed).spawn(6)]
+    surface = CountMatrix(counter, np.stack([counter.bincount(idx) for idx in draws]))
+    models = []
+    for idx in draws:
+        try:
+            models.append(pm.CdfModel(counter.table(idx), stratum))
+        except PositivityError:
+            models.append(None)
+
+    def scalar(model, name, args):
+        if model is None:
+            return float("nan")
+        try:
+            return getattr(model, name)(*args)
+        except PositivityError:
+            return float("nan")
+
+    if kind == "random":
+        grid = _batched_grid((-INF, -2.0, *Y_LEVELS, 0.1, 1.0, 5.0, INF),
+                             (-INF, *M_LEVELS, 0.5, 7.0, 9.0, INF), (0.0, -0.0, 1.0, 2.0, 3.0))
+    else:
+        grid = _batched_grid((*Y_LEVELS, INF), (0.0, 2.0, 5.0, 9.0, INF), (0.0, 1.0))
+    for name, args in grid:
+        want = [scalar(model, name, args) for model in models]
+        assert repr(getattr(surface, name)(*args).tolist()) == repr(want), (name, args)
+
+
+def test_batched_bootstrap_work_does_not_grow_with_replicates(monkeypatch):
+    """Estimator targets run once, on one CdfModel of the full data, however
+    many replicates are drawn, also when wrapped with ``functools.wraps``;
+    a plain callable still runs on a row copy of every resample."""
+    data = pm.sample_observational(pm.logistic_bernoulli_preset(), 400, seed=1)
+    q = pm.Query(x_base=0.0, x_alt=1.0, y_threshold=1.0, m_fixed=1.0)
+    builds, takes, calls = [], [], Counter()
+    build, take = pm.CdfModel.__init__, pm.Dataset.take
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    def counted_take(self, indices):
+        takes.append(indices)
+        return take(self, indices)
+
+    def traced(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pm.CdfModel, "__init__", counted_build)
+    monkeypatch.setattr(pm.Dataset, "take", counted_take)
+    for replicates in (2, 40, 300):
+        cfg = pm.BootstrapConfig(replicates=replicates, level=0.9, seed=replicates)
+        targets = {kind: traced(kind, pm.estimator_target(kind, q))
+                   for kind in ("natural", "cd", "pn", "ps")}
+        builds.clear(), takes.clear(), calls.clear()
+        pm.bootstrap_ci(data, targets, cfg)
+        assert (len(builds), len(takes)) == (1, 0)
+        assert calls == Counter(dict.fromkeys(targets, 1))
+
+        builds.clear()
+        pm.bootstrap_ci(data, {"natural": targets["natural"], "rows": lambda d: {"n": d.n}}, cfg)
+        assert (len(builds), len(takes)) == (1, replicates)
 
 
 _JOBS = ["--input", "jobs.csv", "--x-col", "treat", "--m-col", "job_seek",
