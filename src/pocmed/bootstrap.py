@@ -27,7 +27,8 @@ degenerate for a family exactly where one of its inputs is NaN, which is
 where the scalar query raises :class:`PositivityError`.  The matrix is
 filled in chunks of replicates, so it stays small when there are many
 distinct tuples.  Any other callable still runs on a row copy of each
-resample.
+resample, and so does a wrapper of such a callable whose result on the
+full data is not its family's own.
 
 The quantile rule is linear interpolation between order statistics: for
 sorted replicate values ``v[0..B-1]`` and probability ``p``, with
@@ -135,7 +136,9 @@ def estimator_target(
     restricted to ``query.c_stratum`` and returns a :class:`FamilyResult`
     carrying the case flag.  Its ``estimand`` attribute, an
     :class:`Estimand`, marks it for the count-matrix path of
-    :func:`bootstrap_ci`.
+    :func:`bootstrap_ci`.  ``functools.wraps`` copies the attribute, so a
+    wrapper takes that path too, and on the replicates it is evaluated as
+    the bare family, without running its body.
     """
     if evidence is not None:
         if kind == "cd" and evidence.kind != KIND_POINT_MEDIATOR:
@@ -199,6 +202,15 @@ def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[Mapp
             yield _shares(prefix, identify._make_triple(nd, ni, case))
 
 
+def _is_own(point: Mapping, surface: CountMatrix, estimand: Estimand) -> bool:
+    """Whether ``point``, a target's result on the full data, is the
+    result of its bare family on ``surface``, the full data's counts.  A
+    wrapper of a family target that changes its keys or values is not, and
+    its replicates cannot be read from the count matrix."""
+    (values,) = _replicate_values(surface, estimand)
+    return values is not None and dict(values) == dict(point)
+
+
 def _percentile(values: np.ndarray, p: float) -> float:
     return float(np.quantile(values, p, method="linear"))
 
@@ -218,10 +230,15 @@ def bootstrap_ci(
     alone; if every replicate degenerates, :class:`BootstrapFailureError`
     is raised; the first error in that order is the one raised.  Quantities
     that are ``None`` in a replicate (undefined proportions) are excluded
-    from that quantity's percentile set.  Callables built by
-    :func:`estimator_target` for one query run once, on the full data, and
-    their replicates are evaluated from the count matrix; any other
-    callable runs on a row copy of each resample.
+    from that quantity's percentile set.
+
+    A callable carrying the ``estimand`` attribute of
+    :func:`estimator_target` (such a target, or a wrapper made with
+    ``functools.wraps``) runs once, on a :class:`CdfModel` of the full data.
+    If its result there equals its family's own, keys and values, its
+    replicates are the family's values read from the count matrix, and its
+    body runs on none of them.  Any other callable, and a wrapper whose
+    result differs from its family's, runs on a row copy of each resample.
     """
     single = callable(target)
     targets = {"": target} if single else dict(target)
@@ -246,7 +263,10 @@ def bootstrap_ci(
                 if full is None:
                     counter = RowCounts(dataset, c_stratum)
                     full = CdfModel(counter.table(), c_stratum or None)
+                    own = CountMatrix(counter, counter.bincount()[None])
                 point = t(full)
+                if not _is_own(point, own, estimands[name]):
+                    del estimands[name]
             else:
                 point = t(dataset)
         except Exception as exc:  # re-raised below, after the names before it

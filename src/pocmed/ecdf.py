@@ -19,7 +19,6 @@ with the same bits per resample and NaN where :class:`CdfModel` raises.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -95,22 +94,6 @@ class RowCounts:
         of every row, or of the rows ``idx`` (repeats counted)."""
         return np.bincount(self._ids if idx is None else self._ids[idx], minlength=self._size)
 
-    @functools.cached_property
-    def layout(self) -> tuple[dict, dict, dict]:
-        """Where the tuples inside the stratum lie in the tuple order: each
-        ``(x, m)`` cell's run ``{(x, m): (outcome levels, start, end)}``,
-        each arm's mediator levels ``{x: [m, ...]}`` and each arm's run
-        ``{x: (start, end)}``, positions counted inside the stratum."""
-        x, m, y = self._keys
-        bounds = _bounds(x, m)
-        starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
-        cells, m_levels, arms = {}, {}, {}
-        for key, s, e in zip(zip(x[starts].tolist(), m[starts].tolist()), starts, ends):
-            cells[key] = (y[s:e], s, e)
-            m_levels.setdefault(key[0], []).append(key[1])
-            arms[key[0]] = (arms.get(key[0], (s,))[0], e)
-        return cells, m_levels, arms
-
     def table(self, idx: np.ndarray | None = None) -> CountTable:
         """Counts of every row, or of the rows ``idx`` (repeats counted)."""
         counts = self.bincount(idx)
@@ -121,19 +104,19 @@ class RowCounts:
         return CountTable(*self._keys, counts)
 
 
-def _runs(names: Sequence, bounds: np.ndarray, y: np.ndarray, counts: np.ndarray) -> dict:
-    """Map each run's name to ``(levels, cum, before, size)``: its outcome
-    levels (ascending), a view of the cumulative counts from its first row
-    on (``cum[k] - before`` rows lie below level ``k``) and its row count as
-    an ``int``."""
-    cum = np.zeros(y.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=cum[1:])
-    totals = cum[bounds].tolist()
-    b = bounds.tolist()
-    return {
-        name: (y[s:e], cum[s : e + 1], lo, hi - lo)
-        for name, s, e, lo, hi in zip(names, b, b[1:], totals, totals[1:])
-    }
+def _layout(x: np.ndarray, m: np.ndarray) -> tuple[dict, dict, dict]:
+    """Where the ``(x, m)`` cells and the treatment arms lie in a table
+    sorted by ``(x, m, y)``: each cell's rows ``{(x, m): (start, end)}``,
+    each arm's mediator levels ``{x: [m, ...]}`` (ascending) and each arm's
+    rows ``{x: (start, end)}``."""
+    bounds = _bounds(x, m).tolist()
+    starts = bounds[:-1]
+    cells, m_levels, arms = {}, {}, {}
+    for key, s, e in zip(zip(x[starts].tolist(), m[starts].tolist()), starts, bounds[1:]):
+        cells[key] = (s, e)
+        m_levels.setdefault(key[0], []).append(key[1])
+        arms[key[0]] = (arms.get(key[0], (s,))[0], e)
+    return cells, m_levels, arms
 
 
 def _count_below(run: tuple, y: float, strict: bool) -> int:
@@ -167,15 +150,17 @@ class CdfModel:
         if self.n == 0:
             raise EmptyDataError("count table has no rows")
 
-        # (x, m) cells: runs of the tuple order, outcome levels ascending
-        cells = _bounds(x, m)
-        names = zip(x[cells[:-1]].tolist(), m[cells[:-1]].tolist())
-        self._cells = _runs(names, cells, y, counts)
-        self._m_levels: dict[float, list[float]] = {}
-        self._arm_n: dict[float, int] = {}
-        for (x_level, m_level), cell in self._cells.items():
-            self._m_levels.setdefault(x_level, []).append(m_level)
-            self._arm_n[x_level] = self._arm_n.get(x_level, 0) + cell[3]
+        # per (x, m) cell: its outcome levels (ascending), a view of the
+        # cumulative counts from its first row on (``cum[k] - before`` rows
+        # lie below level ``k``), ``before`` and its row count
+        cum = np.zeros(y.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=cum[1:])
+        cells, self._m_levels, arms = _layout(x, m)
+        self._cells = {}
+        for key, (s, e) in cells.items():
+            before = int(cum[s])
+            self._cells[key] = (y[s:e], cum[s : e + 1], before, int(cum[e]) - before)
+        self._arm_n = {key: int(cum[e] - cum[s]) for key, (s, e) in arms.items()}
 
     # -- basic surface --------------------------------------------------
 
@@ -290,7 +275,7 @@ class CountMatrix:
     numerator over the common denominator ``n(x_alt) * prod_m n(x_base, m)``
     (over the levels with rows under ``x_alt``), computed in float64, which
     is exact while that denominator stays below 2**53; a resample above it
-    takes the rational sum of :meth:`CdfModel.crossworld_cdf`.
+    is answered by :meth:`CdfModel.crossworld_cdf` of its own count table.
     """
 
     def __init__(self, counter: RowCounts, counts: np.ndarray):
@@ -298,14 +283,16 @@ class CountMatrix:
             counts = counts[:, counter._inside]
         self._cum = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=self._cum[:, 1:])
-        self._cells, self._m_levels, self._arms = counter.layout
+        self._keys = counter._keys
+        self._cells, self._m_levels, self._arms = _layout(*self._keys[:2])
 
     def _rows(self, start: int, end: int) -> np.ndarray:
         """Rows per resample in the tuples ``start:end``."""
         return self._cum[:, end] - self._cum[:, start]
 
     def _below(self, cell: tuple, y: float, strict: bool) -> np.ndarray:
-        levels, s, _ = cell
+        s, e = cell
+        levels = self._keys[2][s:e]
         return self._rows(s, s + int(np.searchsorted(levels, y, "left" if strict else "right")))
 
     # -- estimators ------------------------------------------------------
@@ -317,7 +304,7 @@ class CountMatrix:
         cell = self._cells.get((float(x), float(m)))
         if cell is None:
             return np.full(self._cum.shape[0], np.nan)
-        return _ratio(self._below(cell, y, strict), self._rows(*cell[1:]))
+        return _ratio(self._below(cell, y, strict), self._rows(*cell))
 
     def joint_cdf_ym_given_x(
         self,
@@ -338,37 +325,25 @@ class CountMatrix:
         x_base, x_alt = float(x_base), float(x_alt)
         replicates = self._cum.shape[0]
         num, den = np.zeros(replicates), np.ones(replicates)
-        terms = []
         for level in self._m_levels.get(x_alt, ()):
-            alt = self._rows(*self._cells[(x_alt, level)][1:])
+            alt = self._rows(*self._cells[(x_alt, level)])
             base_cell = self._cells.get((x_base, level))
             if base_cell is None:
                 base = below = np.zeros(replicates, dtype=np.int64)
             else:
-                base, below = self._rows(*base_cell[1:]), self._below(base_cell, y, True)
+                base, below = self._rows(*base_cell), self._below(base_cell, y, True)
             # a level without rows under x_alt is left out of the sum
             factor = np.where(alt > 0, base, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 num = num * factor + below * alt * den
                 den = den * factor
-            terms.append((below, alt, base))
-        n_alt = self._rows(*self._arms.get(x_alt, (0, 0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            den = n_alt * den
+            den = self._rows(*self._arms.get(x_alt, (0, 0))) * den
         out = _ratio(num, den)
         for i in np.flatnonzero(~(den < _EXACT)).tolist():
-            out[i] = _rational_crossworld([(b[i], a[i], n[i]) for b, a, n in terms], n_alt[i])
+            model = CdfModel(CountTable(*self._keys, np.diff(self._cum[i])))
+            try:
+                out[i] = model.crossworld_cdf(y, x_base, x_alt)
+            except PositivityError:
+                out[i] = np.nan
         return out
-
-
-def _rational_crossworld(terms: list, n_alt: int) -> float:
-    """:meth:`CdfModel.crossworld_cdf` of one resample from its ``(below,
-    alt, base)`` rows per mediator level; NaN for a level with rows under
-    ``x_alt`` but none under ``x_base``."""
-    acc = Fraction(0)
-    for below, alt, base in terms:
-        if alt:
-            if not base:
-                return np.nan
-            acc += Fraction(int(below) * int(alt), int(base))
-    return float(acc / int(n_alt))

@@ -11,6 +11,7 @@ three evidence shapes.
 
 import functools
 import itertools
+import math
 from collections import Counter
 import shutil
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import pocmed as pm
+from pocmed import ecdf
 from pocmed.ecdf import CountMatrix, RowCounts
 from pocmed.cli import main
 from pocmed.errors import PocError, PositivityError
@@ -333,6 +335,63 @@ def test_count_matrix_matches_count_tables(kind, seed, stratum):
     for name, args in grid:
         want = [scalar(model, name, args) for model in models]
         assert repr(getattr(surface, name)(*args).tolist()) == repr(want), (name, args)
+
+
+def test_count_matrix_takes_the_rational_sum_from_2_53(monkeypatch):
+    """From a cross-world denominator of 2**53 on, float64 is no longer
+    exact: on this replicate, whose denominator lies just above it, the
+    float64 ratio is not correctly rounded, and the count matrix must still
+    give the bits of ``CdfModel.crossworld_cdf``."""
+    tuples = list(itertools.product((0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0)))
+    cols = {key: np.array(column) for key, column in zip("xmy", zip(*tuples))}
+    counter = RowCounts(pm.Dataset(cols, pm.ColumnRoles("x", "m", "y")))
+    # rows per (x, m, y) tuple, in tuple order
+    counts = np.array([[4081, 1776, 5550, 3801, 3822, 4321, 5278, 2448, 2131, 5703, 3306, 4127]])
+    n_base, n_alt = counts.reshape(2, 3, 2).sum(axis=2).tolist()
+    assert 2**53 <= sum(n_alt) * math.prod(n_base) < 2**54
+    want = pm.CdfModel(counter.table()._replace(counts=counts[0])).crossworld_cdf(1.0, 0.0, 1.0)
+
+    def crossworld():
+        return CountMatrix(counter, counts).crossworld_cdf(1.0, 0.0, 1.0).tolist()
+
+    assert repr(crossworld()) == repr([want])
+    for bound in (2.0**54, 2.0**62):
+        monkeypatch.setattr(ecdf, "_EXACT", bound)
+        assert crossworld() != [want]
+
+
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+@pytest.mark.parametrize("seed", range(8))
+def test_wrapper_that_changes_its_family_runs_on_row_copies(seed):
+    """``functools.wraps`` copies the ``estimand`` marker.  A wrapper that
+    returns its family's result unchanged is evaluated from the count
+    matrix; one that drops keys of the result or changes its values runs on
+    a row copy of every resample, and gives what the row loop gives."""
+    data, targets, cfg = _CASES["random"](seed)
+    calls = Counter()
+
+    def wrapped(name, change):
+        fn = targets[name]
+
+        @functools.wraps(fn)
+        def wrapper(d):
+            calls[name] += 1
+            return change(fn(d))
+
+        return wrapper
+
+    wrappers = {
+        "pns": wrapped("pns", lambda r: {"t_pns": r["t_pns"]}),
+        "cd": wrapped("cd", lambda r: {"cd_pns": 1.0 - r["cd_pns"]}),
+        "pn": wrapped("pn", dict),
+    }
+    want = _outcome(lambda: _reference(data, wrappers, cfg))
+    calls.clear()
+    got = _outcome(lambda: pm.bootstrap_ci(data, wrappers, cfg))
+    assert got == want
+    if not isinstance(want, tuple):
+        assert list(got["pns"]) == ["t_pns"]
+        assert calls == Counter(pns=1 + cfg.replicates, cd=1 + cfg.replicates, pn=1)
 
 
 def test_batched_bootstrap_work_does_not_grow_with_replicates(monkeypatch):
