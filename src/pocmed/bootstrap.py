@@ -7,28 +7,20 @@ matching the estimators' hard positivity contract.
 
 The estimators depend on the data only through the counts of their
 distinct ``(x, m, y)`` tuples, and a resample only changes those counts.  So
-a callable built by :func:`estimator_target` runs once, on the full data,
-and its replicates are evaluated in batches.  Each row is mapped once to
-its tuple id; every replicate draws the same row indices as a row resample
-would, and one ``bincount`` of their ids fills that replicate's row of a
-replicate-by-tuple count matrix (:class:`~pocmed.ecdf.CountMatrix`).  Each
-of its CDF queries returns one value per replicate, from integer counts:
-the base and alt CDFs ``a``, ``b`` and the evidence bounds are count ratios
-with the bits of Python's ``int / int``, and the cross-world CDF ``r`` is
-one integer numerator over the common denominator
-``n(x_alt) * prod_m n(x_base, m)``, exact in float64 while that
-denominator stays below 2**53.  A replicate above it takes the rational
-(``Fraction``) sum of the scalar model.  The family's kernel inputs come
-from the same collector as the scalar formulas,
-``identify._margin_inputs``, and go one replicate at a time through the
-same kernel, ``identify._clipped``, so every replicate value equals the
-value of the target on a row copy of that resample.  A replicate is
-degenerate for a family exactly where one of its inputs is NaN, which is
-where the scalar query raises :class:`PositivityError`.  The matrix is
-filled in chunks of replicates, so it stays small when there are many
-distinct tuples.  Any other callable still runs on a row copy of each
-resample, and so does a wrapper of such a callable whose result on the
-full data is not its family's own.
+:func:`bootstrap_ci` takes only callables built by :func:`estimator_target`;
+each runs once, on the full data, and its replicates are evaluated in
+batches.  Every replicate draws the same row indices as a row resample
+would, and one ``bincount`` of their tuple ids fills its row of a
+replicate-by-tuple count matrix (:class:`~pocmed.ecdf.CountMatrix`, filled
+in chunks of replicates so that it stays small).  The collector of the
+scalar formulas, ``identify._margin_inputs``, reads the family's kernel
+inputs from it for all replicates at once, and each replicate goes through
+the kernel of the scalar formulas, ``identify._clipped``.  The
+:class:`~pocmed.ecdf.CdfModel` of a row copy is a checked one-row view of
+the same queries, so every replicate value equals the value of the target
+on a row copy of that resample.  A replicate is degenerate for a family
+exactly where one of its inputs is NaN, which is where the scalar query
+raises :class:`PositivityError`.
 
 The quantile rule is linear interpolation between order statistics: for
 sorted replicate values ``v[0..B-1]`` and probability ``p``, with
@@ -44,7 +36,6 @@ order or worker scheduling.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -52,7 +43,7 @@ import numpy as np
 
 from .data import Dataset, Evidence, Query
 from .ecdf import CdfModel, CountMatrix, RowCounts
-from .errors import BootstrapFailureError, InvalidEvidenceError, PositivityError
+from .errors import BootstrapFailureError, InvalidEvidenceError
 from . import identify
 from .data import KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR
 
@@ -135,10 +126,10 @@ def estimator_target(
     The callable accepts a :class:`Dataset` or a :class:`CdfModel` already
     restricted to ``query.c_stratum`` and returns a :class:`FamilyResult`
     carrying the case flag.  Its ``estimand`` attribute, an
-    :class:`Estimand`, marks it for the count-matrix path of
-    :func:`bootstrap_ci`.  ``functools.wraps`` copies the attribute, so a
-    wrapper takes that path too, and on the replicates it is evaluated as
-    the bare family, without running its body.
+    :class:`Estimand`, is what :func:`bootstrap_ci` evaluates on the
+    replicates.  ``functools.wraps`` copies the attribute, so a wrapper is
+    accepted there too if it returns its family's result unchanged; its
+    body runs on the full data only.
     """
     if evidence is not None:
         if kind == "cd" and evidence.kind != KIND_POINT_MEDIATOR:
@@ -202,53 +193,46 @@ def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[Mapp
             yield _shares(prefix, identify._make_triple(nd, ni, case))
 
 
-def _is_own(point: Mapping, surface: CountMatrix, estimand: Estimand) -> bool:
-    """Whether ``point``, a target's result on the full data, is the
-    result of its bare family on ``surface``, the full data's counts.  A
-    wrapper of a family target that changes its keys or values is not, and
-    its replicates cannot be read from the count matrix."""
-    (values,) = _replicate_values(surface, estimand)
-    return values is not None and dict(values) == dict(point)
-
-
 def _percentile(values: np.ndarray, p: float) -> float:
     return float(np.quantile(values, p, method="linear"))
 
 
 def bootstrap_ci(
     dataset: Dataset,
-    target: Callable[[Dataset], Mapping] | Mapping[str, Callable],
+    target: Callable[[CdfModel], Mapping] | Mapping[str, Callable],
     cfg: BootstrapConfig,
 ) -> FamilyResult | dict[str, FamilyResult]:
     """Percentile bootstrap for every quantity produced by ``target``.
 
     ``target`` is one callable, or a mapping of named callables evaluated
-    on the same resamples, which returns one result per name.  Each
-    callable is treated as if it were bootstrapped on its own, in mapping
-    order: it must run successfully on the full dataset; replicates on
-    which it raises :class:`PositivityError` are dropped and counted for it
-    alone; if every replicate degenerates, :class:`BootstrapFailureError`
-    is raised; the first error in that order is the one raised.  Quantities
-    that are ``None`` in a replicate (undefined proportions) are excluded
-    from that quantity's percentile set.
+    on the same resamples, which returns one result per name.  Each must
+    carry the ``estimand`` attribute of :func:`estimator_target` (such a
+    target, or a wrapper made with ``functools.wraps``), or
+    :class:`TypeError` is raised before anything runs.
 
-    A callable carrying the ``estimand`` attribute of
-    :func:`estimator_target` (such a target, or a wrapper made with
-    ``functools.wraps``) runs once, on a :class:`CdfModel` of the full data.
-    If its result there equals its family's own, keys and values, its
-    replicates are the family's values read from the count matrix, and its
-    body runs on none of them.  Any other callable, and a wrapper whose
-    result differs from its family's, runs on a row copy of each resample.
+    Each callable is treated as if it were bootstrapped on its own, in
+    mapping order: it must run successfully on a :class:`CdfModel` of the
+    full data and return there its family's own result, keys and values
+    (else :class:`ValueError`); replicates on which its family raises
+    :class:`PositivityError` are dropped and counted for it alone; if every
+    replicate degenerates, :class:`BootstrapFailureError` is raised; the
+    first error in that order is the one raised.  Quantities that are
+    ``None`` in a replicate (undefined proportions) are excluded from that
+    quantity's percentile set.  The callables run on the full data only;
+    their replicates are their families' values read from the count
+    matrix.
     """
     single = callable(target)
     targets = {"": target} if single else dict(target)
-    estimands = {
-        name: t.estimand for name, t in targets.items() if hasattr(t, "estimand")
-    }
-    strata = {tuple(e.query.c_stratum or ()) for e in estimands.values()}
+    for t in targets.values():
+        if not hasattr(t, "estimand"):
+            raise TypeError(f"bootstrap_ci needs targets built by estimator_target, got {t!r}")
+    strata = {tuple(t.estimand.query.c_stratum or ()) for t in targets.values()}
     if len(strata) > 1:
         raise ValueError("estimator targets bootstrapped together must share a stratum")
     c_stratum = strata.pop() if strata else ()
+    counter = RowCounts(dataset, c_stratum)
+    full = CdfModel(counter.table(), c_stratum or None)
 
     # Until ``failure``, the names whose per-target run would have got this
     # far; the error of the first name that failed is raised after the
@@ -256,19 +240,14 @@ def bootstrap_ci(
     names: list[str] = []
     points: dict[str, FamilyResult] = {}
     failure: Exception | None = None
-    counter = full = None
     for name, t in targets.items():
         try:
-            if name in estimands:
-                if full is None:
-                    counter = RowCounts(dataset, c_stratum)
-                    full = CdfModel(counter.table(), c_stratum or None)
-                    own = CountMatrix(counter, counter.bincount()[None])
-                point = t(full)
-                if not _is_own(point, own, estimands[name]):
-                    del estimands[name]
-            else:
-                point = t(dataset)
+            point = t(full)
+            # a wrapper's result must be its bare family's, keys and values
+            (own,) = _replicate_values(full._matrix, t.estimand)
+            if own is None or dict(own) != dict(point):
+                who = "the target" if single else f"target {name!r}"
+                raise ValueError(f"{who} does not return its {t.estimand.kind!r} family's result")
         except Exception as exc:  # re-raised below, after the names before it
             failure = exc
             break
@@ -280,51 +259,23 @@ def bootstrap_ci(
     n = dataset.n
     samples = {name: {key: [] for key in points[name]} for name in names}
     degenerate = dict.fromkeys(names, 0)
-
-    def record(name: str, values: Mapping | None) -> None:
-        if values is None:
-            degenerate[name] += 1
-            return
-        for key, value in values.items():
-            if value is not None:
-                samples[name][key].append(float(value))
-
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
-    chunk = cfg.replicates
-    if any(name in estimands for name in names):
-        chunk = max(1, min(chunk, _CHUNK_COUNTS // counter.size))
-        counts = np.empty((chunk, counter.size), dtype=np.int64)
-    with warnings.catch_warnings():
-        # the point evaluations above have already warned
-        warnings.simplefilter("ignore", identify.MediatorMonotonicityWarning)
-        for lo in range(0, cfg.replicates, chunk):
-            block = children[lo : lo + chunk]
-            batched = [name for name in names if name in estimands]
-            copied = [name for name in names if name not in estimands]
-            for i, child in enumerate(block):
-                idx = np.random.default_rng(child).integers(0, n, n)
-                if batched:
-                    counts[i] = counter.bincount(idx)
-                if copied:
-                    rows = dataset.take(idx)
-                for name in copied:
-                    try:
-                        values = targets[name](rows)
-                    except PositivityError:
-                        values = None
-                    except Exception as exc:  # re-raised below, as the point failures
-                        failure = exc
-                        del names[names.index(name) :]
-                        copied = [c for c in copied if c in names]
-                        break
-                    record(name, values)
-            if batched:
-                surface = CountMatrix(counter, counts[: len(block)])
-                for name in names:
-                    if name in estimands:
-                        for values in _replicate_values(surface, estimands[name]):
-                            record(name, values)
-                del surface  # before the next chunk's matrix is built
+    chunk = max(1, min(cfg.replicates, _CHUNK_COUNTS // counter.size))
+    counts = np.empty((chunk, counter.size), dtype=np.int64)
+    for lo in range(0, cfg.replicates, chunk):
+        block = children[lo : lo + chunk]
+        for i, child in enumerate(block):
+            counts[i] = counter.bincount(np.random.default_rng(child).integers(0, n, n))
+        surface = counter.matrix(counts[: len(block)])
+        for name in names:
+            for values in _replicate_values(surface, targets[name].estimand):
+                if values is None:
+                    degenerate[name] += 1
+                    continue
+                for key, value in values.items():
+                    if value is not None:
+                        samples[name][key].append(float(value))
+        del surface  # before the next chunk's matrix is built
     for name in names:
         if degenerate[name] == cfg.replicates:
             raise BootstrapFailureError(

@@ -77,6 +77,26 @@ def _parse_interval(text: str, upper_closed: bool) -> Interval:
     return Interval(lo, hi, upper_closed=upper_closed)
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated flag value."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise PocError(f"{flag} takes comma-separated numbers, got {part!r}") from None
+    return values
+
+
+def _at_least(flag: str, value: int | None, least: int, default: int) -> int:
+    """An integer flag's value, ``default`` when it is not given."""
+    if value is None:
+        return default
+    if value < least:
+        raise PocError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
 def _mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object, got {value!r}")
@@ -263,8 +283,8 @@ def _queries_from(args, config: dict) -> list[dict]:
         }
         if args.m_fixed is not None:
             flag_query["m_fixed"] = args.m_fixed
-        if args.stratum:
-            flag_query["stratum"] = [float(v) for v in args.stratum.split(",")]
+        if args.stratum is not None:
+            flag_query["stratum"] = _floats(args.stratum, "--stratum")
         evidence = {}
         if args.evidence_x is not None:
             evidence["x_star"] = args.evidence_x
@@ -461,7 +481,7 @@ def cmd_simulate(args) -> int:
     scm = _resolve_scm(args, config)
     if args.n is None or args.n < 1:
         raise PocError("--n must be a positive row count")
-    dataset = sample_observational(scm, args.n, seed=args.seed or 0)
+    dataset = sample_observational(scm, args.n, seed=_at_least("--seed", args.seed, 0, 0))
     text = dataset.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -471,21 +491,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+#: ``verify`` defaults, full and ``--quick``: estimation sample sizes,
+#: replicates, equivalence and decomposition model counts
+_VERIFY_DEFAULTS = {False: ((100, 1000, 10000), 1000, 50, 200), True: ((100, 1000), 200, 10, 50)}
+
+
 def cmd_verify(args) -> int:
-    for flag, value, least in (("--replicates", args.replicates, 2), ("--scms", args.scms, 0),
-                               ("--decomposition", args.decomposition, 0)):
-        if value is not None and value < least:
-            raise PocError(f"{flag} must be at least {least}, got {value}")
-    seed = args.seed or 0
-    if args.quick:
-        sizes = (100, 1000)
-        replicates = 200
-        n_eq, n_dec = 10, 50
-    else:
-        sizes = (100, 1000, 10000)
-        replicates = args.replicates if args.replicates is not None else 1000
-        n_eq = args.scms if args.scms is not None else 50
-        n_dec = args.decomposition if args.decomposition is not None else 200
+    sizes, replicates, n_eq, n_dec = _VERIFY_DEFAULTS[args.quick]
+    replicates = _at_least("--replicates", args.replicates, 2, replicates)
+    n_eq = _at_least("--scms", args.scms, 0, n_eq)
+    n_dec = _at_least("--decomposition", args.decomposition, 0, n_dec)
+    seed = _at_least("--seed", args.seed, 0, 0)
     rows = []
     rows.extend(verification.exact_truth_rows())
     rows.extend(verification.estimation_rows(seed=seed, replicates=replicates, sizes=sizes))
@@ -508,8 +524,8 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_grid(args, levels) -> list[float]:
-    if args.grid:
-        return [float(v) for v in args.grid.split(",")]
+    if args.grid is not None:
+        return _floats(args.grid, "--grid")
     grid = sorted(set(levels))
     mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
     return sorted(grid[1:] + mids)
@@ -555,11 +571,7 @@ def cmd_sweep(args) -> int:
         roles = _roles_from(args, config)
         dataset = load_dataset(args.input, roles)
         if args.grid_over == "y":
-            grid = (
-                [float(v) for v in args.grid.split(",")]
-                if args.grid
-                else _sweep_grid(args, np.unique(dataset.y).tolist())
-            )
+            grid = _sweep_grid(args, np.unique(dataset.y).tolist())
             model = CdfModel(dataset)
             points = [(v, lambda v=v: measure(model, v)) for v in grid]
         elif args.grid_over == "covariate":
@@ -569,8 +581,8 @@ def cmd_sweep(args) -> int:
             if args.y is None:
                 raise PocError("covariate sweep needs --y")
             grid = (
-                [float(v) for v in args.grid.split(",")]
-                if args.grid
+                _floats(args.grid, "--grid")
+                if args.grid is not None
                 else sorted(np.unique(dataset.column(roles.c[0])).tolist())
             )
             points = [
@@ -583,18 +595,14 @@ def cmd_sweep(args) -> int:
         scm = _resolve_scm(args, config)
         if args.grid_over == "y":
             model = AnalyticCdf(scm)
-            grid = (
-                [float(v) for v in args.grid.split(",")]
-                if args.grid
-                else _sweep_grid(args, list(model.outcome_levels()))
-            )
+            grid = _sweep_grid(args, model.outcome_levels())
             points = [(v, lambda v=v: measure(model, v)) for v in grid]
         elif args.grid_over == "covariate":
             if scm.covariates is None:
                 raise PocError("the model has no covariates to sweep over")
             if args.y is None:
                 raise PocError("covariate sweep needs --y")
-            if args.grid:
+            if args.grid is not None:
                 raise PocError("--grid does not apply to a model covariate sweep, "
                                "which runs every covariate stratum")
             strata = [c for c, _ in scm.covariate_support()]
@@ -608,9 +616,9 @@ def cmd_sweep(args) -> int:
                 raise PocError("parameter sweep needs --y")
             if not isinstance(scm.mediator, LogisticNode):
                 raise PocError("mediator-intercept sweep needs a logistic mediator node")
-            if not args.grid:
+            if args.grid is None:
                 raise PocError("parameter sweep needs --grid with explicit values")
-            grid = [float(v) for v in args.grid.split(",")]
+            grid = _floats(args.grid, "--grid")
 
             def model_at(v):
                 shifted = ScmSpec(

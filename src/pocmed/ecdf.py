@@ -7,14 +7,15 @@ outcome-mediator CDF, and the cross-world outcome CDF obtained by mixing
 cell CDFs over the mediator distribution of a different treatment arm.
 
 Probabilities are exact ratios of integer counts.  The cross-world mixture
-is accumulated in rational arithmetic and converted to floating point once,
-so the identity ``crossworld_cdf(y, x, x) == cdf_y_given_x(y, x)`` holds
-bit-for-bit.  Empty conditioning cells raise :class:`PositivityError`
-rather than returning silent zeros.
+is one integer numerator over a common denominator, divided once in float64
+while that denominator is exact there and summed in rational arithmetic
+from 2**53 on, so the identity ``crossworld_cdf(y, x, x) ==
+cdf_y_given_x(y, x)`` holds bit-for-bit.
 
-:class:`CdfModel` answers the queries for one count table;
-:class:`CountMatrix` answers them for many bootstrap resamples at once,
-with the same bits per resample and NaN where :class:`CdfModel` raises.
+:class:`CountMatrix` answers the queries for many count tables at once,
+one float64 per table and NaN where a conditioning cell is empty;
+:class:`CdfModel` is its checked view of one table, which raises
+:class:`PositivityError` there instead of returning a silent value.
 """
 
 from __future__ import annotations
@@ -103,6 +104,13 @@ class RowCounts:
                 raise PositivityError(f"no rows in covariate stratum {self._stratum!r}")
         return CountTable(*self._keys, counts)
 
+    def matrix(self, counts: np.ndarray) -> CountMatrix:
+        """The CDF queries of many resamples inside the stratum: row ``i``
+        of ``counts`` is :meth:`bincount` of resample ``i``."""
+        if self._inside is not None:
+            counts = counts[:, self._inside]
+        return CountMatrix(*self._keys, counts)
+
 
 def _layout(x: np.ndarray, m: np.ndarray) -> tuple[dict, dict, dict]:
     """Where the ``(x, m)`` cells and the treatment arms lie in a table
@@ -119,139 +127,12 @@ def _layout(x: np.ndarray, m: np.ndarray) -> tuple[dict, dict, dict]:
     return cells, m_levels, arms
 
 
-def _count_below(run: tuple, y: float, strict: bool) -> int:
-    levels, cum, before, _ = run
-    side = "left" if strict else "right"
-    return int(cum[np.searchsorted(levels, y, side=side)]) - before
-
-
-class CdfModel:
-    """Read-only bundle of cell counts for one dataset (optionally one
-    covariate stratum); all queries are pure and concurrently callable.
-
-    ``source`` is a :class:`Dataset`, whose rows in ``c_stratum`` are
-    counted, or a :class:`CountTable` already restricted to it.  Either way
-    the model keeps, per ``(x, m)`` cell, the sorted outcome levels with the
-    cumulative counts below each of them, and per treatment arm only its
-    row total: an arm's outcome CDF is the joint CDF at ``m = +inf``, a sum
-    over its cells.
-    """
-
-    def __init__(self, source: Dataset | CountTable, c_stratum=None):
-        if isinstance(source, Dataset):
-            source = RowCounts(source, c_stratum).table()
-        self.c_stratum = None if c_stratum is None else tuple(c_stratum)
-
-        x, m, y, counts = source
-        if not counts.all():
-            present = counts > 0
-            x, m, y, counts = x[present], m[present], y[present], counts[present]
-        self.n = int(counts.sum())
-        if self.n == 0:
-            raise EmptyDataError("count table has no rows")
-
-        # per (x, m) cell: its outcome levels (ascending), a view of the
-        # cumulative counts from its first row on (``cum[k] - before`` rows
-        # lie below level ``k``), ``before`` and its row count
-        cum = np.zeros(y.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        cells, self._m_levels, arms = _layout(x, m)
-        self._cells = {}
-        for key, (s, e) in cells.items():
-            before = int(cum[s])
-            self._cells[key] = (y[s:e], cum[s : e + 1], before, int(cum[e]) - before)
-        self._arm_n = {key: int(cum[e] - cum[s]) for key, (s, e) in arms.items()}
-
-    # -- basic surface --------------------------------------------------
-
-    def x_levels(self) -> tuple[float, ...]:
-        return tuple(sorted(self._arm_n))
-
-    def mediator_support(self, x: float) -> tuple[float, ...]:
-        self._require_x(float(x))
-        return tuple(self._m_levels[float(x)])
-
-    def _require_x(self, x: float) -> None:
-        if x not in self._arm_n:
-            raise PositivityError(f"no rows with treatment level {x!r}")
-
-    def _cell(self, x: float, m: float) -> tuple:
-        key = (float(x), float(m))
-        cell = self._cells.get(key)
-        if cell is None:
-            raise PositivityError(
-                f"no rows with treatment level {key[0]!r} and mediator level {key[1]!r}"
-            )
-        return cell
-
-    # -- estimators ------------------------------------------------------
-
-    def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
-        """P(outcome < y | treatment = x); ``strict=False`` gives <=."""
-        return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
-
-    def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
-        """P(outcome < y | treatment = x, mediator = m)."""
-        cell = self._cell(x, m)
-        return _count_below(cell, y, strict) / cell[3]
-
-    def mediator_pmf(self, m: float, x: float) -> float:
-        """P(mediator = m | treatment = x); 0.0 for unseen mediator values."""
-        x = float(x)
-        self._require_x(x)
-        cell = self._cells.get((x, float(m)))
-        return (cell[3] if cell is not None else 0) / self._arm_n[x]
-
-    def joint_cdf_ym_given_x(
-        self,
-        y: float,
-        m: float,
-        x: float,
-        strict_y: bool = True,
-        strict_m: bool = True,
-    ) -> float:
-        """P(outcome < y, mediator < m | treatment = x), strictness per flag."""
-        x = float(x)
-        self._require_x(x)
-        total = 0
-        for level in self._m_levels[x]:
-            inside = level < m if strict_m else level <= m
-            if inside:
-                total += _count_below(self._cells[(x, level)], y, strict_y)
-        return total / self._arm_n[x]
-
-    def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> float:
-        """CDF of the outcome that would arise with treatment held at
-        ``x_base`` while the mediator follows its distribution under
-        ``x_alt``:  sum over m of
-        P(Y < y | X=x_base, M=m) * P(M=m | X=x_alt).
-
-        Requires every mediator level observed under ``x_alt`` to be
-        populated in the ``x_base`` arm.
-        """
-        x_base, x_alt = float(x_base), float(x_alt)
-        self._require_x(x_base)
-        self._require_x(x_alt)
-        # sum over m of below(m) / n(x_base, m) * n(x_alt, m), over n(x_alt)
-        acc = Fraction(0)
-        for level in self._m_levels[x_alt]:
-            base_cell = self._cells.get((x_base, level))
-            if base_cell is None:
-                raise PositivityError(
-                    f"mediator level {level!r} observed under treatment {x_alt!r} "
-                    f"has no rows under treatment {x_base!r}"
-                )
-            below = _count_below(base_cell, y, True)
-            acc += Fraction(below * self._cells[(x_alt, level)][3], base_cell[3])
-        return float(acc / self._arm_n[x_alt])
-
-
 #: Every integer below this is exact in float64.
 _EXACT = 2.0**53
 
 
 def _ratio(num, den) -> np.ndarray:
-    """``num / den`` per resample, NaN where ``den`` is 0.  Both are integer
+    """``num / den`` per table, NaN where ``den`` is 0.  Both are integer
     counts below 2**53, exact in float64, so each quotient has the bits of
     Python's ``int / int``."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -259,41 +140,41 @@ def _ratio(num, den) -> np.ndarray:
 
 
 class CountMatrix:
-    """The CDF queries of :class:`CdfModel` for many resamples at once.
+    """The CDF queries for many count tables over the same tuples at once.
 
-    Row ``i`` of ``counts`` is :meth:`RowCounts.bincount` of resample ``i``
-    of ``counter``'s rows.  Each query returns one float64 per resample:
-    the value the same :class:`CdfModel` query gives on that resample's
-    count table, bit for bit, or NaN where that query raises
-    :class:`PositivityError` (an empty treatment arm or ``(x, m)`` cell, a
-    mediator level seen under ``x_alt`` but not under ``x_base``; in an
-    empty stratum, every query).
+    ``x``, ``m`` and ``y`` are distinct ``(x, m, y)`` tuples in
+    lexicographic order, and row ``i`` of ``counts`` holds table ``i``'s
+    rows per tuple.  Each query returns one float64 per table, NaN where
+    its conditioning cell is empty: an empty treatment arm or ``(x, m)``
+    cell, or a mediator level with rows under ``x_alt`` but none under
+    ``x_base`` (in an empty table, every query).
 
     A count below a threshold is a difference of the row-wise cumulative
     counts along the tuple order, in which every ``(x, m)`` cell is a run
     with its outcome levels ascending.  The cross-world CDF is one integer
     numerator over the common denominator ``n(x_alt) * prod_m n(x_base, m)``
     (over the levels with rows under ``x_alt``), computed in float64, which
-    is exact while that denominator stays below 2**53; a resample above it
-    is answered by :meth:`CdfModel.crossworld_cdf` of its own count table.
+    is exact while that denominator stays below 2**53; a table at or above
+    it takes the sum in rational arithmetic.
     """
 
-    def __init__(self, counter: RowCounts, counts: np.ndarray):
-        if counter._inside is not None:
-            counts = counts[:, counter._inside]
+    def __init__(self, x: np.ndarray, m: np.ndarray, y: np.ndarray, counts: np.ndarray):
         self._cum = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
         np.cumsum(counts, axis=1, out=self._cum[:, 1:])
-        self._keys = counter._keys
-        self._cells, self._m_levels, self._arms = _layout(*self._keys[:2])
+        self._y = y
+        self._cells, self._m_levels, self._arms = _layout(x, m)
 
     def _rows(self, start: int, end: int) -> np.ndarray:
-        """Rows per resample in the tuples ``start:end``."""
+        """Rows per table in the tuples ``start:end``."""
         return self._cum[:, end] - self._cum[:, start]
+
+    def _arm_rows(self, x: float) -> np.ndarray:
+        return self._rows(*self._arms.get(x, (0, 0)))
 
     def _below(self, cell: tuple, y: float, strict: bool) -> np.ndarray:
         s, e = cell
-        levels = self._keys[2][s:e]
-        return self._rows(s, s + int(np.searchsorted(levels, y, "left" if strict else "right")))
+        side = "left" if strict else "right"
+        return self._rows(s, s + int(np.searchsorted(self._y[s:e], y, side)))
 
     # -- estimators ------------------------------------------------------
 
@@ -305,6 +186,11 @@ class CountMatrix:
         if cell is None:
             return np.full(self._cum.shape[0], np.nan)
         return _ratio(self._below(cell, y, strict), self._rows(*cell))
+
+    def mediator_pmf(self, m: float, x: float) -> np.ndarray:
+        x = float(x)
+        cell = self._cells.get((x, float(m)))
+        return _ratio(0 if cell is None else self._rows(*cell), self._arm_rows(x))
 
     def joint_cdf_ym_given_x(
         self,
@@ -319,31 +205,122 @@ class CountMatrix:
         for level in self._m_levels.get(x, ()):
             if level < m if strict_m else level <= m:
                 below = below + self._below(self._cells[(x, level)], y, strict_y)
-        return _ratio(below, self._rows(*self._arms.get(x, (0, 0))))
+        return _ratio(below, self._arm_rows(x))
 
     def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> np.ndarray:
         x_base, x_alt = float(x_base), float(x_alt)
-        replicates = self._cum.shape[0]
-        num, den = np.zeros(replicates), np.ones(replicates)
+        tables = self._cum.shape[0]
+        num, den, terms = np.zeros(tables), np.ones(tables), []
         for level in self._m_levels.get(x_alt, ()):
             alt = self._rows(*self._cells[(x_alt, level)])
             base_cell = self._cells.get((x_base, level))
             if base_cell is None:
-                base = below = np.zeros(replicates, dtype=np.int64)
+                base = below = np.zeros(tables, dtype=np.int64)
             else:
                 base, below = self._rows(*base_cell), self._below(base_cell, y, True)
+            terms.append((alt, base, below))
             # a level without rows under x_alt is left out of the sum
             factor = np.where(alt > 0, base, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 num = num * factor + below * alt * den
                 den = den * factor
+        n_alt = self._arm_rows(x_alt)
         with np.errstate(over="ignore", invalid="ignore"):
-            den = self._rows(*self._arms.get(x_alt, (0, 0))) * den
+            den = n_alt * den
         out = _ratio(num, den)
         for i in np.flatnonzero(~(den < _EXACT)).tolist():
-            model = CdfModel(CountTable(*self._keys, np.diff(self._cum[i])))
-            try:
-                out[i] = model.crossworld_cdf(y, x_base, x_alt)
-            except PositivityError:
+            # sum over m of below(m) * n(x_alt, m) / n(x_base, m), over n(x_alt)
+            row = [(int(a[i]), int(b[i]), int(k[i])) for a, b, k in terms]
+            if any(a and not b for a, b, _ in row):
                 out[i] = np.nan
+            else:
+                acc = sum((Fraction(k * a, b) for a, b, k in row if a), Fraction(0))
+                out[i] = float(acc / int(n_alt[i]))
         return out
+
+
+class CdfModel:
+    """The CDF queries of one count table (optionally one covariate
+    stratum), checked: where :class:`CountMatrix` gives NaN, a query raises
+    :class:`PositivityError` naming the empty cell.  Read-only; all queries
+    are pure and concurrently callable.
+
+    ``source`` is a :class:`Dataset`, whose rows in ``c_stratum`` are
+    counted, or a :class:`CountTable` already restricted to it.  Tuples
+    with a zero count are dropped, and the rest make the one row of a
+    :class:`CountMatrix`.
+    """
+
+    def __init__(self, source: Dataset | CountTable, c_stratum=None):
+        if isinstance(source, Dataset):
+            source = RowCounts(source, c_stratum).table()
+        self.c_stratum = None if c_stratum is None else tuple(c_stratum)
+        present = source.counts > 0
+        x, m, y, counts = (column[present] for column in source)
+        self.n = int(counts.sum())
+        if self.n == 0:
+            raise EmptyDataError("count table has no rows")
+        self._matrix = CountMatrix(x, m, y, counts[None])
+
+    # -- basic surface --------------------------------------------------
+
+    def x_levels(self) -> tuple[float, ...]:
+        return tuple(sorted(self._matrix._arms))
+
+    def mediator_support(self, x: float) -> tuple[float, ...]:
+        return tuple(self._matrix._m_levels[self._require_x(x)])
+
+    def _require_x(self, x: float) -> float:
+        x = float(x)
+        if x not in self._matrix._arms:
+            raise PositivityError(f"no rows with treatment level {x!r}")
+        return x
+
+    # -- estimators ------------------------------------------------------
+
+    def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
+        """P(outcome < y | treatment = x); ``strict=False`` gives <=."""
+        return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
+
+    def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
+        """P(outcome < y | treatment = x, mediator = m)."""
+        key = (float(x), float(m))
+        if key not in self._matrix._cells:
+            raise PositivityError(
+                f"no rows with treatment level {key[0]!r} and mediator level {key[1]!r}"
+            )
+        return self._matrix.cdf_y_given_xm(y, *key, strict).item()
+
+    def mediator_pmf(self, m: float, x: float) -> float:
+        """P(mediator = m | treatment = x); 0.0 for unseen mediator values."""
+        return self._matrix.mediator_pmf(m, self._require_x(x)).item()
+
+    def joint_cdf_ym_given_x(
+        self,
+        y: float,
+        m: float,
+        x: float,
+        strict_y: bool = True,
+        strict_m: bool = True,
+    ) -> float:
+        """P(outcome < y, mediator < m | treatment = x), strictness per flag."""
+        x = self._require_x(x)
+        return self._matrix.joint_cdf_ym_given_x(y, m, x, strict_y, strict_m).item()
+
+    def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> float:
+        """CDF of the outcome that would arise with treatment held at
+        ``x_base`` while the mediator follows its distribution under
+        ``x_alt``:  sum over m of
+        P(Y < y | X=x_base, M=m) * P(M=m | X=x_alt).
+
+        Requires every mediator level observed under ``x_alt`` to be
+        populated in the ``x_base`` arm.
+        """
+        x_base, x_alt = self._require_x(x_base), self._require_x(x_alt)
+        for level in self._matrix._m_levels[x_alt]:
+            if (x_base, level) not in self._matrix._cells:
+                raise PositivityError(
+                    f"mediator level {level!r} observed under treatment {x_alt!r} "
+                    f"has no rows under treatment {x_base!r}"
+                )
+        return self._matrix.crossworld_cdf(y, x_base, x_alt).item()

@@ -5,7 +5,7 @@ import pytest
 
 import pocmed as pm
 from pocmed.bootstrap import _percentile
-from pocmed.errors import BootstrapFailureError, PositivityError
+from pocmed.errors import BootstrapFailureError
 
 
 def test_config_validation():
@@ -73,15 +73,20 @@ def test_degenerate_replicates_counted():
     assert 0 < cis["t_pns"].degenerate_count < 200
 
 
-def test_all_replicates_degenerate(preset):
-    data = pm.sample_observational(preset, 50, seed=1)
-
-    def target(d):
-        if d is data:
-            return {"value": 0.5}
-        raise PositivityError("resampled cell empty")
-
-    with pytest.raises(BootstrapFailureError):
+def test_all_replicates_degenerate():
+    # each of 30 mediator levels has one row under the base treatment: the
+    # full data identifies the cross-world CDF, but a resample keeps all 30
+    # rows with probability about 0.63**30, so every replicate degenerates
+    levels = np.arange(30.0)
+    cols = {
+        "x": np.repeat([0.0, 1.0], [30, 150]),
+        "m": np.concatenate([levels, np.repeat(levels, 5)]),
+        "y": np.tile([0.0, 1.0], 90),
+    }
+    data = pm.Dataset(cols, pm.ColumnRoles("x", "m", "y"))
+    target = pm.estimator_target("natural", pm.Query(0, 1, 1.0))
+    assert set(target(data)) == {"t_pns", "nd_pns", "ni_pns", "prop_nd", "prop_ni"}
+    with pytest.raises(BootstrapFailureError, match="all 20 bootstrap replicates"):
         pm.bootstrap_ci(data, target, pm.BootstrapConfig(replicates=20, seed=0))
 
 

@@ -418,12 +418,74 @@ def test_malformed_estimate_settings_exit_2(tmp_path, capsys, sim_csv, fields, f
         # silently run as 0 models before
         (["--scms", "-3", "--decomposition", "-1"], "--scms must be at least 0, got -3"),
         (["--decomposition", "-1"], "--decomposition must be at least 0, got -1"),
+        # an untyped numpy ValueError before
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["--quick", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        # ignored under --quick before
+        (["--quick", "--scms", "-3"], "--scms must be at least 0, got -3"),
     ],
 )
 def test_malformed_verify_settings_exit_2(capsys, flags, message):
     code, out, err = _run(capsys, "verify", *flags)
     assert code == 2 and out == ""
     assert err.startswith(f"error: PocError: {message}")
+
+
+def test_malformed_simulate_settings_exit_2(capsys):
+    # an untyped numpy ValueError before
+    code, out, err = _run(capsys, "simulate", "--preset", "logistic-bernoulli", "--n", "5",
+                          "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: PocError: --seed must be at least 0, got -1")
+
+
+def test_estimate_folds_a_negative_seed(sim_csv, capsys):
+    code, out, _ = _run(capsys, "estimate", "--input", sim_csv, "--x-base", "0",
+                        "--x-alt", "1", "--y", "1", "--replicates", "2", "--seed", "-1",
+                        "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == -1
+
+
+def test_verify_quick_takes_explicit_counts(capsys):
+    # --quick sets the defaults only: it ran 10 models here before
+    code, out, _ = _run(capsys, "verify", "--quick", "--scms", "3", "--decomposition", "2",
+                        "--replicates", "20")
+    assert "oracle equivalence (3 models," in out
+    assert "decomposition identities (4 evaluations)" in out
+
+
+_GRID_SWEEPS = {
+    "data y": ["--grid-over", "y"],
+    "data covariate": ["--grid-over", "covariate", "--c-cols", "g", "--y", "1"],
+    "model y": ["--preset", "logistic-bernoulli", "--grid-over", "y"],
+    "model intercept": ["--preset", "logistic-bernoulli", "--grid-over", "mediator-intercept",
+                        "--y", "1"],
+}
+
+
+@pytest.mark.parametrize("grid", ["abc", "1,x", "1,,2", ""])
+@pytest.mark.parametrize("sweep", list(_GRID_SWEEPS))
+def test_malformed_grid_exits_2(tmp_path, capsys, sweep, grid):
+    # an untyped ValueError before; an empty grid ran the default grid
+    argv = ["sweep", "--x-base", "0", "--x-alt", "1", "--grid", grid, *_GRID_SWEEPS[sweep]]
+    if sweep.startswith("data"):
+        path = tmp_path / "strat.csv"
+        path.write_text("x,m,y,g\n0,0,0,0\n1,1,1,0\n")
+        argv += ["--input", str(path)]
+    code, out, err = _run(capsys, *argv)
+    bad = {"abc": "abc", "1,x": "x", "1,,2": "", "": ""}[grid]
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: PocError: --grid takes comma-separated numbers, got {bad!r}")
+
+
+@pytest.mark.parametrize("stratum, bad",
+                         [("abc", "abc"), ("0,", ""), ("1e3,one", "one"), ("", "")])
+def test_malformed_stratum_exits_2(sim_csv, capsys, stratum, bad):
+    # an untyped ValueError before; an empty stratum ran unstratified
+    code, out, err = _run(capsys, "estimate", "--input", sim_csv, "--x-base", "0",
+                          "--x-alt", "1", "--y", "1", "--stratum", stratum)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: PocError: --stratum takes comma-separated numbers, got {bad!r}")
 
 
 @pytest.mark.parametrize(

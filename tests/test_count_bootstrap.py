@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 import shutil
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import pytest
 
 import pocmed as pm
 from pocmed import ecdf
-from pocmed.ecdf import CountMatrix, RowCounts
+from pocmed.ecdf import RowCounts
 from pocmed.cli import main
 from pocmed.errors import PocError, PositivityError
 
@@ -304,18 +305,18 @@ def _batched_grid(ys, ms, xs):
 )
 def test_count_matrix_matches_count_tables(kind, seed, stratum):
     """Each query of the count matrix gives, per replicate, the bits of the
-    same query of a CdfModel built from that replicate's count table, and
+    same query of the row-built surface of that replicate's row copy, and
     NaN where that query (or the build, for an empty stratum) raises
     PositivityError."""
     data = _CASES[kind](seed)[0]
     counter = RowCounts(data, stratum)
     draws = [np.random.default_rng(child).integers(0, data.n, data.n)
              for child in np.random.SeedSequence(seed).spawn(6)]
-    surface = CountMatrix(counter, np.stack([counter.bincount(idx) for idx in draws]))
+    surface = counter.matrix(np.stack([counter.bincount(idx) for idx in draws]))
     models = []
     for idx in draws:
         try:
-            models.append(pm.CdfModel(counter.table(idx), stratum))
+            models.append(RowCdfModel(data.take(idx), stratum))
         except PositivityError:
             models.append(None)
 
@@ -328,10 +329,13 @@ def test_count_matrix_matches_count_tables(kind, seed, stratum):
             return float("nan")
 
     if kind == "random":
-        grid = _batched_grid((-INF, -2.0, *Y_LEVELS, 0.1, 1.0, 5.0, INF),
-                             (-INF, *M_LEVELS, 0.5, 7.0, 9.0, INF), (0.0, -0.0, 1.0, 2.0, 3.0))
+        ms = (-INF, *M_LEVELS, 0.5, 7.0, 9.0, INF)
+        grid = _batched_grid((-INF, -2.0, *Y_LEVELS, 0.1, 1.0, 5.0, INF), ms,
+                             (0.0, -0.0, 1.0, 2.0, 3.0))
     else:
-        grid = _batched_grid((*Y_LEVELS, INF), (0.0, 2.0, 5.0, 9.0, INF), (0.0, 1.0))
+        ms = (0.0, 2.0, 5.0, 9.0, INF)
+        grid = _batched_grid((*Y_LEVELS, INF), ms, (0.0, 1.0))
+    grid = [*grid, *(("mediator_pmf", (m, x)) for m in ms for x in (0.0, 1.0, 2.0, 3.0))]
     for name, args in grid:
         want = [scalar(model, name, args) for model in models]
         assert repr(getattr(surface, name)(*args).tolist()) == repr(want), (name, args)
@@ -341,20 +345,26 @@ def test_count_matrix_takes_the_rational_sum_from_2_53(monkeypatch):
     """From a cross-world denominator of 2**53 on, float64 is no longer
     exact: on this replicate, whose denominator lies just above it, the
     float64 ratio is not correctly rounded, and the count matrix must still
-    give the bits of ``CdfModel.crossworld_cdf``."""
+    give the correctly rounded rational sum."""
     tuples = list(itertools.product((0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0)))
     cols = {key: np.array(column) for key, column in zip("xmy", zip(*tuples))}
     counter = RowCounts(pm.Dataset(cols, pm.ColumnRoles("x", "m", "y")))
     # rows per (x, m, y) tuple, in tuple order
     counts = np.array([[4081, 1776, 5550, 3801, 3822, 4321, 5278, 2448, 2131, 5703, 3306, 4127]])
-    n_base, n_alt = counts.reshape(2, 3, 2).sum(axis=2).tolist()
+    base, alt = counts.reshape(2, 3, 2).tolist()
+    n_base, n_alt = [sum(cell) for cell in base], [sum(cell) for cell in alt]
     assert 2**53 <= sum(n_alt) * math.prod(n_base) < 2**54
-    want = pm.CdfModel(counter.table()._replace(counts=counts[0])).crossworld_cdf(1.0, 0.0, 1.0)
+    # the outcome below 1 with treatment at 0 and the mediator as under
+    # treatment 1: each base cell's y = 0 share, weighted by the alt cell's
+    # share of its arm
+    want = float(sum(Fraction(b[0] * a, sum(b)) for b, a in zip(base, n_alt)) / sum(n_alt))
 
     def crossworld():
-        return CountMatrix(counter, counts).crossworld_cdf(1.0, 0.0, 1.0).tolist()
+        return counter.matrix(counts).crossworld_cdf(1.0, 0.0, 1.0).tolist()
 
     assert repr(crossworld()) == repr([want])
+    assert repr(pm.CdfModel(counter.table()._replace(counts=counts[0])).crossworld_cdf(
+        1.0, 0.0, 1.0)) == repr(want)
     for bound in (2.0**54, 2.0**62):
         monkeypatch.setattr(ecdf, "_EXACT", bound)
         assert crossworld() != [want]
@@ -364,9 +374,10 @@ def test_count_matrix_takes_the_rational_sum_from_2_53(monkeypatch):
 @pytest.mark.parametrize("seed", range(8))
 def test_wrapper_that_changes_its_family_runs_on_row_copies(seed):
     """``functools.wraps`` copies the ``estimand`` marker.  A wrapper that
-    returns its family's result unchanged is evaluated from the count
-    matrix; one that drops keys of the result or changes its values runs on
-    a row copy of every resample, and gives what the row loop gives."""
+    returns its family's result unchanged is bootstrapped from the count
+    matrix, with what the row loop over row copies gives for it; one that
+    drops keys of the result or changes its values runs once and is
+    rejected with ValueError, alone or first in a mapping."""
     data, targets, cfg = _CASES["random"](seed)
     calls = Counter()
 
@@ -385,19 +396,31 @@ def test_wrapper_that_changes_its_family_runs_on_row_copies(seed):
         "cd": wrapped("cd", lambda r: {"cd_pns": 1.0 - r["cd_pns"]}),
         "pn": wrapped("pn", dict),
     }
-    want = _outcome(lambda: _reference(data, wrappers, cfg))
+    for name in ("pns", "cd"):
+        family = _outcome(lambda: targets[name](data))
+        calls.clear()
+        if isinstance(family, tuple):  # the family itself fails on the full data
+            assert _outcome(lambda: pm.bootstrap_ci(data, wrappers[name], cfg)) == family
+            continue
+        with pytest.raises(ValueError, match=f"its '{targets[name].estimand.kind}' family's"):
+            pm.bootstrap_ci(data, wrappers[name], cfg)
+        assert calls == Counter({name: 1})
+        with pytest.raises(ValueError, match=f"target '{name}'"):
+            pm.bootstrap_ci(data, {name: wrappers[name], "pn": wrappers["pn"]}, cfg)
+
+    want = _outcome(lambda: row_bootstrap_ci(data, wrappers["pn"], cfg))
     calls.clear()
-    got = _outcome(lambda: pm.bootstrap_ci(data, wrappers, cfg))
+    got = _outcome(lambda: pm.bootstrap_ci(data, wrappers["pn"], cfg))
     assert got == want
     if not isinstance(want, tuple):
-        assert list(got["pns"]) == ["t_pns"]
-        assert calls == Counter(pns=1 + cfg.replicates, cd=1 + cfg.replicates, pn=1)
+        assert calls == Counter(pn=1)
 
 
 def test_batched_bootstrap_work_does_not_grow_with_replicates(monkeypatch):
     """Estimator targets run once, on one CdfModel of the full data, however
-    many replicates are drawn, also when wrapped with ``functools.wraps``;
-    a plain callable still runs on a row copy of every resample."""
+    many replicates are drawn, also when wrapped with ``functools.wraps``,
+    and no resample is copied row by row; a plain callable is refused
+    before anything runs."""
     data = pm.sample_observational(pm.logistic_bernoulli_preset(), 400, seed=1)
     q = pm.Query(x_base=0.0, x_alt=1.0, y_threshold=1.0, m_fixed=1.0)
     builds, takes, calls = [], [], Counter()
@@ -430,9 +453,13 @@ def test_batched_bootstrap_work_does_not_grow_with_replicates(monkeypatch):
         assert (len(builds), len(takes)) == (1, 0)
         assert calls == Counter(dict.fromkeys(targets, 1))
 
-        builds.clear()
-        pm.bootstrap_ci(data, {"natural": targets["natural"], "rows": lambda d: {"n": d.n}}, cfg)
-        assert (len(builds), len(takes)) == (1, replicates)
+        builds.clear(), calls.clear()
+        with pytest.raises(TypeError, match="estimator_target"):
+            pm.bootstrap_ci(data, {"natural": targets["natural"], "rows": lambda d: {"n": d.n}},
+                            cfg)
+        with pytest.raises(TypeError, match="estimator_target"):
+            pm.bootstrap_ci(data, lambda d: {"n": d.n}, cfg)
+        assert (len(builds), len(takes), sum(calls.values())) == (0, 0, 0)
 
 
 _JOBS = ["--input", "jobs.csv", "--x-col", "treat", "--m-col", "job_seek",
