@@ -7,10 +7,9 @@ outcome-mediator CDF, and the cross-world outcome CDF obtained by mixing
 cell CDFs over the mediator distribution of a different treatment arm.
 
 Probabilities are exact ratios of integer counts.  The cross-world mixture
-is one integer numerator over a common denominator, divided once in float64
-while that denominator is exact there and summed in rational arithmetic
-from 2**53 on, so the identity ``crossworld_cdf(y, x, x) ==
-cdf_y_given_x(y, x)`` holds bit-for-bit.
+is one Python-int numerator over one Python-int common denominator, divided
+once (correctly rounded at any size), so the identity
+``crossworld_cdf(y, x, x) == cdf_y_given_x(y, x)`` holds bit-for-bit.
 
 :class:`CountMatrix` answers the queries for many count tables at once,
 one float64 per table and NaN where a conditioning cell is empty;
@@ -20,7 +19,6 @@ one float64 per table and NaN where a conditioning cell is empty;
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -127,10 +125,6 @@ def _layout(x: np.ndarray, m: np.ndarray) -> tuple[dict, dict, dict]:
     return cells, m_levels, arms
 
 
-#: Every integer below this is exact in float64.
-_EXACT = 2.0**53
-
-
 def _ratio(num, den) -> np.ndarray:
     """``num / den`` per table, NaN where ``den`` is 0.  Both are integer
     counts below 2**53, exact in float64, so each quotient has the bits of
@@ -153,9 +147,8 @@ class CountMatrix:
     counts along the tuple order, in which every ``(x, m)`` cell is a run
     with its outcome levels ascending.  The cross-world CDF is one integer
     numerator over the common denominator ``n(x_alt) * prod_m n(x_base, m)``
-    (over the levels with rows under ``x_alt``), computed in float64, which
-    is exact while that denominator stays below 2**53; a table at or above
-    it takes the sum in rational arithmetic.
+    (over the levels with rows under ``x_alt``), both Python ints, whose
+    quotient is correctly rounded at every size.
     """
 
     def __init__(self, x: np.ndarray, m: np.ndarray, y: np.ndarray, counts: np.ndarray):
@@ -210,33 +203,20 @@ class CountMatrix:
     def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> np.ndarray:
         x_base, x_alt = float(x_base), float(x_alt)
         tables = self._cum.shape[0]
-        num, den, terms = np.zeros(tables), np.ones(tables), []
+        num, den = np.zeros(tables, dtype=object), np.ones(tables, dtype=object)
         for level in self._m_levels.get(x_alt, ()):
-            alt = self._rows(*self._cells[(x_alt, level)])
-            base_cell = self._cells.get((x_base, level))
-            if base_cell is None:
-                base = below = np.zeros(tables, dtype=np.int64)
-            else:
-                base, below = self._rows(*base_cell), self._below(base_cell, y, True)
-            terms.append((alt, base, below))
+            # Python ints before any product: the products outgrow int64
+            alt = self._rows(*self._cells[(x_alt, level)]).astype(object)
+            # a level missing under x_base is the empty run: its den is 0
+            cell = self._cells.get((x_base, level), (0, 0))
+            base = self._rows(*cell).astype(object)
+            below = self._below(cell, y, True).astype(object)
             # a level without rows under x_alt is left out of the sum
             factor = np.where(alt > 0, base, 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                num = num * factor + below * alt * den
-                den = den * factor
-        n_alt = self._arm_rows(x_alt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = n_alt * den
-        out = _ratio(num, den)
-        for i in np.flatnonzero(~(den < _EXACT)).tolist():
-            # sum over m of below(m) * n(x_alt, m) / n(x_base, m), over n(x_alt)
-            row = [(int(a[i]), int(b[i]), int(k[i])) for a, b, k in terms]
-            if any(a and not b for a, b, _ in row):
-                out[i] = np.nan
-            else:
-                acc = sum((Fraction(k * a, b) for a, b, k in row if a), Fraction(0))
-                out[i] = float(acc / int(n_alt[i]))
-        return out
+            num = num * factor + below * alt * den
+            den = den * factor
+        den = den * self._arm_rows(x_alt).astype(object)
+        return np.array([n / d if d else np.nan for n, d in zip(num.tolist(), den.tolist())])
 
 
 class CdfModel:

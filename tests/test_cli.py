@@ -210,6 +210,17 @@ def test_estimate_reads_byte_order_mark(tmp_path, capsys):
     assert bom_out == out.replace("plain.csv", "bom.csv")
 
 
+def test_quoted_header_is_not_unquoted(tmp_path, capsys):
+    """Quotes are not special: a quoted header names a column with the
+    quotes in it, so the role column ``x`` is missing."""
+    path = tmp_path / "quoted.csv"
+    path.write_text('"x",m,y\n0,0,1\n1,1,0\n')
+    code, out, err = _run(capsys, "estimate", "--input", str(path), "--x-base", "0",
+                          "--x-alt", "1", "--y", "1", "--replicates", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: SchemaError: missing role columns ['x'] in header ['\"x\"', 'm', 'y']\n"
+
+
 _LOGISTIC_SCM = {
     "treatment": {"logistic": {"intercept": 0.0}},
     "mediator": {"logistic": {"intercept": 1.0, "coefs": [0.5]}},

@@ -341,11 +341,12 @@ def test_count_matrix_matches_count_tables(kind, seed, stratum):
         assert repr(getattr(surface, name)(*args).tolist()) == repr(want), (name, args)
 
 
-def test_count_matrix_takes_the_rational_sum_from_2_53(monkeypatch):
+def test_count_matrix_takes_the_rational_sum_from_2_53():
     """From a cross-world denominator of 2**53 on, float64 is no longer
     exact: on this replicate, whose denominator lies just above it, the
-    float64 ratio is not correctly rounded, and the count matrix must still
-    give the correctly rounded rational sum."""
+    float64 ratio of numerator and denominator is not correctly rounded,
+    and the count matrix must still give the correctly rounded rational
+    sum."""
     tuples = list(itertools.product((0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0)))
     cols = {key: np.array(column) for key, column in zip("xmy", zip(*tuples))}
     counter = RowCounts(pm.Dataset(cols, pm.ColumnRoles("x", "m", "y")))
@@ -353,21 +354,82 @@ def test_count_matrix_takes_the_rational_sum_from_2_53(monkeypatch):
     counts = np.array([[4081, 1776, 5550, 3801, 3822, 4321, 5278, 2448, 2131, 5703, 3306, 4127]])
     base, alt = counts.reshape(2, 3, 2).tolist()
     n_base, n_alt = [sum(cell) for cell in base], [sum(cell) for cell in alt]
-    assert 2**53 <= sum(n_alt) * math.prod(n_base) < 2**54
+    den = sum(n_alt) * math.prod(n_base)
+    assert 2**53 <= den < 2**54
     # the outcome below 1 with treatment at 0 and the mediator as under
     # treatment 1: each base cell's y = 0 share, weighted by the alt cell's
     # share of its arm
-    want = float(sum(Fraction(b[0] * a, sum(b)) for b, a in zip(base, n_alt)) / sum(n_alt))
+    exact = sum(Fraction(b[0] * a, sum(b)) for b, a in zip(base, n_alt)) / sum(n_alt)
+    want = float(exact)
+    # the numerator over the common denominator: float64 rounds both
+    num = sum(b[0] * a * den // (sum(b) * sum(n_alt)) for b, a in zip(base, n_alt))
+    assert Fraction(num, den) == exact and float(num) / float(den) != want
 
-    def crossworld():
-        return counter.matrix(counts).crossworld_cdf(1.0, 0.0, 1.0).tolist()
-
-    assert repr(crossworld()) == repr([want])
+    assert repr(counter.matrix(counts).crossworld_cdf(1.0, 0.0, 1.0).tolist()) == repr([want])
     assert repr(pm.CdfModel(counter.table()._replace(counts=counts[0])).crossworld_cdf(
         1.0, 0.0, 1.0)) == repr(want)
-    for bound in (2.0**54, 2.0**62):
-        monkeypatch.setattr(ecdf, "_EXACT", bound)
-        assert crossworld() != [want]
+
+
+def _rational_crossworld(table: dict, levels, y: float, x_base: float, x_alt: float) -> float:
+    """The cross-world CDF of one count table ``{(x, m, y): rows}`` as the
+    correctly rounded ``Fraction`` sum over the mediator ``levels`` with
+    rows under ``x_alt``, NaN where a conditioning cell is empty."""
+
+    def rows(x, m, below=INF):
+        return sum(n for (tx, tm, ty), n in table.items() if tx == x and tm == m and ty < below)
+
+    n_alt = sum(rows(x_alt, m) for m in levels)
+    if n_alt == 0:
+        return float("nan")
+    acc = Fraction(0)
+    for m in levels:
+        alt, base = rows(x_alt, m), rows(x_base, m)
+        if alt and not base:
+            return float("nan")
+        if alt:
+            acc += Fraction(rows(x_base, m, y) * alt, base)
+    return float(acc / n_alt)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_crossworld_cdf_is_the_rounded_rational_sum(seed):
+    """Random count matrices with 1 to 30 mediator levels and up to 10**6
+    rows per tuple, so cross-world denominators run from below 2**53 to
+    hundreds of bits: every replicate's cross-world CDF is ``float`` of its
+    ``Fraction`` sum, NaN where a cell is empty (thin arms, zeroed cells and
+    levels missing under one arm), and with both arms the same it is the
+    arm's outcome CDF.  A one-row ``CdfModel`` with 2**33 to 2**37 rows per
+    tuple, whose products of counts overflow int64, agrees as well."""
+    rng = np.random.default_rng(seed)
+    n_levels = int(rng.integers(1, 31))
+    levels = [float(v) for v in range(n_levels)]
+    ys = (0.0, 1.0, 2.0)
+    tuples = [t for t in itertools.product((0.0, 1.0), levels, ys)
+              if not (t[0] == 0.0 and t[1] % 7 == 3)]  # level 3 only under x = 1
+    cols = [np.array(column) for column in zip(*tuples)]
+    counts = rng.integers(0, 10**int(rng.integers(1, 7)), (6, len(tuples)))
+    counts[rng.random(counts.shape) < 0.1] = 0
+    counts[0, [i for i, t in enumerate(tuples) if t[0] == 1.0]] = 0  # an empty arm
+    counts[1, [i for i, t in enumerate(tuples) if t[0] == 0.0][:3]] = 0  # an empty cell
+    big = rng.integers(2**33, 2**37, len(tuples))
+    tables = [dict(zip(tuples, row)) for row in counts.tolist()]
+    surface = ecdf.CountMatrix(*cols, counts)
+    model = pm.CdfModel(ecdf.CountTable(*cols, big))
+    for y in (-1.0, *ys, 0.5, 2.5, INF):
+        for xb, xa in ((0.0, 1.0), (1.0, 0.0)):
+            want = [_rational_crossworld(table, levels, y, xb, xa) for table in tables]
+            assert repr(surface.crossworld_cdf(y, xb, xa).tolist()) == repr(want), (y, xb, xa)
+            try:
+                got = model.crossworld_cdf(y, xb, xa)
+            except PositivityError:  # the level missing under x = 0
+                got = float("nan")
+            assert repr(got) == repr(_rational_crossworld(dict(zip(tuples, big.tolist())),
+                                                          levels, y, xb, xa))
+        for x in (0.0, 1.0):
+            assert repr(surface.crossworld_cdf(y, x, x).tolist()) == repr(
+                surface.cdf_y_given_x(y, x).tolist())
+            assert model.crossworld_cdf(y, x, x) == model.cdf_y_given_x(y, x)
+    assert 2**53 < math.prod(big.tolist()[:2])
 
 
 @pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
