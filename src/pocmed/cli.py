@@ -362,7 +362,11 @@ def _echo_query(q: Query, natural_e, cd_e) -> dict:
     return echo
 
 
-def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone):
+def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone,
+                    models):
+    """One query's report block.  Without a bootstrap the query reads the
+    :class:`CdfModel` of its stratum from ``models``, built on first use
+    and shared by the later queries of the same stratum."""
     block = {"query": _echo_query(q, natural_e, cd_e), "families": {}, "warnings": []}
     targets = {}
     for family in _FAMILY_ORDER:
@@ -384,7 +388,9 @@ def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_mo
         if boot_cfg is not None:
             results = bootstrap_ci(dataset, targets, boot_cfg)
         else:
-            model = CdfModel(dataset, q.c_stratum)
+            model = models.get(q.c_stratum)
+            if model is None:
+                model = models[q.c_stratum] = CdfModel(dataset, q.c_stratum)
             results = {family: target(model) for family, target in targets.items()}
     for w in caught:
         message = str(w.message)
@@ -456,13 +462,14 @@ def cmd_estimate(args) -> int:
         _validate_query(dataset, q)
 
     report = new_report(str(input_path), dataset.n, seed)
+    models = {}
     for qi, (q, natural_e, cd_e) in enumerate(parsed):
         boot_cfg = None
         if replicates >= 2:
             block_seed = (seed * 1_000_003 + qi * 97) % (2**63)
             boot_cfg = BootstrapConfig(replicates=replicates, level=level, seed=block_seed)
         block = _estimate_block(
-            dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone
+            dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone, models
         )
         report["queries"].append(block)
 

@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -331,23 +332,78 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     :class:`SchemaError`; and a header-only table raises
     :class:`EmptyDataError`.
 
-    The rows are parsed in bulk, in blocks of :data:`_CSV_BLOCK_ROWS`.
-    When that fails on any row, the per-cell parser runs over the whole
-    input instead and raises the error for the first bad line.
+    Three readers give the same values, those of Python's ``float``, and
+    each runs only where the one before it gives up:
+
+    1. numpy's C reader (``np.loadtxt``) parses every column at once, for
+       printable ASCII text (plus tab and line breaks) whose cells are all
+       numbers and whose role values are finite;
+    2. the block reader splits the lines and parses the role columns with
+       ``float``, in blocks of :data:`_CSV_BLOCK_ROWS` (text ID columns,
+       ``1_0``, Unicode digits);
+    3. the per-cell reader runs over the whole input and raises the error
+       for the first bad line.
     """
-    lines = _read_text(source).splitlines()
-    if not lines or not lines[0].strip():
+    text = _read_text(source)
+    header_line = _first_line(text)
+    if not header_line.strip():
         raise EmptyDataError("input has no header line")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in header_line.split(",")]
     missing = [c for c in roles.all_columns if c not in header]
     if missing:
         raise SchemaError(f"missing role columns {missing!r} in header {header!r}")
     names = roles.all_columns
     index = [header.index(c) for c in names]
-    columns = _parse_bulk(lines, len(header), index)
+    columns = _parse_c(text, len(header_line), len(header), index)
     if columns is None:
-        columns = _parse_per_cell(lines, len(header), index, names)
+        lines = text.splitlines()
+        columns = _parse_bulk(lines, len(header), index)
+        if columns is None:
+            columns = _parse_per_cell(lines, len(header), index, names)
     return Dataset(dict(zip(names, columns)), roles)
+
+
+def _first_line(text: str) -> str:
+    """``text.splitlines()[0]``, or ``""`` for no lines, without splitting
+    the rest of ``text``."""
+    end = text.find("\n")
+    return next(iter(text[: len(text) if end < 0 else end].splitlines()), "")
+
+
+#: Printable ASCII, tab and the two line-break characters.  In such text
+#: ``np.loadtxt`` and ``float`` + ``str.splitlines`` see the same lines and
+#: cells: other control characters are whitespace to numpy's number parser
+#: but not to ``float`` (``"1\x1f"``), or break lines for ``splitlines``
+#: only (``"0\x1c,0,0"``), and so do some non-ASCII characters.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+#: Any character after the header but blanks: without one, ``np.loadtxt``
+#: would warn that it read no data.
+_NON_BLANK = re.compile(r"\S")
+
+
+def _parse_c(text: str, skip: int, width: int, index: list[int]) -> list[np.ndarray] | None:
+    """The columns ``index`` of the rows after the first ``skip`` characters
+    (the header line) read by numpy's C reader, or ``None`` if the text is
+    not plain ASCII (see :data:`_PLAIN`), has no row, or a row does not
+    have ``width`` cells that all parse as floats with finite role values.
+    A lone ``\\r`` line break or a blank row of spaces also gives ``None``."""
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        return None
+    if _NON_BLANK.search(text, skip) is None:
+        return None
+    stream = io.StringIO(text)
+    stream.seek(skip)
+    try:
+        table = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width:
+        return None
+    columns = [table[:, j] for j in index]
+    if not all(np.isfinite(column).all() for column in columns):
+        return None
+    return columns
 
 
 def _parse_bulk(lines: list[str], width: int, index: list[int]) -> list[np.ndarray] | None:

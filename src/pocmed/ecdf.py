@@ -40,13 +40,39 @@ def _bounds(*keys: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Distinct row tuples of equal-length columns, column by column in
-    lexicographic order (first column first), and each row's tuple id."""
-    order = np.lexsort(tuple(reversed(columns)))
-    ordered = [col[order] for col in columns]
-    bounds = _bounds(*ordered)
-    ids = np.empty(order.size, dtype=np.intp)
-    ids[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    return [col[bounds[:-1]] for col in ordered], ids
+    lexicographic order (first column first), and each row's tuple id.
+    Values match with float ``==``; a tuple's stored values are those of
+    its first row, so ``-0.0`` and ``0.0`` keep the spelling seen first.
+
+    Each column becomes codes of its sorted distinct values, and the codes
+    one mixed-radix int64 key, ranked densely over the key space while that
+    is no larger than the table (by ``np.unique`` once it is, and before a
+    product could pass ``2**63``).
+    """
+    n = columns[0].size
+    levels, key = np.unique(columns[0], return_inverse=True)
+    size = levels.size
+    for column in columns[1:]:
+        levels, codes = np.unique(column, return_inverse=True)
+        if size * levels.size >= 1 << 63:
+            _, key = np.unique(key, return_inverse=True)
+            size = int(key.max()) + 1
+        # in place, and each temporary freed at once, so that the peak
+        # memory stays near that of one sort of the table
+        key *= levels.size
+        key += codes
+        size *= levels.size
+        del codes
+    if size <= n:
+        seen = np.zeros(size, dtype=bool)
+        seen[key] = True
+        ids = (np.cumsum(seen) - 1)[key]
+    else:
+        _, ids = np.unique(key, return_inverse=True)
+    del key
+    first = np.full(int(ids.max()) + 1, n)
+    np.minimum.at(first, ids, np.arange(n))
+    return [column[first] for column in columns], ids
 
 
 class CountTable(NamedTuple):

@@ -195,6 +195,42 @@ def test_estimate_config_document(sim_csv, tmp_path, capsys):
     assert report["queries"][1]["query"]["evidence"]["x_star"] == 0.0
 
 
+def test_estimate_builds_one_model_per_stratum(tmp_path, capsys, monkeypatch):
+    # without a bootstrap, queries of one stratum share one CdfModel; each
+    # block still equals the block of the query run on its own
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 2, size=(400, 4))
+    path = tmp_path / "strata.csv"
+    path.write_text("x,m,y,c\n" + "".join(f"{a},{b},{c},{d}\n" for a, b, c, d in rows))
+    queries = [
+        {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 0},
+        {"x_base": 0, "x_alt": 1, "y": 1, "stratum": [1]},
+        {"x_base": 1, "x_alt": 0, "y": 1, "evidence": {"x_star": 1, "y_interval": [1, 2]}},
+        {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 1, "stratum": [1.0]},
+    ]
+    built = []
+
+    class CountingModel(pm.CdfModel):
+        def __init__(self, source, c_stratum=None):
+            built.append(c_stratum)
+            super().__init__(source, c_stratum)
+
+    monkeypatch.setattr("pocmed.cli.CdfModel", CountingModel)
+
+    def blocks(qs):
+        config = {"input": str(path), "schema": {"c": ["c"]}, "queries": qs,
+                  "families": ["pns", "cd", "pn", "ps"], "bootstrap": {"replicates": 0}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, stdout, _ = _run(capsys, "estimate", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        return [json.dumps(b, sort_keys=True) for b in json.loads(stdout)["queries"]]
+
+    together = blocks(queries)
+    assert built == [None, (1.0,)]
+    assert together == [blocks([q])[0] for q in queries]
+
+
 def test_estimate_reads_byte_order_mark(tmp_path, capsys):
     # exited 2 with "missing role columns ['x'] in header ['\\ufeffx', ...]"
     text = b"x,m,y\n0,0,0\n0,1,1\n1,0,1\n1,1,1\n0,0,1\n"

@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,137 @@ def test_bulk_parse_matches_per_cell(text):
         assert loaded == per_cell
     else:
         assert loaded.equals(pm.Dataset(dict(zip(ROLES.all_columns, per_cell)), ROLES))
+
+
+def _per_cell_outcome(text):
+    """What the per-cell reader makes of ``text``: a Dataset, or the error
+    type and message."""
+    lines = text.splitlines()
+    header = [h.strip() for h in lines[0].split(",")]
+    index = [header.index(c) for c in ROLES.all_columns]
+    names = ROLES.all_columns
+    return _outcome(lambda: pm.Dataset(
+        dict(zip(names, data_module._parse_per_cell(lines, len(header), index, names))), ROLES
+    ))
+
+
+def _assert_same_outcome(got, want, text):
+    if isinstance(want, tuple):
+        assert got == want, repr(text)
+        return
+    assert isinstance(got, pm.Dataset), (repr(text), got)
+    for name in ROLES.all_columns:
+        assert np.array_equal(got.column(name).view(np.int64),
+                              want.column(name).view(np.int64)), repr(text)
+
+
+def _loader_characters():
+    """Every ASCII character, and every code point that is whitespace, a
+    decimal digit or a line boundary to ``str.splitlines``."""
+    chars = [chr(c) for c in range(128)]
+    for c in range(128, 0x110000):
+        ch = chr(c)
+        if ch.isspace() or ch.isdecimal() or len(("a" + ch + "b").splitlines()) == 2:
+            chars.append(ch)
+    return chars
+
+
+def test_loader_matches_per_cell_for_every_character():
+    # the C reader, the block reader and the per-cell reader must agree on
+    # every character wherever it sits: the load gives the per-cell values
+    # bit for bit, or the per-cell error
+    chars = _loader_characters()
+    assert {"\x1c", "\x1f", "\x85", " ", "\u0661", "\u3000"} <= set(chars)
+    for ch in chars:
+        rows = [
+            f"0,{ch}1,2,9",    # before a role cell
+            f"0,1{ch},2,9",    # after it
+            f"0,1{ch}5,2,9",   # inside it
+            f"0,1,2,9{ch}",    # in a column without a role
+            ch,                # as a line of its own
+        ]
+        for row in rows:
+            text = f"x,m,y,z\n0.5,-0.0,3,1\n{row}\n4,1e-5,2.5,7\n"
+            want = _per_cell_outcome(text)
+            _assert_same_outcome(_outcome(lambda: pm.load_dataset(text, ROLES)), want, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,m,y\n1\x1f,0,0\n",          # "1\x1f" is 1.0 to numpy's reader only
+        "x,m,y\n0\x1c,0,0\n",          # one row to numpy, two lines to splitlines
+        "x,m,y\r0,0,1\r1,-0.0,0\r",    # lone carriage returns
+        "x,m,y\r0,0,1\n1,1,0\r\n",
+        "x,m,y\n0,0,1\r\r\n1,1,0\n",
+        "\ufeffx,m,y\r\n0,0,1\r\n1,1,0\r\n",
+        "x,m,y\n0,0,1#\n1,1,0\n",      # "#" is not a comment
+        "x,m,y\n#0,0,1\n1,1,0\n",
+        "x,m,y\n0,0,1\n  \n1,1,0\n",   # a blank row of spaces
+        "x,m,y\n0,0,1\n\t\n",
+        "x,m,y\n1_0,0,1\n",
+        "x,m,y\n\u0661,0,1\n",
+        "x,m,y\n1,0,nan\n",
+        "x,m,y\n1,0,1e400\n",
+        "x,m,y\n1,0,\n",
+        "x,m,y\n1,0,1,\n",
+        'x,m,y\n"1",0,1\n',
+    ],
+)
+def test_loader_matches_per_cell_on_edge_texts(text):
+    want = _per_cell_outcome(text.removeprefix("\ufeff"))
+    for source in (text, text.encode("utf-8")):
+        _assert_same_outcome(_outcome(lambda: pm.load_dataset(source, ROLES)), want, text)
+
+
+@pytest.mark.parametrize("text", ["x,m,y\n", "x,m,y", "x,m,y\r\n\r\n  \n\t\r\n", "x,m,y\r"])
+def test_header_only_table_warns_nothing(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataError, match="a header but no data rows"):
+            pm.load_dataset(text.encode("utf-8"), ROLES)
+
+
+def _spy(monkeypatch, calls):
+    for name in ("_parse_bulk", "_parse_per_cell"):
+        real = getattr(data_module, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(data_module, name, spy)
+
+
+def test_clean_tables_take_the_c_reader(tmp_path, monkeypatch):
+    # a silent fall back to the Python readers would keep every result and
+    # lose the speed, so the readers a load reaches are pinned here
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--preset", "logistic-bernoulli", "--n", "500",
+                 "--seed", "3", "--out", str(path)]) == 0
+    text = path.read_text()
+    rng = np.random.default_rng(0)
+    floats = pm.Dataset(
+        {name: rng.choice(_EDGE_FLOATS, 200) * rng.choice([1.0, -1.0], 200)
+         for name in ROLES.all_columns},
+        ROLES,
+    )
+    calls = []
+    _spy(monkeypatch, calls)
+    simulated = pm.load_dataset(path, ROLES)
+    crlf = pm.load_dataset(text.replace("\n", "\r\n"), ROLES)
+    again = pm.load_dataset(floats.to_csv(), ROLES)
+    assert calls == []
+    _assert_same_outcome(crlf, simulated, "crlf")
+    _assert_same_outcome(again, floats, "to_csv")
+
+    # a text ID column takes the block reader, never the per-cell one
+    lines = text.splitlines()
+    with_id = "\n".join(
+        ["id," + lines[0]] + [f"r{i},{line}" for i, line in enumerate(lines[1:])]
+    ) + "\n"
+    _assert_same_outcome(pm.load_dataset(with_id, ROLES), simulated, "id column")
+    assert calls == ["_parse_bulk"]
 
 
 @pytest.mark.parametrize("field", ["x_base", "x_alt", "y_threshold", "m_fixed", "c_stratum"])

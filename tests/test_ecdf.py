@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pocmed as pm
+from pocmed.ecdf import _distinct_rows
 from pocmed.errors import PositivityError
 
+from _distinct_rows_reference import lexsort_distinct_rows
 from conftest import S1, S15, S2
 
 INF = float("inf")
@@ -136,3 +138,44 @@ def test_crossworld_bounds_and_identity(data, y):
             ]
             assert min(cells) - 1e-12 <= value <= max(cells) + 1e-12
         assert model.crossworld_cdf(y, x_alt, x_alt) == model.cdf_y_given_x(y, x_alt)
+
+
+def _assert_same_distinct_rows(columns):
+    keys, ids = _distinct_rows(columns)
+    want_keys, want_ids = lexsort_distinct_rows(columns)
+    assert np.array_equal(ids, want_ids)
+    assert len(keys) == len(want_keys)
+    for got, want in zip(keys, want_keys):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_rows_matches_lexsort_reference(seed):
+    # few rows with many levels take the np.unique ranking, many rows with
+    # few levels the dense one; -0.0 and 0.0 are one value whose stored
+    # spelling is that of the tuple's first row
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    width = int(rng.integers(1, 5))
+    pool = np.array([-0.0, 0.0, 1.0, -1.5, 2.0, 1e300, -5e-324, 7.25])
+    levels = int(rng.integers(1, pool.size + 1))
+    columns = [rng.choice(pool[:levels], size=n) for _ in range(width)]
+    _assert_same_distinct_rows(columns)
+
+
+def test_distinct_rows_edge_shapes():
+    _assert_same_distinct_rows([np.array([-0.0])])
+    _assert_same_distinct_rows([np.array([3.0]), np.array([-0.0]), np.array([0.0])])
+    _assert_same_distinct_rows([np.array([0.0, -0.0, 2.0, -0.0, 0.0, 2.0])])
+    zeros = np.array([-0.0, 0.0, -0.0])
+    _assert_same_distinct_rows([zeros, zeros[::-1].copy(), zeros, zeros])
+
+
+def test_distinct_rows_key_space_beyond_int64():
+    # four all-distinct columns of 60000 levels: 60000**4 > 2**63, so the
+    # key is re-ranked before the last radix product
+    n = 60_000
+    assert n**4 > 2**63
+    rng = np.random.default_rng(1)
+    columns = [rng.permutation(n) * 0.5 - 7.0 for _ in range(4)]
+    _assert_same_distinct_rows(columns)
