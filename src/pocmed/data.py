@@ -10,7 +10,6 @@ afterwards (no fuzzy comparison).
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
 import re
@@ -30,7 +29,7 @@ from .errors import (
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-#: Rows per block when CSV text is parsed or written in bulk; bounds the
+#: Rows per block when :meth:`Dataset.to_csv` joins its lines; bounds the
 #: temporary strings held at once.
 _CSV_BLOCK_ROWS = 1 << 10
 
@@ -332,17 +331,17 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     :class:`SchemaError`; and a header-only table raises
     :class:`EmptyDataError`.
 
-    Three readers give the same values, those of Python's ``float``, and
-    each runs only where the one before it gives up:
+    Two readers give the same values, those of Python's ``float``:
 
-    1. numpy's C reader (``np.loadtxt``) parses every column at once, for
-       printable ASCII text (plus tab and line breaks) whose cells are all
-       numbers and whose role values are finite;
-    2. the block reader splits the lines and parses the role columns with
-       ``float``, in blocks of :data:`_CSV_BLOCK_ROWS` (text ID columns,
-       ``1_0``, Unicode digits);
-    3. the per-cell reader runs over the whole input and raises the error
-       for the first bad line.
+    1. numpy's C reader (``np.loadtxt``) parses every cell; if one is not a
+       number, it reads again with the cells of the non-role columns
+       discarded unparsed, so they may hold any text;
+    2. where it gives up, the per-cell reader runs over the whole input and
+       raises the error for the first bad line.  It reads the tables that
+       numpy's number parser or line splitting would read differently:
+       role cells such as ``1_0`` or Unicode digits, a lone ``\\r`` line
+       break before the last line, rows of only spaces, and the line breaks
+       in :data:`_SPLITLINES_ONLY`.
     """
     text = _read_text(source)
     header_line = _first_line(text)
@@ -356,10 +355,7 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     index = [header.index(c) for c in names]
     columns = _parse_c(text, len(header_line), len(header), index)
     if columns is None:
-        lines = text.splitlines()
-        columns = _parse_bulk(lines, len(header), index)
-        if columns is None:
-            columns = _parse_per_cell(lines, len(header), index, names)
+        columns = _parse_per_cell(text.splitlines(), len(header), index, names)
     return Dataset(dict(zip(names, columns)), roles)
 
 
@@ -370,63 +366,57 @@ def _first_line(text: str) -> str:
     return next(iter(text[: len(text) if end < 0 else end].splitlines()), "")
 
 
-#: Printable ASCII, tab and the two line-break characters.  In such text
-#: ``np.loadtxt`` and ``float`` + ``str.splitlines`` see the same lines and
-#: cells: other control characters are whitespace to numpy's number parser
-#: but not to ``float`` (``"1\x1f"``), or break lines for ``splitlines``
-#: only (``"0\x1c,0,0"``), and so do some non-ASCII characters.
-_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+#: The line breaks of ``str.splitlines`` that numpy's reader takes for cell
+#: text.  In text without them ``np.loadtxt`` and ``str.splitlines`` see the
+#: same lines and cells, and every role cell that numpy parses has the value
+#: ``float`` gives it after stripping.  A lone ``\r`` needs no check: numpy
+#: refuses one inside the text and ends a line at a final one, as
+#: ``str.splitlines`` does.
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 #: Any character after the header but blanks: without one, ``np.loadtxt``
 #: would warn that it read no data.
 _NON_BLANK = re.compile(r"\S")
 
 
+def _discard(cell: str) -> float:
+    return 0.0
+
+
+def _loadtxt(text: str, skip: int, converters: dict | None = None) -> np.ndarray:
+    stream = io.StringIO(text)
+    stream.seek(skip)
+    return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2, converters=converters)
+
+
 def _parse_c(text: str, skip: int, width: int, index: list[int]) -> list[np.ndarray] | None:
     """The columns ``index`` of the rows after the first ``skip`` characters
-    (the header line) read by numpy's C reader, or ``None`` if the text is
-    not plain ASCII (see :data:`_PLAIN`), has no row, or a row does not
-    have ``width`` cells that all parse as floats with finite role values.
-    A lone ``\\r`` line break or a blank row of spaces also gives ``None``."""
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+    (the header line) read by numpy's C reader, or ``None`` if the text has
+    a line break in :data:`_SPLITLINES_ONLY`, has no row, or a row does not
+    have ``width`` cells with finite float role values.  The cells of the
+    other columns may hold text.  A lone ``\\r`` inside the text or a blank
+    row of spaces also gives ``None``."""
+    if any(c in text for c in _SPLITLINES_ONLY):
         return None
     if _NON_BLANK.search(text, skip) is None:
         return None
-    stream = io.StringIO(text)
-    stream.seek(skip)
     try:
-        table = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+        table = _loadtxt(text, skip)
     except ValueError:
-        return None
+        # A cell is not a number: read again with the cells without a role
+        # discarded unparsed.  Not on the first try, as a Python call per
+        # discarded cell costs more than parsing a number in C.
+        others = {j: _discard for j in range(width) if j not in index}
+        if not others:
+            return None
+        try:
+            table = _loadtxt(text, skip, others)
+        except ValueError:
+            return None
     if table.shape[1] != width:
         return None
     columns = [table[:, j] for j in index]
     if not all(np.isfinite(column).all() for column in columns):
-        return None
-    return columns
-
-
-def _parse_bulk(lines: list[str], width: int, index: list[int]) -> list[np.ndarray] | None:
-    """The columns ``index`` of the non-blank rows ``lines[1:]``, or ``None``
-    if there are no such rows, a row does not have ``width`` cells, a cell
-    does not parse as a float, or a value is not finite."""
-    out = [np.empty(len(lines) - 1) for _ in index]
-    n = 0
-    for lo in range(1, len(lines), _CSV_BLOCK_ROWS):
-        rows = list(filter(str.strip, lines[lo : lo + _CSV_BLOCK_ROWS]))
-        commas = list(map(str.count, rows, itertools.repeat(",")))
-        if commas.count(width - 1) != len(rows):
-            return None
-        cells = ",".join(rows).split(",")
-        k = len(rows)
-        try:
-            for column, j in zip(out, index):
-                column[n : n + k] = np.fromiter(map(float, cells[j::width]), np.float64, k)
-        except ValueError:
-            return None
-        n += k
-    columns = [column[:n] for column in out]
-    if n == 0 or not all(np.isfinite(column).all() for column in columns):
         return None
     return columns
 

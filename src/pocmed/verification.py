@@ -27,6 +27,7 @@ import numpy as np
 from . import identify
 from .bootstrap import BootstrapConfig, bootstrap_ci, estimator_target
 from .data import Evidence, Interval, Query, NEG_INF, POS_INF
+from .errors import InvalidEvidenceError
 from .identify import MediatorMonotonicityWarning
 from .oracle import (
     AnalyticCdf,
@@ -197,6 +198,17 @@ def _sorted_cuts(rng, k: int, lo=0.08, hi=0.92, gap=0.04) -> tuple[float, ...]:
             return tuple(float(c) for c in cuts)
 
 
+def _shifted_cuts(base: tuple[float, ...], shift: float) -> tuple[float, ...]:
+    """``base`` moved down by ``shift``: each cut clipped by :func:`_clip_prob`,
+    at least 0.02 above the one before it and at most 0.985."""
+    cuts = []
+    prev = 0.0
+    for c in base:
+        prev = min(max(_clip_prob(c - shift), prev + 0.02), 0.985)
+        cuts.append(prev)
+    return tuple(cuts)
+
+
 def random_threshold_scm(
     rng: np.random.Generator,
     treatment_levels: int = 2,
@@ -223,14 +235,7 @@ def random_threshold_scm(
     med_cells = {}
     for x in x_levels:
         shift = m_slope * (x / max(kx - 1, 1))
-        cuts = []
-        prev = 0.0
-        for c in m_base:
-            c2 = _clip_prob(c - shift)
-            c2 = max(c2, prev + 0.02)
-            cuts.append(min(c2, 0.985))
-            prev = cuts[-1]
-        med_cells[(x,)] = (tuple(cuts), tuple(float(j) for j in range(km)))
+        med_cells[(x,)] = (_shifted_cuts(m_base, shift), tuple(float(j) for j in range(km)))
     mediator = TableNode(med_cells)
 
     w_x = sign() * rng.uniform(0.05, 0.3)
@@ -240,15 +245,8 @@ def random_threshold_scm(
     for x in x_levels:
         for m in range(km):
             shift = w_x * (x / max(kx - 1, 1)) + w_m * (m / max(km - 1, 1))
-            cuts = []
-            prev = 0.0
-            for c in y_base:
-                c2 = _clip_prob(c - shift)
-                c2 = max(c2, prev + 0.02)
-                cuts.append(min(c2, 0.985))
-                prev = cuts[-1]
             out_cells[(x, float(m))] = (
-                tuple(cuts),
+                _shifted_cuts(y_base, shift),
                 tuple(float(j) for j in range(ky)),
             )
     outcome = TableNode(out_cells)
@@ -536,7 +534,7 @@ def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
             interval_y=Interval(y_lo, y_hi),
             interval_m=Interval(m_lo, m_hi),
         )
-    except Exception:
+    except InvalidEvidenceError:
         return diffs
     low, high = identify._evidence_bounds(an, e)
     if high - low <= 1e-6:

@@ -201,29 +201,6 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_csv_text())
-def test_bulk_parse_matches_per_cell(text):
-    lines = text.splitlines()
-    header = [h.strip() for h in lines[0].split(",")]
-    index = [header.index(c) for c in ROLES.all_columns]
-    bulk = data_module._parse_bulk(lines, len(header), index)
-    per_cell = _outcome(
-        lambda: data_module._parse_per_cell(lines, len(header), index, ROLES.all_columns)
-    )
-    if bulk is None:
-        # the bulk path gives up exactly where the per-cell path raises
-        assert isinstance(per_cell, tuple)
-    else:
-        for a, b in zip(bulk, per_cell):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    loaded = _outcome(lambda: pm.load_dataset(text.encode("utf-8"), ROLES))
-    if isinstance(per_cell, tuple):
-        assert loaded == per_cell
-    else:
-        assert loaded.equals(pm.Dataset(dict(zip(ROLES.all_columns, per_cell)), ROLES))
-
-
 def _per_cell_outcome(text):
     """What the per-cell reader makes of ``text``: a Dataset, or the error
     type and message."""
@@ -246,6 +223,13 @@ def _assert_same_outcome(got, want, text):
                               want.column(name).view(np.int64)), repr(text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_csv_text())
+def test_bulk_parse_matches_per_cell(text):
+    loaded = _outcome(lambda: pm.load_dataset(text.encode("utf-8"), ROLES))
+    _assert_same_outcome(loaded, _per_cell_outcome(text), text)
+
+
 def _loader_characters():
     """Every ASCII character, and every code point that is whitespace, a
     decimal digit or a line boundary to ``str.splitlines``."""
@@ -258,9 +242,9 @@ def _loader_characters():
 
 
 def test_loader_matches_per_cell_for_every_character():
-    # the C reader, the block reader and the per-cell reader must agree on
-    # every character wherever it sits: the load gives the per-cell values
-    # bit for bit, or the per-cell error
+    # the C reader and the per-cell reader must agree on every character
+    # wherever it sits: the load gives the per-cell values bit for bit, or
+    # the per-cell error
     chars = _loader_characters()
     assert {"\x1c", "\x1f", "\x85", " ", "\u0661", "\u3000"} <= set(chars)
     for ch in chars:
@@ -297,6 +281,9 @@ def test_loader_matches_per_cell_for_every_character():
         "x,m,y\n1,0,\n",
         "x,m,y\n1,0,1,\n",
         'x,m,y\n"1",0,1\n',
+        "x,m,y,z\n0,0,1,Zoë\n1,1,0,\u00e9\u2603\n",   # non-ASCII text without a role
+        "id,x,m,y\nr1,0,0,1\nr2,1,1,0\n",             # a text first column
+        "id,x,m,y\nr1,0,0,1\nr2,1,1,0,9\n",           # an extra cell after a text ID
     ],
 )
 def test_loader_matches_per_cell_on_edge_texts(text):
@@ -313,20 +300,9 @@ def test_header_only_table_warns_nothing(text):
             pm.load_dataset(text.encode("utf-8"), ROLES)
 
 
-def _spy(monkeypatch, calls):
-    for name in ("_parse_bulk", "_parse_per_cell"):
-        real = getattr(data_module, name)
-
-        def spy(*args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(data_module, name, spy)
-
-
 def test_clean_tables_take_the_c_reader(tmp_path, monkeypatch):
-    # a silent fall back to the Python readers would keep every result and
-    # lose the speed, so the readers a load reaches are pinned here
+    # a silent fall back to the per-cell reader would keep every result and
+    # lose the speed, so the loads here must never reach it
     path = tmp_path / "sim.csv"
     assert main(["simulate", "--preset", "logistic-bernoulli", "--n", "500",
                  "--seed", "3", "--out", str(path)]) == 0
@@ -337,22 +313,27 @@ def test_clean_tables_take_the_c_reader(tmp_path, monkeypatch):
          for name in ROLES.all_columns},
         ROLES,
     )
-    calls = []
-    _spy(monkeypatch, calls)
-    simulated = pm.load_dataset(path, ROLES)
-    crlf = pm.load_dataset(text.replace("\n", "\r\n"), ROLES)
-    again = pm.load_dataset(floats.to_csv(), ROLES)
-    assert calls == []
-    _assert_same_outcome(crlf, simulated, "crlf")
-    _assert_same_outcome(again, floats, "to_csv")
-
-    # a text ID column takes the block reader, never the per-cell one
     lines = text.splitlines()
-    with_id = "\n".join(
-        ["id," + lines[0]] + [f"r{i},{line}" for i, line in enumerate(lines[1:])]
-    ) + "\n"
-    _assert_same_outcome(pm.load_dataset(with_id, ROLES), simulated, "id column")
-    assert calls == ["_parse_bulk"]
+
+    def add_column(name, cell, last=False):
+        rows = [(name, lines[0])] + [(cell(i), line) for i, line in enumerate(lines[1:])]
+        return "".join(f"{line},{new}\n" if last else f"{new},{line}\n" for new, line in rows)
+
+    with_text = {
+        "ASCII id": add_column("id", lambda i: f"r{i}"),
+        "UTF-8 id": add_column("id", lambda i: f"Zoë{i}"),
+        "text column last": add_column("note", lambda i: f"n{i}", last=True),
+    }
+    calls = []
+    real = data_module._parse_per_cell
+    monkeypatch.setattr(data_module, "_parse_per_cell",
+                        lambda *args: calls.append(args) or real(*args))
+    simulated = pm.load_dataset(path, ROLES)
+    _assert_same_outcome(pm.load_dataset(text.replace("\n", "\r\n"), ROLES), simulated, "crlf")
+    _assert_same_outcome(pm.load_dataset(floats.to_csv(), ROLES), floats, "to_csv")
+    for where, table in with_text.items():
+        _assert_same_outcome(pm.load_dataset(table, ROLES), simulated, where)
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", ["x_base", "x_alt", "y_threshold", "m_fixed", "c_stratum"])
