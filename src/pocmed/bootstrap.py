@@ -15,7 +15,7 @@ replicate-by-tuple count matrix (:class:`~pocmed.ecdf.CountMatrix`, filled
 in chunks of replicates so that it stays small).  The collector of the
 scalar formulas, ``identify._margin_inputs``, reads the family's kernel
 inputs from it for all replicates at once, and each replicate goes through
-the kernel of the scalar formulas, ``identify._clipped``.  The
+``_family``, as the target's evaluation on the full data does.  The
 :class:`~pocmed.ecdf.CdfModel` of a row copy is a checked one-row view of
 the same queries, so every replicate value equals the value of the target
 on a row copy of that resample.  A replicate is degenerate for a family
@@ -45,7 +45,7 @@ from .data import Dataset, Evidence, Query
 from .ecdf import CdfModel, CountMatrix, RowCounts
 from .errors import BootstrapFailureError, InvalidEvidenceError
 from . import identify
-from .data import KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR
+from .data import KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR
 
 
 #: Entries of the replicate-by-tuple count matrix held at once (int64, so
@@ -96,7 +96,19 @@ class Estimand(NamedTuple):
     evidence: Evidence | None
 
 
-def _shares(prefix: str, triple: identify.PnsTriple) -> FamilyResult:
+def _family(estimand: Estimand, inputs) -> FamilyResult:
+    """The result of ``estimand``'s family from its kernel inputs
+    ``(a, b, r, low, high)``: ``cd_pns``, or the ``t_``/``nd_``/``ni_``
+    quantities with their shares, and the case flag (none for ``cd``
+    without evidence, ``"unconditional"`` for ``natural`` without it)."""
+    kind, _, evidence = estimand
+    nd, ni, _, case = identify._clipped(*inputs)
+    if evidence is None and kind in ("natural", "cd"):
+        case = identify.CASE_UNCONDITIONAL if kind == "natural" else None
+    if kind == "cd":
+        return FamilyResult({"cd_pns": nd}, case)
+    triple = identify._make_triple(nd, ni, case)
+    prefix = "pns" if kind == "natural" else kind
     return FamilyResult(
         {
             f"t_{prefix}": triple.t_pns,
@@ -105,7 +117,7 @@ def _shares(prefix: str, triple: identify.PnsTriple) -> FamilyResult:
             "prop_nd": triple.prop_nd,
             "prop_ni": triple.prop_ni,
         },
-        triple.case_flag,
+        case,
     )
 
 
@@ -118,14 +130,17 @@ def estimator_target(
     """Build a ``data -> {quantity: value}`` callable for one estimand
     family.
 
-    ``kind`` is ``"natural"``, ``"cd"``, ``"pn"``, or ``"ps"``.  With
-    evidence attached, ``natural`` dispatches on the evidence shape
-    (outcome-only or mediator-interval) and ``cd`` requires point-mediator
-    evidence.  Undefined proportions (zero total) come back as ``None``.
+    ``kind`` is ``"natural"``, ``"cd"``, ``"pn"``, or ``"ps"``; calling a
+    target of another kind raises :class:`ValueError`.  With evidence
+    attached, ``natural`` takes outcome-only or mediator-interval evidence
+    and ``cd`` requires point-mediator evidence.  Undefined proportions
+    (zero total) come back as ``None``.
 
     The callable accepts a :class:`Dataset` or a :class:`CdfModel` already
     restricted to ``query.c_stratum`` and returns a :class:`FamilyResult`
-    carrying the case flag.  Its ``estimand`` attribute, an
+    carrying the case flag: the values of the family's formula in
+    :mod:`pocmed.identify`, through the same ``_family`` as every
+    bootstrap replicate.  Its ``estimand`` attribute, an
     :class:`Estimand`, is what :func:`bootstrap_ci` evaluates on the
     replicates.  ``functools.wraps`` copies the attribute, so a wrapper is
     accepted there too if it returns its family's result unchanged; its
@@ -142,55 +157,28 @@ def estimator_target(
             )
         if kind in ("pn", "ps"):
             raise InvalidEvidenceError(f"{kind} family does not accept evidence")
+    joint = kind == "natural" and evidence is not None and evidence.kind == KIND_INTERVAL_MEDIATOR
 
     def run(data: Dataset | CdfModel) -> FamilyResult:
         model = data if isinstance(data, CdfModel) else CdfModel(data, query.c_stratum)
-        if kind == "natural":
-            if evidence is None:
-                triple = identify.natural_pns(model, query)
-            elif evidence.kind == KIND_OUTCOME:
-                triple, _ = identify.natural_pns_with_evidence(model, query, evidence)
-            elif evidence.kind == KIND_INTERVAL_MEDIATOR:
-                triple, _ = identify.natural_pns_with_mediator_evidence(
-                    model, query, evidence, mediator_monotone=mediator_monotone
-                )
-            else:  # pragma: no cover - blocked in the constructor
-                raise InvalidEvidenceError(evidence.kind)
-            return _shares("pns", triple)
-        if kind == "cd":
-            if evidence is None:
-                return FamilyResult({"cd_pns": identify.cd_pns(model, query)})
-            value, terms = identify.cd_pns_with_evidence(model, query, evidence)
-            return FamilyResult({"cd_pns": value}, terms.case_flag)
-        if kind == "pn":
-            return _shares("pn", identify.pn_family(model, query))
-        if kind == "ps":
-            return _shares("ps", identify.ps_family(model, query))
-        raise ValueError(f"unknown estimator kind {kind!r}")
+        if joint:
+            identify._assume_monotone_mediator(mediator_monotone)
+        return _family(run.estimand, identify._margin_inputs(model, kind, query, evidence))
 
     run.estimand = Estimand(kind, query, evidence)
     return run
 
 
-def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[Mapping | None]:
-    """The values of one family on every resample of ``surface``, or None
+def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[FamilyResult | None]:
+    """The results of one family on every resample of ``surface``, or None
     for a resample on which its evaluation raises :class:`PositivityError`:
     the family's kernel inputs, read for all resamples at once, go one
-    resample at a time through the kernel of the scalar formulas."""
-    kind, query, evidence = estimand
-    inputs = np.broadcast_arrays(*identify._margin_inputs(surface, kind, query, evidence))
+    resample at a time through :func:`_family`."""
+    inputs = np.broadcast_arrays(*identify._margin_inputs(surface, *estimand))
     table = np.stack(inputs)
     bad = np.isnan(table).any(axis=0).tolist()
-    prefix = "pns" if kind == "natural" else kind
     for degenerate, row in zip(bad, table.T.tolist()):
-        if degenerate:
-            yield None
-            continue
-        nd, ni, _, case = identify._clipped(*row)
-        if kind == "cd":
-            yield {"cd_pns": nd}
-        else:
-            yield _shares(prefix, identify._make_triple(nd, ni, case))
+        yield None if degenerate else _family(estimand, row)
 
 
 def _percentile(values: np.ndarray, p: float) -> float:

@@ -368,21 +368,13 @@ def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_mo
     :class:`CdfModel` of its stratum from ``models``, built on first use
     and shared by the later queries of the same stratum."""
     block = {"query": _echo_query(q, natural_e, cd_e), "families": {}, "warnings": []}
-    targets = {}
-    for family in _FAMILY_ORDER:
-        if family not in families:
-            continue
-        if family == "cd" and q.m_fixed is None:
-            continue
-        evidence = None
-        if family == "pns":
-            evidence = natural_e
-        elif family == "cd":
-            evidence = cd_e
-        kind = "natural" if family == "pns" else family
-        targets[family] = estimator_target(
-            kind, q, evidence=evidence, mediator_monotone=mediator_monotone
-        )
+    estimands = {"pns": ("natural", natural_e), "cd": ("cd", cd_e), "pn": ("pn", None),
+                 "ps": ("ps", None)}
+    targets = {
+        family: estimator_target(kind, q, evidence=evidence, mediator_monotone=mediator_monotone)
+        for family, (kind, evidence) in estimands.items()
+        if family in families and (family != "cd" or q.m_fixed is not None)
+    }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MediatorMonotonicityWarning)
         if boot_cfg is not None:
@@ -553,22 +545,17 @@ def cmd_sweep(args) -> int:
     rows = []
     warnings_list = []
 
-    def measure(model, y_value, stratum=None):
-        q = Query(
-            x_base=args.x_base,
-            x_alt=args.x_alt,
-            y_threshold=y_value,
-            m_fixed=args.m_fixed,
-            c_stratum=stratum,
-        )
-        triple = identify.natural_pns(model, q)
+    def measure(model, y_value):
+        q = Query(x_base=args.x_base, x_alt=args.x_alt, y_threshold=y_value, m_fixed=args.m_fixed)
+        a, b, r, low, high = identify._margin_inputs(model, "natural", q)
+        nd, ni, _, _ = identify._clipped(a, b, r, low, high)
         out = {
-            "t_pns": triple.t_pns,
-            "nd_pns": triple.nd_pns,
-            "ni_pns": triple.ni_pns,
-            "cdf_base": model.cdf_y_given_x(q.y_threshold, q.x_base),
-            "cdf_alt": model.cdf_y_given_x(q.y_threshold, q.x_alt),
-            "crossworld": model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt),
+            "t_pns": nd + ni,
+            "nd_pns": nd,
+            "ni_pns": ni,
+            "cdf_base": a,
+            "cdf_alt": b,
+            "crossworld": r,
         }
         if args.m_fixed is not None:
             out["cd_pns"] = identify.cd_pns(model, q)
@@ -593,7 +580,7 @@ def cmd_sweep(args) -> int:
                 else sorted(np.unique(dataset.column(roles.c[0])).tolist())
             )
             points = [
-                (v, lambda v=v: measure(CdfModel(dataset, (v,)), args.y, (v,)))
+                (v, lambda v=v: measure(CdfModel(dataset, (v,)), args.y))
                 for v in grid
             ]
         else:
@@ -615,7 +602,7 @@ def cmd_sweep(args) -> int:
             strata = [c for c, _ in scm.covariate_support()]
             _require_one_covariate(len(strata[0]))
             points = [
-                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), args.y, None))
+                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), args.y))
                 for c in strata
             ]
         elif args.grid_over == "mediator-intercept":

@@ -38,9 +38,10 @@ exogenous-threshold construction that justifies it; the decomposition
 ``total = direct + indirect`` then holds exactly in both cases.
 
 Every formula reads its kernel inputs ``(a, b, r, l, u)`` through one
-collector, ``_margin_inputs``; the batched bootstrap calls the same
-collector on a :class:`~pocmed.ecdf.CountMatrix`, whose queries return one
-value per replicate, and the same kernel on each replicate.
+collector, ``_margin_inputs``.  The estimator targets call it on a
+:class:`~pocmed.ecdf.CdfModel` and the batched bootstrap on a
+:class:`~pocmed.ecdf.CountMatrix` (one value per replicate); both turn the
+inputs into a family's result with ``bootstrap._family``.
 """
 
 from __future__ import annotations
@@ -167,21 +168,6 @@ def _clipped(a: float, b: float, r: float, low: float, high: float) -> tuple:
     return nd, ni, margins, CASE_B
 
 
-def _cd_cdfs(model, q: Query) -> tuple[float, float]:
-    return (
-        model.cdf_y_given_xm(q.y_threshold, q.x_base, q.m_fixed),
-        model.cdf_y_given_xm(q.y_threshold, q.x_alt, q.m_fixed),
-    )
-
-
-def _natural_cdfs(model, q: Query) -> tuple[float, float, float]:
-    return (
-        model.cdf_y_given_x(q.y_threshold, q.x_base),
-        model.cdf_y_given_x(q.y_threshold, q.x_alt),
-        model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt),
-    )
-
-
 def _margin_inputs(model, kind: str, q: Query, e: Evidence | None = None) -> tuple:
     """The inputs ``(a, b, r, low, high)`` of the clipped-margin kernel for
     one estimand family, read from ``model`` in the order its formula reads
@@ -189,25 +175,32 @@ def _margin_inputs(model, kind: str, q: Query, e: Evidence | None = None) -> tup
 
     ``kind`` is ``"natural"`` (``e`` absent, outcome or interval-mediator
     evidence), ``"cd"`` (``e`` absent or point-mediator evidence), ``"pn"``
-    or ``"ps"`` (their own outcome evidence).  Every formula of this module
-    takes its inputs from here, and so does the batched bootstrap, whose
-    :class:`~pocmed.ecdf.CountMatrix` answers each query with one value per
-    resample.
+    or ``"ps"`` (their own outcome evidence); another kind raises
+    :class:`ValueError` before any query.  Every formula and estimator
+    target takes its inputs from here, and so does the batched bootstrap,
+    whose :class:`~pocmed.ecdf.CountMatrix` answers each query with one
+    value per resample.
     """
     if kind == "cd":
         if q.m_fixed is None:
             raise InvalidEvidenceError("controlled-direct query requires m_fixed")
         if e is not None:
             _require_kind(e, KIND_POINT_MEDIATOR, "cd_pns_with_evidence")
-        a, b = _cd_cdfs(model, q)
+        a = model.cdf_y_given_xm(q.y_threshold, q.x_base, q.m_fixed)
+        b = model.cdf_y_given_xm(q.y_threshold, q.x_alt, q.m_fixed)
         low, high = (0.0, 1.0) if e is None else _evidence_bounds(model, e)
         return a, b, POS_INF, low, high
     if kind == "pn":
         e = Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF))
     elif kind == "ps":
         e = Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold))
+    elif kind != "natural":
+        raise ValueError(f"unknown estimator kind {kind!r}")
     low, high = (0.0, 1.0) if e is None else _evidence_bounds(model, e)
-    return (*_natural_cdfs(model, q), low, high)
+    a = model.cdf_y_given_x(q.y_threshold, q.x_base)
+    b = model.cdf_y_given_x(q.y_threshold, q.x_alt)
+    r = model.crossworld_cdf(q.y_threshold, q.x_base, q.x_alt)
+    return a, b, r, low, high
 
 
 # -- unconditional quantities ---------------------------------------------
@@ -290,6 +283,13 @@ def natural_pns_with_mediator_evidence(
     condition).
     """
     _require_kind(e, KIND_INTERVAL_MEDIATOR, "natural_pns_with_mediator_evidence")
+    _assume_monotone_mediator(mediator_monotone)
+    return _natural_given(model, q, e)
+
+
+def _assume_monotone_mediator(mediator_monotone: bool) -> None:
+    """Refuse joint mediator-outcome evidence unless its monotonicity
+    condition is asserted; warn, at the public function's caller, if it is."""
     if not mediator_monotone:
         raise AssumptionError(
             "joint mediator-outcome evidence requires asserting the mediator "
@@ -300,9 +300,8 @@ def natural_pns_with_mediator_evidence(
         "monotone in its noise source; additive-noise models (linear or "
         "additive Gaussian structural equations) do not satisfy this",
         MediatorMonotonicityWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return _natural_given(model, q, e)
 
 
 # -- necessity / sufficiency families ---------------------------------------

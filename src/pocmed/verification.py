@@ -200,11 +200,12 @@ def _sorted_cuts(rng, k: int, lo=0.08, hi=0.92, gap=0.04) -> tuple[float, ...]:
 
 def _shifted_cuts(base: tuple[float, ...], shift: float) -> tuple[float, ...]:
     """``base`` moved down by ``shift``: each cut clipped by :func:`_clip_prob`,
-    at least 0.02 above the one before it and at most 0.985."""
+    at least 0.02 above the one before it, and the i-th of k cuts at most
+    ``0.985 - 0.005 (k - 1 - i)``, so that the cuts stay strictly increasing."""
     cuts = []
     prev = 0.0
-    for c in base:
-        prev = min(max(_clip_prob(c - shift), prev + 0.02), 0.985)
+    for i, c in enumerate(base):
+        prev = min(max(_clip_prob(c - shift), prev + 0.02), 0.985 - 0.005 * (len(base) - 1 - i))
         cuts.append(prev)
     return tuple(cuts)
 

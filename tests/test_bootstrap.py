@@ -117,3 +117,25 @@ def test_target_validation(preset):
         pm.estimator_target(
             "cd", q, evidence=pm.Evidence(x_star=0, interval_y=pm.Interval.full())
         )
+
+
+def test_unknown_kind_raises_when_called(preset):
+    # the target builds; the kind is refused at call time, before any query
+    # and before the mediator-monotonicity check of interval evidence
+    data = pm.sample_observational(preset, 50, seed=1)
+    joint = pm.Evidence(x_star=0, interval_y=pm.Interval.full(), interval_m=pm.Interval.full())
+    for evidence in (None, joint):
+        target = pm.estimator_target("bogus", pm.Query(0, 1, 1.0), evidence)
+        with pytest.raises(ValueError, match="^unknown estimator kind 'bogus'$"):
+            target(data)
+
+
+def test_mediator_warning_points_at_the_caller(preset):
+    data = pm.sample_observational(preset, 50, seed=1)
+    q = pm.Query(0, 1, 1.0)
+    joint = pm.Evidence(x_star=0, interval_y=pm.Interval.full(), interval_m=pm.Interval.full())
+    target = pm.estimator_target("natural", q, joint, mediator_monotone=True)
+    with pytest.warns(pm.MediatorMonotonicityWarning) as caught:
+        target(data)
+        pm.natural_pns_with_mediator_evidence(pm.CdfModel(data), q, joint, mediator_monotone=True)
+    assert [w.filename for w in caught] == [__file__, __file__]

@@ -264,7 +264,7 @@ def test_loader_matches_per_cell_for_every_character():
 @pytest.mark.parametrize(
     "text",
     [
-        "x,m,y\n1\x1f,0,0\n",          # "1\x1f" is 1.0 to numpy's reader only
+        "x,m,y\n1\x1f,0,0\n",          # 1.0 to both readers; bare float("1\x1f") raises
         "x,m,y\n0\x1c,0,0\n",          # one row to numpy, two lines to splitlines
         "x,m,y\r0,0,1\r1,-0.0,0\r",    # lone carriage returns
         "x,m,y\r0,0,1\n1,1,0\r\n",

@@ -133,6 +133,31 @@ IO_CASES = {
          "--m-fixed", "0.5", "--out", "sweep.csv", "--svg", "sweep.svg"],
         ["sweep.csv", "sweep.svg"],
     ),
+    # a y sweep of the preset model's exact CDFs, with its chart
+    "sweep_preset_y": (
+        [],
+        [],
+        ["sweep", "--preset", "logistic-bernoulli", "--x-base", "0", "--x-alt", "1",
+         "--m-fixed", "1", "--svg", "sweep.svg"],
+        ["sweep.svg"],
+    ),
+    # a model covariate sweep: one analytic surface per covariate stratum
+    "sweep_strata_covariate": (
+        ["strata_scm.json"],
+        [],
+        ["sweep", "--config", "strata_scm.json", "--x-base", "0", "--x-alt", "1",
+         "--grid-over", "covariate", "--y", "1", "--m-fixed", "1"],
+        [],
+    ),
+    # a sweep of the preset's mediator intercept
+    "sweep_preset_intercept": (
+        [],
+        [],
+        ["sweep", "--preset", "logistic-bernoulli", "--x-base", "0", "--x-alt", "1",
+         "--grid-over", "mediator-intercept", "--y", "1", "--grid=-1,0,0.5,2",
+         "--m-fixed", "0"],
+        [],
+    ),
 }
 
 

@@ -573,3 +573,19 @@ def test_monotonicity_constant_outcome():
         ),
     )
     assert pm.check_monotonicity(scm).ok
+
+
+@pytest.mark.parametrize("levels", [(2, 2, 5), (3, 4, 5)])
+@pytest.mark.parametrize("coherent", [True, False])
+def test_random_threshold_models_build_with_many_levels(levels, coherent):
+    """With four or more levels a cell's cuts stay strictly increasing: a
+    cut pushed against the top cap leaves room for the cuts after it.
+    (Five levels at most: drawing the base cuts of six outcome levels is
+    slow.)"""
+    for seed in range(400):
+        scm = verification.random_threshold_scm(
+            np.random.default_rng(seed), *levels, coherent=coherent
+        )
+        for node in (scm.mediator, scm.outcome):
+            for cuts, _ in node._table.values():
+                assert all(0.0 < a < b < 1.0 for a, b in zip(cuts, cuts[1:])), (seed, cuts)
