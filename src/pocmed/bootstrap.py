@@ -14,20 +14,22 @@ would, and one ``bincount`` of their tuple ids fills its row of a
 replicate-by-tuple count matrix (:class:`~pocmed.ecdf.CountMatrix`, filled
 in chunks of replicates so that it stays small).  The collector of the
 scalar formulas, ``identify._margin_inputs``, reads the family's kernel
-inputs from it for all replicates at once, and each replicate goes through
-``_family``, as the target's evaluation on the full data does.  The
+inputs from it for all replicates at once, and ``_family`` turns them into
+one float64 column per quantity (``identify._clipped_columns``); the
+target's evaluation on the full data is row 0 of the same evaluator.  The
 :class:`~pocmed.ecdf.CdfModel` of a row copy is a checked one-row view of
 the same queries, so every replicate value equals the value of the target
 on a row copy of that resample.  A replicate is degenerate for a family
 exactly where one of its inputs is NaN, which is where the scalar query
-raises :class:`PositivityError`.
+raises :class:`PositivityError`; it is NaN in every column, as an
+undefined share is in its own, and intervals read the non-NaN values.
 
-The quantile rule is linear interpolation between order statistics: for
-sorted replicate values ``v[0..B-1]`` and probability ``p``, with
-``h = (B - 1) p``, the quantile is
-``v[floor(h)] + (h - floor(h)) * (v[floor(h) + 1] - v[floor(h)])``
-(numpy's default "linear" method), fixed so that independent ports agree
-bit-for-bit.
+The quantile rule is numpy's "linear" method: for sorted replicate values
+``v[0..B-1]`` and probability ``p``, with ``h = (B - 1) p``,
+``f = floor(h)`` and ``g = h - f``, the quantile is
+``v[f] + g * (v[f + 1] - v[f])`` for ``g < 0.5`` and
+``v[f + 1] - (1 - g) * (v[f + 1] - v[f])`` for ``g >= 0.5``, fixed so that
+independent ports agree bit-for-bit.
 
 Replicates are deterministic functions of ``(seed, replicate index)``
 through spawned child streams, so results do not depend on evaluation
@@ -37,12 +39,12 @@ order or worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .data import Dataset, Evidence, Query
-from .ecdf import CdfModel, CountMatrix, RowCounts
+from .ecdf import CdfModel, RowCounts
 from .errors import BootstrapFailureError, InvalidEvidenceError
 from . import identify
 from .data import KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR
@@ -96,29 +98,30 @@ class Estimand(NamedTuple):
     evidence: Evidence | None
 
 
-def _family(estimand: Estimand, inputs) -> FamilyResult:
-    """The result of ``estimand``'s family from its kernel inputs
-    ``(a, b, r, low, high)``: ``cd_pns``, or the ``t_``/``nd_``/``ni_``
-    quantities with their shares, and the case flag (none for ``cd``
-    without evidence, ``"unconditional"`` for ``natural`` without it)."""
+def _family(estimand: Estimand, inputs) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The quantities of ``estimand``'s family from its kernel inputs
+    ``(a, b, r, low, high)`` as float64 columns, one value per row
+    (``identify._clipped_columns``): ``cd_pns``, or the ``t_``/``nd_``/``ni_``
+    quantities with their shares; and the rows' case-B mask."""
+    kind = estimand.kind
+    t, nd, ni, prop_nd, prop_ni, case_b = identify._clipped_columns(*inputs)
+    if kind == "cd":
+        return {"cd_pns": nd}, case_b
+    prefix = "pns" if kind == "natural" else kind
+    return {f"t_{prefix}": t, f"nd_{prefix}": nd, f"ni_{prefix}": ni,
+            "prop_nd": prop_nd, "prop_ni": prop_ni}, case_b
+
+
+def _first_row(estimand: Estimand, inputs) -> FamilyResult:
+    """Row 0 of :func:`_family`, in floats and ``None`` for NaN, with the
+    case flag (none for ``cd`` without evidence, ``"unconditional"`` for
+    ``natural`` without it)."""
+    columns, case_b = _family(estimand, inputs)
     kind, _, evidence = estimand
-    nd, ni, _, case = identify._clipped(*inputs)
+    case = identify.CASE_B if case_b[0] else identify.CASE_A
     if evidence is None and kind in ("natural", "cd"):
         case = identify.CASE_UNCONDITIONAL if kind == "natural" else None
-    if kind == "cd":
-        return FamilyResult({"cd_pns": nd}, case)
-    triple = identify._make_triple(nd, ni, case)
-    prefix = "pns" if kind == "natural" else kind
-    return FamilyResult(
-        {
-            f"t_{prefix}": triple.t_pns,
-            f"nd_{prefix}": triple.nd_pns,
-            f"ni_{prefix}": triple.ni_pns,
-            "prop_nd": triple.prop_nd,
-            "prop_ni": triple.prop_ni,
-        },
-        case,
-    )
+    return FamilyResult({k: None if np.isnan(c[0]) else float(c[0]) for k, c in columns.items()}, case)
 
 
 def estimator_target(
@@ -139,8 +142,8 @@ def estimator_target(
     The callable accepts a :class:`Dataset` or a :class:`CdfModel` already
     restricted to ``query.c_stratum`` and returns a :class:`FamilyResult`
     carrying the case flag: the values of the family's formula in
-    :mod:`pocmed.identify`, through the same ``_family`` as every
-    bootstrap replicate.  Its ``estimand`` attribute, an
+    :mod:`pocmed.identify`, read from row 0 of the same ``_family`` as
+    every bootstrap replicate.  Its ``estimand`` attribute, an
     :class:`Estimand`, is what :func:`bootstrap_ci` evaluates on the
     replicates.  ``functools.wraps`` copies the attribute, so a wrapper is
     accepted there too if it returns its family's result unchanged; its
@@ -163,26 +166,10 @@ def estimator_target(
         model = data if isinstance(data, CdfModel) else CdfModel(data, query.c_stratum)
         if joint:
             identify._assume_monotone_mediator(mediator_monotone)
-        return _family(run.estimand, identify._margin_inputs(model, kind, query, evidence))
+        return _first_row(run.estimand, identify._margin_inputs(model, kind, query, evidence))
 
     run.estimand = Estimand(kind, query, evidence)
     return run
-
-
-def _replicate_values(surface: CountMatrix, estimand: Estimand) -> Iterator[FamilyResult | None]:
-    """The results of one family on every resample of ``surface``, or None
-    for a resample on which its evaluation raises :class:`PositivityError`:
-    the family's kernel inputs, read for all resamples at once, go one
-    resample at a time through :func:`_family`."""
-    inputs = np.broadcast_arrays(*identify._margin_inputs(surface, *estimand))
-    table = np.stack(inputs)
-    bad = np.isnan(table).any(axis=0).tolist()
-    for degenerate, row in zip(bad, table.T.tolist()):
-        yield None if degenerate else _family(estimand, row)
-
-
-def _percentile(values: np.ndarray, p: float) -> float:
-    return float(np.quantile(values, p, method="linear"))
 
 
 def bootstrap_ci(
@@ -232,8 +219,8 @@ def bootstrap_ci(
         try:
             point = t(full)
             # a wrapper's result must be its bare family's, keys and values
-            (own,) = _replicate_values(full._matrix, t.estimand)
-            if own is None or dict(own) != dict(point):
+            own = _first_row(t.estimand, identify._margin_inputs(full._matrix, *t.estimand))
+            if dict(own) != dict(point):
                 who = "the target" if single else f"target {name!r}"
                 raise ValueError(f"{who} does not return its {t.estimand.kind!r} family's result")
         except Exception as exc:  # re-raised below, after the names before it
@@ -245,8 +232,7 @@ def bootstrap_ci(
         raise failure
 
     n = dataset.n
-    samples = {name: {key: [] for key in points[name]} for name in names}
-    degenerate = dict.fromkeys(names, 0)
+    chunks: dict[str, list[dict[str, np.ndarray]]] = {name: [] for name in names}
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
     chunk = max(1, min(cfg.replicates, _CHUNK_COUNTS // counter.size))
     counts = np.empty((chunk, counter.size), dtype=np.int64)
@@ -256,36 +242,25 @@ def bootstrap_ci(
             counts[i] = counter.bincount(np.random.default_rng(child).integers(0, n, n))
         surface = counter.matrix(counts[: len(block)])
         for name in names:
-            for values in _replicate_values(surface, targets[name].estimand):
-                if values is None:
-                    degenerate[name] += 1
-                    continue
-                for key, value in values.items():
-                    if value is not None:
-                        samples[name][key].append(float(value))
+            estimand = targets[name].estimand
+            chunks[name].append(_family(estimand, identify._margin_inputs(surface, *estimand))[0])
         del surface  # before the next chunk's matrix is built
-    for name in names:
-        if degenerate[name] == cfg.replicates:
-            raise BootstrapFailureError(
-                f"all {cfg.replicates} bootstrap replicates hit empty cells"
-            )
-    if failure is not None:
-        raise failure
 
     alpha = (1.0 - cfg.level) / 2.0
     out: dict[str, FamilyResult] = {}
     for name in names:
+        columns = {key: np.concatenate([c[key] for c in chunks[name]]) for key in chunks[name][0]}
+        degenerate = int(np.isnan(list(columns.values())).all(axis=0).sum())
+        if degenerate == cfg.replicates:
+            raise BootstrapFailureError(f"all {cfg.replicates} bootstrap replicates hit empty cells")
         cis = FamilyResult({}, points[name].case_flag)
         for key, point in points[name].items():
-            reps = np.asarray(samples[name][key], dtype=np.float64)
+            reps = columns[key][~np.isnan(columns[key])]
             if point is None or reps.size == 0:
                 continue
-            cis[key] = CiResult(
-                point=float(point),
-                lower=_percentile(reps, alpha),
-                upper=_percentile(reps, 1.0 - alpha),
-                replicate_mean=float(reps.mean()),
-                degenerate_count=degenerate[name],
-            )
+            lower, upper = np.quantile(reps, (alpha, 1.0 - alpha), method="linear").tolist()
+            cis[key] = CiResult(float(point), lower, upper, float(reps.mean()), degenerate)
         out[name] = cis
+    if failure is not None:
+        raise failure
     return out[""] if single else out

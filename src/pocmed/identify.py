@@ -41,13 +41,18 @@ Every formula reads its kernel inputs ``(a, b, r, l, u)`` through one
 collector, ``_margin_inputs``.  The estimator targets call it on a
 :class:`~pocmed.ecdf.CdfModel` and the batched bootstrap on a
 :class:`~pocmed.ecdf.CountMatrix` (one value per replicate); both turn the
-inputs into a family's result with ``bootstrap._family``.
+inputs into a family's result with ``bootstrap._family``, over
+``_clipped_columns``: the kernel over float64 columns, bit for bit the
+scalar ``_clipped`` that the formulas keep (one call on scalars costs
+over ten times more through arrays).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import Evidence, Interval, Query, KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR, NEG_INF, POS_INF
 from .errors import AssumptionError, InvalidEvidenceError
@@ -166,6 +171,27 @@ def _clipped(a: float, b: float, r: float, low: float, high: float) -> tuple:
     nd = 1.0 if (inside and low < r) else 0.0
     ni = 1.0 if (inside and r <= low) else 0.0
     return nd, ni, margins, CASE_B
+
+
+def _clipped_columns(a, b, r, low, high) -> tuple:
+    """:func:`_clipped` and :func:`_make_triple` over float64 columns, bit
+    for bit: ``(t, nd, ni, prop_nd, prop_ni, case_b)``, with case B a mask,
+    NaN for an undefined share and NaN in every column of a row with a NaN
+    input.  Python's ``min``/``max`` keep the first of equal arguments
+    (``-0.0`` and ``0.0``), hence ``np.where`` in that order."""
+    a, b, r, low, high = np.broadcast_arrays(*np.atleast_1d(a, b, r, low, high))
+    top, bottom = np.where(high < a, high, a), np.where(low > b, low, b)
+    mass = high - low
+    case_b, bad = mass == 0.0, np.isnan([a, b, r, low, high]).any(axis=0)
+    inside = (b <= low) & (low < a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nd = (np.where(r < top, r, top) - bottom) / mass
+        ni = (top - np.where(r > bottom, r, bottom)) / mass
+        nd = np.where(case_b, np.where(inside & (low < r), 1.0, 0.0), np.where(0.0 > nd, 0.0, nd))
+        ni = np.where(case_b, np.where(inside & (r <= low), 1.0, 0.0), np.where(0.0 > ni, 0.0, ni))
+        nd, ni = np.where(bad, np.nan, nd), np.where(bad, np.nan, ni)
+        t = nd + ni
+        return t, nd, ni, np.where(t > 0.0, nd / t, np.nan), np.where(t > 0.0, ni / t, np.nan), case_b
 
 
 def _margin_inputs(model, kind: str, q: Query, e: Evidence | None = None) -> tuple:

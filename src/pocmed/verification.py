@@ -192,6 +192,10 @@ def _clip_prob(p: float) -> float:
 
 
 def _sorted_cuts(rng, k: int, lo=0.08, hi=0.92, gap=0.04) -> tuple[float, ...]:
+    """``k`` sorted uniform cuts in ``[lo, hi]``, ``gap`` apart, by rejection;
+    ValueError, before any draw, where none fit (at ``(k - 1) gap == hi - lo`` too)."""
+    if k >= 2 and (k - 1) * gap >= hi - lo:
+        raise ValueError(f"{k} cuts at least {gap} apart do not fit in [{lo}, {hi}]")
     while True:
         cuts = np.sort(rng.uniform(lo, hi, size=k))
         if k < 2 or np.min(np.diff(cuts)) >= gap:

@@ -12,8 +12,11 @@ from fractions import Fraction
 import numpy as np
 
 import pocmed as pm
-from pocmed.bootstrap import _percentile
 from pocmed.errors import BootstrapFailureError, PositivityError
+
+
+def _percentile(values: np.ndarray, p: float) -> float:
+    return float(np.quantile(values, p, method="linear"))
 
 
 def row_bootstrap_ci(dataset, target, cfg) -> dict:

@@ -1,10 +1,12 @@
 """Percentile bootstrap: determinism, bounds, degeneracy handling."""
 
+import math
+
 import numpy as np
 import pytest
 
 import pocmed as pm
-from pocmed.bootstrap import _percentile
+from pocmed import bootstrap
 from pocmed.errors import BootstrapFailureError
 
 
@@ -90,13 +92,60 @@ def test_all_replicates_degenerate():
         pm.bootstrap_ci(data, target, pm.BootstrapConfig(replicates=20, seed=0))
 
 
+def _quantile_rule(values, p: float) -> float:
+    """numpy's "linear" quantile written out: with ``h = (B - 1) p`` on
+    sorted values ``v``, ``f = floor(h)`` and ``g = h - f``, it is
+    ``v[f] + g (v[f+1] - v[f])`` for ``g < 0.5`` and
+    ``v[f+1] - (1 - g) (v[f+1] - v[f])`` for ``g >= 0.5``."""
+    v = sorted(values)
+    h = (len(v) - 1) * p
+    f = math.floor(h)
+    g = h - f
+    if f + 1 == len(v):
+        return v[f]
+    d = v[f + 1] - v[f]
+    return v[f] + g * d if g < 0.5 else v[f + 1] - (1 - g) * d
+
+
 def test_quantile_rule_linear_interpolation():
-    # documented rule: with h = (B - 1) p on sorted values,
-    # q = v[floor(h)] + (h - floor(h)) (v[floor(h) + 1] - v[floor(h)])
+    # the rule interpolates between the order statistics around h = (B - 1) p,
+    # from below for g < 0.5 and from above for g >= 0.5
     values = np.array([0.0, 1.0, 2.0, 10.0])
-    assert _percentile(values, 0.5) == 1.5
-    assert _percentile(values, 0.025) == pytest.approx(0.075)
-    assert _percentile(values, 1.0) == 10.0
+    assert _quantile_rule(values, 0.5) == 1.5
+    assert _quantile_rule(values, 0.025) == pytest.approx(0.075)
+    assert _quantile_rule(values, 1.0) == 10.0
+    # the one-sided form v[f] + g (v[f+1] - v[f]) is 1 ulp below here
+    assert 0.286 + 0.95 * (0.515 - 0.286) == 0.5035499999999999
+    assert _quantile_rule([0.515, 0.286], 0.95) == 0.50355
+
+
+def test_bounds_follow_the_two_sided_quantile_rule(monkeypatch):
+    """``bootstrap_ci``'s bounds are the rule above at ``(1 - level) / 2``
+    and its complement, bit for bit, over many replicate counts, levels and
+    replicate values (ties, 0 and 1 among them)."""
+    data = pm.sample_observational(pm.logistic_bernoulli_preset(), 50, seed=0)
+    target = pm.estimator_target("cd", pm.Query(0, 1, 1.0, m_fixed=1.0))
+    family = bootstrap._family
+    rng = np.random.default_rng(0)
+    cases = [([0.515, 0.286], 0.9)]
+    for _ in range(400):
+        b = int(rng.integers(2, 80))
+        values = rng.choice((0.0, 1.0, *rng.random(3)), b) if rng.random() < 0.2 else rng.random(b)
+        cases.append((values.round(int(rng.integers(1, 17))).tolist(), float(rng.uniform(0.5, 0.999))))
+    for values, level in cases:
+
+        def fed(estimand, inputs):
+            columns, case_b = family(estimand, inputs)
+            if columns["cd_pns"].size == len(values):  # the replicates, not the full data
+                columns = {"cd_pns": np.array(values)}
+            return columns, case_b
+
+        monkeypatch.setattr(bootstrap, "_family", fed)
+        ci = pm.bootstrap_ci(data, target, pm.BootstrapConfig(len(values), level, 0))["cd_pns"]
+        alpha = (1.0 - level) / 2.0
+        want = (_quantile_rule(values, alpha), _quantile_rule(values, 1.0 - alpha))
+        assert repr((ci.lower, ci.upper)) == repr(want), (values, level)
+        assert ci.replicate_mean == float(np.mean(values))
 
 
 def test_proportion_quantities_skip_undefined(preset):

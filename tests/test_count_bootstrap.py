@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import pocmed as pm
-from pocmed import ecdf
+from pocmed import bootstrap, ecdf
 from pocmed.ecdf import RowCounts
 from pocmed.cli import main
 from pocmed.errors import PocError, PositivityError
@@ -172,6 +172,49 @@ def test_shared_count_loop_matches_row_loop(seed):
 @pytest.mark.parametrize("seed", _SEEDS["wide"])
 def test_wide_mediator_count_loop_matches_row_loop(seed):
     _assert_matches_reference(*_CASES["wide"](seed))
+
+
+def _exact(result) -> str:
+    """Every bit of a ``bootstrap_ci`` outcome, case flags included."""
+    if isinstance(result, tuple):
+        return repr(result)
+    return repr({name: (dict(r), r.case_flag) for name, r in result.items()})
+
+
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+def test_chunked_replicates_match_one_chunk(monkeypatch):
+    """B = 30 counted 4 replicates at a time (the last chunk 2) gives the
+    bits of one chunk of 30, over every random and wide case: the chunks'
+    columns, degenerate replicates and undefined shares among them, are
+    joined in replicate order."""
+    seen = set()
+    family = bootstrap._family
+
+    def watched(estimand, inputs):
+        columns, case_b = family(estimand, inputs)
+        total = next(iter(columns.values()))
+        seen.add(f"chunk of {total.size}")
+        if np.isnan(total).any():
+            seen.add("degenerate replicate")
+        if "prop_nd" in columns and (np.isnan(columns["prop_nd"]) > np.isnan(total)).any():
+            seen.add("undefined share")
+        return columns, case_b
+
+    monkeypatch.setattr(bootstrap, "_family", watched)
+    for kind, seeds in _SEEDS.items():
+        for seed in seeds:
+            data, targets, cfg = _CASES[kind](seed)
+            cfg = pm.BootstrapConfig(30, cfg.level, cfg.seed)
+            stratum = tuple(targets["pns"].estimand.query.c_stratum or ())
+            size = RowCounts(data, stratum).size
+            assert 30 * size <= bootstrap._CHUNK_COUNTS
+            whole = _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))
+            with monkeypatch.context() as m:
+                m.setattr(bootstrap, "_CHUNK_COUNTS", 4 * size)
+                chunked = _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))
+            assert _exact(chunked) == _exact(whole), (kind, seed)
+    assert {"chunk of 30", "chunk of 4", "chunk of 2",
+            "degenerate replicate", "undefined share"} <= seen, seen
 
 
 def _degenerate(cis) -> int:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pocmed as pm
 from pocmed.ecdf import RowCounts
 from pocmed.errors import AssumptionError, InvalidEvidenceError, PocError
-from pocmed import verification
+from pocmed import identify, verification
 
 import _identify_reference as reference
 from conftest import B_ALT, ND_PNS, ND_PN, NI_PNS, NI_PN, S15, S2, T_PNS, T_PN, T_PS
@@ -347,6 +347,59 @@ def test_crossworld_monotone_clipping(a, b, l, u):
             assert triple.nd_pns >= last_nd - 1e-12
             assert triple.ni_pns <= last_ni + 1e-12
         last_nd, last_ni = triple.nd_pns, triple.ni_pns
+
+
+_kernel_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0)),
+    st.integers(0, 16).map(lambda i: i / 16),
+    probs,
+)
+
+
+@st.composite
+def _kernel_rows(draw):
+    """Kernel inputs ``(a, b, r, low, high)``: ties, ``r = inf`` (no
+    cross-world split), ``low == high`` (case B), some rows with a NaN."""
+    a, b, r, low, high = (draw(_kernel_values) for _ in range(5))
+    b, r, low = (draw(st.sampled_from((v, a, high))) for v in (b, r, low))
+    r = draw(st.sampled_from((r, INF)))
+    low, high = sorted((low, high))
+    if draw(st.booleans()):
+        high = low
+    row = [a, b, r, low, high]
+    if draw(st.integers(0, 9)) == 0:
+        row[draw(st.integers(0, 4))] = float("nan")
+    return row
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@given(rows=st.lists(_kernel_rows(), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_column_kernel_matches_scalar_kernel(rows):
+    """Each row of the column kernel has the bits of ``_clipped`` with
+    ``_make_triple`` and of the formulas it replaced, case B and undefined
+    shares included; a row with a NaN input is NaN in every column."""
+    *columns, case_b = identify._clipped_columns(*np.array(rows).T)
+    for i, row in enumerate(rows):
+        got = [column[i] for column in columns]
+        if np.isnan(row).any():
+            assert np.isnan(got).all(), row
+            continue
+        got = [None if np.isnan(v) else v for v in got]
+        nd, ni, _, case = identify._clipped(*row)
+        triple = identify._make_triple(nd, ni, case)
+        want, terms = reference._natural_with_bounds(_stub(*row[:3]), Q, *row[3:])
+        assert terms.case_flag == case == ("B" if case_b[i] else "A")
+        for t in (triple, want):
+            assert [*map(_bits, got)] == [
+                *map(_bits, (t.t_pns, t.nd_pns, t.ni_pns, t.prop_nd, t.prop_ni))], row
+        if row[2] == INF:
+            e = pm.Evidence(x_star=2.0, interval_y=pm.Interval(-1.0, 1.0), m_star=0.0)
+            value, _ = reference.cd_pns_with_evidence(_stub(*row), QM, e)
+            assert _bits(value) == _bits(got[1]), row
 
 
 # -- the one kernel against the formulas it replaced --------------------------------

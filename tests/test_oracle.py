@@ -589,3 +589,17 @@ def test_random_threshold_models_build_with_many_levels(levels, coherent):
         for node in (scm.mediator, scm.outcome):
             for cuts, _ in node._table.values():
                 assert all(0.0 < a < b < 1.0 for a, b in zip(cuts, cuts[1:])), (seed, cuts)
+
+
+def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
+    """Six cuts 0.12 apart need a span of 0.6 > 0.8 - 0.25: no draw can
+    succeed, so the call raises and leaves the stream where it was; so does
+    a threshold model with seven outcome levels."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="6 cuts at least 0.12 apart do not fit"):
+        verification._sorted_cuts(rng, 6, lo=0.25, hi=0.8, gap=0.12)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="do not fit"):
+        verification.random_threshold_scm(np.random.default_rng(0), 2, 2, 7)
+    assert len(verification._sorted_cuts(rng, 5, lo=0.25, hi=0.8, gap=0.12)) == 5
