@@ -184,7 +184,7 @@ def _clipped_columns(a, b, r, low, high) -> tuple:
     mass = high - low
     case_b, bad = mass == 0.0, np.isnan([a, b, r, low, high]).any(axis=0)
     inside = (b <= low) & (low < a)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nd = (np.where(r < top, r, top) - bottom) / mass
         ni = (top - np.where(r > bottom, r, bottom)) / mass
         nd = np.where(case_b, np.where(inside & (low < r), 1.0, 0.0), np.where(0.0 > nd, 0.0, nd))

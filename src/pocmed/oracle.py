@@ -15,16 +15,24 @@ square of each covariate stratum into rectangles on which every column is
 constant, one row per rectangle weighted by its area times the stratum
 weight; the Monte Carlo path samples the noise sources, one row of weight
 1.0 per draw.  Every truth is then a weighted sum of indicators on that
-table, the same code for both paths.
+table, the same code for both paths.  The exact partition is kept in a
+small cache (:data:`_PARTITIONS`) under the inputs that decide it, so the
+truths of one query and its evidence variants build it once.
 Observational conditional CDFs implied by a model are exposed through
 :class:`AnalyticCdf`, which duck-types the empirical estimator surface so
-identification formulas can be evaluated at infinite-sample truth.
+identification formulas can be evaluated at infinite-sample truth; each
+instance memoises its answers for its lifetime.
+
+:func:`check_monotonicity` collects every crossing that the lazy
+:func:`_crossing_events` yields; the oracle-equivalence suite's gate stops
+at the first outcome or compound crossing instead.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -88,16 +96,15 @@ class TableNode:
     def __init__(self, cells: Mapping[tuple, tuple[Sequence[float], Sequence[float]]]):
         table = {}
         for parents, (cuts, values) in cells.items():
-            key = tuple(float(p) for p in parents)
-            cuts = tuple(float(c) for c in cuts)
-            values = tuple(float(v) for v in values)
+            key = tuple(map(float, parents))
+            cuts = tuple(map(float, cuts))
+            values = tuple(map(float, values))
             if len(values) != len(cuts) + 1:
                 raise UnsupportedSpecError(
                     f"cell {key!r}: need len(cuts)+1 values, got {len(values)}"
                 )
-            if any(not (0.0 < c < 1.0) for c in cuts) or any(
-                cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)
-            ):
+            bounds = (0.0, *cuts, 1.0)
+            if not all(map(operator.lt, bounds, bounds[1:])):
                 raise UnsupportedSpecError(
                     f"cell {key!r}: cuts must be strictly increasing inside (0, 1)"
                 )
@@ -299,13 +306,23 @@ def _step_cdf(step, y: float, strict: bool) -> float:
     return _step_mass(step, lambda v: v <= y)
 
 
+#: Query answers one :class:`AnalyticCdf` memoises before its memo starts over.
+_ANSWER_LIMIT = 1 << 14
+
+
 class AnalyticCdf:
     """Infinite-sample observational conditional CDFs of a threshold model,
     exposing the same query surface as the empirical estimator.
 
     The node steps, mediator pmfs and mediator supports are pure functions
-    of the immutable model, so each instance caches them, keyed by
-    ``float`` (``-0.0`` and ``0.0`` share a key, as they compare equal)."""
+    of the immutable model, and so is every query answer, so each instance
+    caches them for its lifetime, keyed by ``float`` (``-0.0`` and ``0.0``
+    share a key, as they compare equal).  The answers of
+    ``cdf_y_given_xm``, ``joint_cdf_ym_given_x`` (which also serves
+    ``cdf_y_given_x``), ``crossworld_cdf`` and ``outcome_levels`` are
+    memoised under the query's name and its float arguments, with the
+    strictness flags as ``bool``; that memo holds at most
+    :data:`_ANSWER_LIMIT` answers and starts over when full."""
 
     def __init__(self, scm: ScmSpec, c_stratum: Sequence[float] | None = None):
         c = tuple(float(v) for v in (c_stratum or ()))
@@ -319,6 +336,13 @@ class AnalyticCdf:
         self._out_steps: dict = {}
         self._pmfs: dict = {}
         self._supports: dict = {}
+        self._answers: dict = {}
+
+    def _remember(self, key: tuple, answer):
+        if len(self._answers) >= _ANSWER_LIMIT:
+            self._answers.clear()
+        self._answers[key] = answer
+        return answer
 
     def _mediator_step(self, x: float):
         x = float(x)
@@ -356,7 +380,11 @@ class AnalyticCdf:
         return pmf
 
     def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
-        return _step_cdf(self._outcome_step(x, m), y, strict)
+        key = ("xm", float(y), float(x), float(m), bool(strict))
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._remember(key, _step_cdf(self._outcome_step(x, m), y, strict))
+        return answer
 
     @staticmethod
     def _mixture(terms: list[tuple[float, float]]) -> float:
@@ -378,6 +406,10 @@ class AnalyticCdf:
     def joint_cdf_ym_given_x(
         self, y: float, m: float, x: float, strict_y: bool = True, strict_m: bool = True
     ) -> float:
+        key = ("joint", float(y), float(m), float(x), bool(strict_y), bool(strict_m))
+        answer = self._answers.get(key)
+        if answer is not None:
+            return answer
         support = self.mediator_support(x)
         included = [
             (self.mediator_pmf(level, x), self.cdf_y_given_xm(y, x, level, strict_y))
@@ -385,25 +417,32 @@ class AnalyticCdf:
             if (level < m if strict_m else level <= m)
         ]
         if len(included) == len(support):
-            return self._mixture(included)
+            return self._remember(key, self._mixture(included))
         num = math.fsum(p * c for p, c in included)
         den = math.fsum(self.mediator_pmf(level, x) for level in support)
-        return num / den
+        return self._remember(key, num / den)
 
     def crossworld_cdf(self, y: float, x_base: float, x_alt: float) -> float:
-        terms = [
-            (self.mediator_pmf(m, x_alt), self.cdf_y_given_xm(y, x_base, m))
-            for m in self.mediator_support(x_alt)
-        ]
-        return self._mixture(terms)
+        key = ("crossworld", float(y), float(x_base), float(x_alt))
+        answer = self._answers.get(key)
+        if answer is None:
+            terms = [
+                (self.mediator_pmf(m, x_alt), self.cdf_y_given_xm(y, x_base, m))
+                for m in self.mediator_support(x_alt)
+            ]
+            answer = self._remember(key, self._mixture(terms))
+        return answer
 
     def outcome_levels(self) -> tuple[float, ...]:
-        levels: set[float] = set()
-        for x in self.x_levels():
-            for m in self.mediator_support(x):
-                _, values = self._outcome_step(x, m)
-                levels.update(values)
-        return tuple(sorted(levels))
+        answer = self._answers.get(("levels",))
+        if answer is None:
+            levels: set[float] = set()
+            for x in self.x_levels():
+                for m in self.mediator_support(x):
+                    _, values = self._outcome_step(x, m)
+                    levels.update(values)
+            answer = self._remember(("levels",), tuple(sorted(levels)))
+        return answer
 
 
 # -- counterfactual table ------------------------------------------------------
@@ -447,26 +486,17 @@ def _stripes(scm: ScmSpec, c: tuple, x_levels: Sequence[float]) -> list:
     return stripes
 
 
-def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
-    """Rectangles of the (u_M, u_Y) unit square of every stratum on which
-    the mediator under each treatment level of ``q`` and ``e``, and the
-    outcome of every reachable (x, mediator) pair and of the fixed
-    mediator values, are constant.
+#: Exact partitions built by :func:`_partition`, least recently used first,
+#: at most :data:`_PARTITION_LIMIT` of them.
+_PARTITIONS: dict = {}
+_PARTITION_LIMIT = 8
 
-    Returns the rectangle weights ``w_c * (w_m * w_y)`` in stratum,
-    stripe, outcome-piece order (they sum to 1.0) and the ``med`` and
-    ``outc`` column makers of :func:`_columns`.  Every mediator column
-    those makers see is constant on a stripe, so ``outc`` reads it once
-    per stripe."""
-    x_levels = [q.x_base, q.x_alt] + ([e.x_star] if e is not None else [])
-    x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
-    xm_pairs = []
-    if q.m_fixed is not None:
-        xm_pairs += [(q.x_base, q.m_fixed), (q.x_alt, q.m_fixed)]
-    if e is not None and e.kind == KIND_POINT_MEDIATOR:
-        xm_pairs.append((e.x_star, e.m_star))
+
+def _partition(scm: ScmSpec, strata, x_levels: tuple, xm_pairs: tuple):
+    """Rectangle weights of the (u_M, u_Y) unit squares of ``strata`` and
+    their stripes, as :func:`_square_cells` describes them."""
     weights, stripes = [], []
-    for c, w_c in _strata(scm, q):
+    for c, w_c in strata:
         steps = {}
         for w_m, by_x in _stripes(scm, c, x_levels):
             pairs = {(x1, by_x[x2]) for x1 in x_levels for x2 in x_levels}
@@ -481,6 +511,44 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
             for lo, hi in zip(y_edges, y_edges[1:]):
                 weights.append(w_c * (w_m * (hi - lo)))
                 mids.append(0.5 * (lo + hi))
+    weights = np.array(weights)
+    weights.flags.writeable = False
+    return weights, stripes
+
+
+def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
+    """Rectangles of the (u_M, u_Y) unit square of every stratum on which
+    the mediator under each treatment level of ``q`` and ``e``, and the
+    outcome of every reachable (x, mediator) pair and of the fixed
+    mediator values, are constant.
+
+    Returns the rectangle weights ``w_c * (w_m * w_y)`` in stratum,
+    stripe, outcome-piece order (they sum to 1.0) and the ``med`` and
+    ``outc`` column makers of :func:`_columns`.  Every mediator column
+    those makers see is constant on a stripe, so ``outc`` reads it once
+    per stripe and remembers it.
+
+    The partition is decided by the mediator and outcome nodes, the
+    strata, the treatment levels and the fixed (x, m) cells, so it is
+    kept in :data:`_PARTITIONS` under those (the nodes by identity, never
+    the model by equality: list-valued covariates are unhashable).  An
+    entry holds its nodes, so their ids cannot be reused while it lives."""
+    x_levels = [q.x_base, q.x_alt] + ([e.x_star] if e is not None else [])
+    x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
+    xm_pairs = []
+    if q.m_fixed is not None:
+        xm_pairs += [(q.x_base, q.m_fixed), (q.x_alt, q.m_fixed)]
+    if e is not None and e.kind == KIND_POINT_MEDIATOR:
+        xm_pairs.append((e.x_star, e.m_star))
+    strata, xm_pairs = _strata(scm, q), tuple(xm_pairs)
+    key = (id(scm.mediator), id(scm.outcome), strata, x_levels, xm_pairs)
+    entry = _PARTITIONS.pop(key, None)
+    if entry is None:
+        if len(_PARTITIONS) >= _PARTITION_LIMIT:
+            del _PARTITIONS[next(iter(_PARTITIONS))]
+        entry = (scm.mediator, scm.outcome, *_partition(scm, strata, x_levels, xm_pairs))
+    _PARTITIONS[key] = entry
+    _, _, weights, stripes = entry
 
     def med(x):
         return np.array([by_x[x] for _, by_x, mids, _, _ in stripes for _ in mids])
@@ -495,7 +563,7 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
             col += seen[pair]
         return np.array(col)
 
-    return np.array(weights), med, outc
+    return weights, med, outc
 
 
 def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
@@ -799,30 +867,28 @@ def _crossings(regions: Sequence[Sequence], weights: Sequence[float]):
         for s, ivs in enumerate(region):
             for lo, hi in ivs:
                 cover[r, s * n_pieces + index[lo] : s * n_pieces + index[hi]] = 1.0
-    widths = np.diff(points)
-    mass = cover * np.concatenate([w * widths for w in weights])
+    mass = cover * np.outer(weights, np.diff(points)).ravel()
     d = mass.sum(axis=1)[:, None] - mass @ cover.T
     rounding = 4 * np.finfo(np.float64).eps * cover.shape[1]
-    candidates = np.triu(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding), 1)
-    for i, j in zip(*np.nonzero(candidates)):
+    rows, cols = np.nonzero(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i >= j:
+            continue
         d1 = d2 = 0.0
         for w, iv1, iv2 in zip(weights, regions[i], regions[j]):
             d1 += w * _interval_subtract_measure(iv1, iv2)
             d2 += w * _interval_subtract_measure(iv2, iv1)
         if d1 > _TOL and d2 > _TOL:
-            yield int(i), int(j), d1, d2
+            yield i, j, d1, d2
 
 
-def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
-    """Compare every pair of counterfactual sub-level regions over the
-    threshold partition and report every two-sided crossing.
-
-    Pairs are pruned by a vectorised estimate of both set differences;
-    every reported crossing is measured by exact interval subtraction
-    (see :func:`_crossings`)."""
-    outcome_v = []
-    compound_v = []
-    mediator_v = []
+def _crossing_events(scm: ScmSpec, mediator: bool = True):
+    """Every two-sided crossing between counterfactual sub-level regions
+    over the threshold partition, lazily, as ``(kind, violation)`` with
+    ``kind`` one of ``"outcome"``, ``"compound"`` and ``"mediator"``: per
+    covariate stratum the outcome crossings, then the compound ones, then
+    (unless ``mediator`` is false) the mediator ones.  A consumer that
+    stops early skips the regions and exact measures after it."""
     for c, _w in scm.covariate_support():
         x_levels = scm.treatment_levels(c)
         m_levels = scm.mediator_levels(c)
@@ -843,7 +909,7 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
         tagged = [(key, y) for key in out_steps for y in y_grid]
         regions = [(cell_regions[key][y],) for key, y in tagged]
         for i, j, d1, d2 in _crossings(regions, (1.0,)):
-            outcome_v.append((c, tagged[i], tagged[j], d1, d2))
+            yield "outcome", (c, tagged[i], tagged[j], d1, d2)
 
         # compound regions on the square, expressed on shared stripes
         stripes = _stripes(scm, c, x_levels)
@@ -853,8 +919,10 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
             for (x_out, x_med), y in ctagged
         ]
         for i, j, d1, d2 in _crossings(regions, [w_s for w_s, _ in stripes]):
-            compound_v.append((c, ctagged[i], ctagged[j], d1, d2))
+            yield "compound", (c, ctagged[i], ctagged[j], d1, d2)
 
+        if not mediator:
+            continue
         # mediator response regions (relevant to joint-evidence use)
         m_grid = tuple(sorted(m_levels))
         med_regions = {
@@ -863,6 +931,18 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
         mtagged = [(x, m) for x in x_levels for m in m_grid]
         regions = [(med_regions[x][m],) for x, m in mtagged]
         for i, j, d1, d2 in _crossings(regions, (1.0,)):
-            mediator_v.append((c, mtagged[i], mtagged[j], d1, d2))
+            yield "mediator", (c, mtagged[i], mtagged[j], d1, d2)
 
-    return MonotonicityReport(tuple(outcome_v), tuple(compound_v), tuple(mediator_v))
+
+def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
+    """Compare every pair of counterfactual sub-level regions over the
+    threshold partition and report every two-sided crossing.
+
+    Pairs are pruned by a vectorised estimate of both set differences;
+    every reported crossing is measured by exact interval subtraction
+    (see :func:`_crossings`)."""
+    found = {"outcome": [], "compound": [], "mediator": []}
+    for kind, violation in _crossing_events(scm):
+        found[kind].append(violation)
+    return MonotonicityReport(*(tuple(v) for v in found.values()))
+

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pocmed as pm
@@ -377,11 +377,15 @@ def _bits(value):
 
 
 @given(rows=st.lists(_kernel_rows(), min_size=1, max_size=12))
+@example(rows=[[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 7 / 16, 0.0, 0.0, 2.225073858507203e-309]])
+@example(rows=[[0.0, 7 / 16, 0.0, 0.0, 2.225073858507203e-309]])
 @settings(max_examples=300, deadline=None)
 def test_column_kernel_matches_scalar_kernel(rows):
     """Each row of the column kernel has the bits of ``_clipped`` with
     ``_make_triple`` and of the formulas it replaced, case B and undefined
-    shares included; a row with a NaN input is NaN in every column."""
+    shares included; a row with a NaN input is NaN in every column.  On a
+    subnormal evidence mass a negative margin overflows to ``-inf`` and is
+    clipped to 0.0, silently, as the scalar kernel does."""
     *columns, case_b = identify._clipped_columns(*np.array(rows).T)
     for i, row in enumerate(rows):
         got = [column[i] for column in columns]

@@ -1,5 +1,6 @@
 """Ground-truth engine: sampling, exact measure, diagnostics."""
 
+import functools
 import itertools
 import math
 
@@ -349,6 +350,9 @@ def test_monotonicity_matches_pairwise_reference():
         got = pm.check_monotonicity(scm)
         want = _oracle_reference.check_monotonicity(scm)
         assert got == want and repr(got) == repr(want), seed
+        # the suites' first-crossing gates read the same regions
+        assert verification._gate(scm) == got.ok, seed
+        assert verification._gate(scm, lex=True) == (got.ok and got.mediator_ok), seed
         for part in reached:
             reached[part] += len(getattr(got, f"{part}_violations"))
     # every kind of crossing was reported, so the exact recompute was reached
@@ -451,6 +455,29 @@ def _assert_same_effects(got, want, whole, key) -> bool:
     return got.values != want.values
 
 
+def _assert_partitions_reused(scm, cases, seed):
+    """The exact truths of ``cases`` read the same in reverse order, each
+    order from an empty partition cache, which never outgrows its bound."""
+    calls = [
+        functools.partial(fn, scm, q, *extra)
+        for q, e in cases
+        for fn, extra in (
+            (pm.truth_pns, ()),
+            (pm.truth_effects, ()),
+            (functools.partial(pm.truth_with_evidence, degenerate="error"), (e,)),
+            (functools.partial(pm.truth_with_evidence, degenerate="threshold-limit"), (e,)),
+        )
+    ]
+    answers = []
+    for order in (calls, calls[::-1]):
+        oracle._PARTITIONS.clear()
+        answers.append([])
+        for call in order:
+            answers[-1].append(repr(_report_or_error(call)))
+            assert len(oracle._PARTITIONS) <= oracle._PARTITION_LIMIT, seed
+    assert answers[0] == answers[1][::-1], seed
+
+
 def test_truths_match_reference():
     """Every truth, exact and Monte Carlo, against the per-rectangle and
     per-method reference the counterfactual table replaced."""
@@ -463,7 +490,9 @@ def test_truths_match_reference():
         whole = isinstance(scm.outcome, pm.FunctionNode) or all(
             float(v).is_integer() for v in scm.outcome.value_levels()
         )
-        for q, e in _truth_cases(scm, rng):
+        cases = list(_truth_cases(scm, rng))
+        _assert_partitions_reused(scm, cases, seed)
+        for q, e in cases:
             for method in ("exact", "mc"):
                 kw = dict(method=method, n=400, seed=seed)
                 for name in ("truth_pns", "truth_effects"):
@@ -537,16 +566,22 @@ def _analytic_queries(an, rng):
         )
 
 
+def _other_zero(args):
+    return tuple(-v if isinstance(v, float) and v == 0.0 else v for v in args)
+
+
 def test_cached_analytic_cdf_matches_fresh_instances():
+    """Every query, asked again with the other spelling of each zero, reads
+    what a fresh instance reads."""
     for seed in range(60):
         scm = _random_oracle_scm(seed)
         rng = np.random.default_rng(seed)
         for c, _ in scm.covariate_support():
             an = pm.AnalyticCdf(scm, c)
             for name, args in _analytic_queries(an, rng):
-                got = getattr(an, name)(*args)
-                want = getattr(pm.AnalyticCdf(scm, c), name)(*args)
-                assert repr(got) == repr(want), (seed, name, args)
+                want = repr(getattr(pm.AnalyticCdf(scm, c), name)(*args))
+                for asked in (args, _other_zero(args)):
+                    assert repr(getattr(an, name)(*asked)) == want, (seed, name, asked)
 
 
 def test_logistic_node_rejects_non_finite_parameters():
@@ -603,3 +638,24 @@ def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
     with pytest.raises(ValueError, match="do not fit"):
         verification.random_threshold_scm(np.random.default_rng(0), 2, 2, 7)
     assert len(verification._sorted_cuts(rng, 5, lo=0.25, hi=0.8, gap=0.12)) == 5
+
+
+def test_equivalence_suite_work_counts(monkeypatch):
+    """The suite's oracle work as counts, not times: 46 exact partitions
+    for 145 truths (one per distinct set of arms and fixed cells), 552
+    step masses (each ``AnalyticCdf`` answer worked out once) and 306
+    exact interval subtractions (the gate stops at the first crossing).
+    Without the partition cache, the memo and the gate they read 145,
+    1689 and 1970."""
+    counts = dict.fromkeys(("_partition", "_step_mass", "_interval_subtract_measure"), 0)
+    for name in counts:
+
+        def spy(*args, _real=getattr(oracle, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, spy)
+    monkeypatch.setattr(oracle, "_PARTITIONS", {})
+    result = verification.equivalence_suite(n_scms=20, seed=0)
+    assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
+    assert counts == {"_partition": 46, "_step_mass": 552, "_interval_subtract_measure": 306}
