@@ -13,6 +13,7 @@ import io
 import math
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -178,6 +179,45 @@ class ColumnRoles:
         return (self.x, self.m, self.y, *self.c)
 
 
+def _distinct_rows(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct row tuples of equal-length columns, column by column in
+    lexicographic order (first column first), and each row's tuple id.
+    Values match with ``==``; a tuple's stored values are those of its
+    first row, so float ``-0.0`` and ``0.0`` keep the spelling seen first."""
+    first, ids = _row_ids(np.unique(column, return_inverse=True) for column in columns)
+    return [column[first] for column in columns], ids
+
+
+def _row_ids(coded) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row, in lexicographic order, and each
+    row's id, from each column's sorted distinct values and codes (int64
+    first-column codes are overwritten): one mixed-radix int64 key, ranked
+    densely while its space fits the table, else (or near 2**63) by np.unique."""
+    coded = iter(coded)
+    levels, key = next(coded)
+    n, size, key = key.size, levels.size, key.astype(np.int64, copy=False)
+    for levels, codes in coded:
+        if size * levels.size >= 1 << 63:
+            _, key = np.unique(key, return_inverse=True)
+            size = int(key.max()) + 1
+        # in place, and each temporary freed at once, so that the peak
+        # memory stays near that of one sort of the table
+        key *= levels.size
+        key += codes
+        size *= levels.size
+        del codes
+    if size <= n:
+        seen = np.zeros(size, dtype=bool)
+        seen[key] = True
+        ids = (np.cumsum(seen) - 1)[key]
+    else:
+        _, ids = np.unique(key, return_inverse=True)
+    del key
+    first = np.full(int(ids.max()) + 1, n)
+    np.minimum.at(first, ids, np.arange(n))
+    return first, ids
+
+
 class Dataset:
     """Immutable table of (treatment, mediator, outcome, covariates) records.
 
@@ -259,29 +299,26 @@ class Dataset:
     def to_csv(self) -> str:
         """Serialize with a header line, ``,`` delimiter, and ``.`` decimals.
 
-        Every value is written as ``repr(float(v))``.  Each column's distinct
-        values are formatted once, keyed on their int64 bit pattern so that
-        ``-0.0`` and ``0.0`` keep their own spellings, and the rows are
-        joined in blocks of :data:`_CSV_BLOCK_ROWS`.
-        """
-        names = self.column_names
-        columns = []
-        for name in names:
-            bits, inverse = np.unique(
-                self._columns[name].view(np.int64), return_inverse=True
-            )
-            spelled = np.asarray(
-                [repr(v) for v in bits.view(np.float64).tolist()], dtype=object
-            )
-            columns.append((spelled, inverse))
-        parts = [",".join(names)]
-        for lo in range(0, self._n, _CSV_BLOCK_ROWS):
-            block = [
-                spelled[inverse[lo : lo + _CSV_BLOCK_ROWS]].tolist()
-                for spelled, inverse in columns
-            ]
-            parts.append("\n".join(map(",".join, zip(*block))))
-        return "\n".join(parts) + "\n"
+        Every value is written as ``repr(float(v))``, spelled once per distinct
+        int64 bit pattern of a column (so ``-0.0`` and ``0.0`` keep their own
+        spellings).  If the columns' distinct values can form no more rows
+        than the table has, each distinct row is joined once and the lines
+        are gathered from those, else each row is joined; in blocks of
+        :data:`_CSV_BLOCK_ROWS`."""
+        names, n, block = self.column_names, self._n, _CSV_BLOCK_ROWS
+        coded = [np.unique(self._columns[c].view(np.int64), return_inverse=True) for c in names]
+        coded = [(bits, codes.astype(np.min_scalar_type(bits.size))) for bits, codes in coded]
+        columns = [(np.asarray([repr(v) for v in bits.view(np.float64).tolist()], dtype=object),
+                    codes) for bits, codes in coded]
+        if math.prod(spelled.size for spelled, _ in columns) <= n:
+            first, ids = _row_ids(coded)
+            rows = zip(*(spelled[codes[first]].tolist() for spelled, codes in columns))
+            rows = np.asarray(list(map(",".join, rows)), dtype=object)
+            blocks = (rows[ids[lo : lo + block]].tolist() for lo in range(0, n, block))
+        else:
+            blocks = (map(",".join, zip(*(s[c[lo : lo + block]].tolist() for s, c in columns)))
+                      for lo in range(0, n, block))
+        return "\n".join([",".join(names), *map("\n".join, blocks)]) + "\n"
 
 
 def _parse_cell(text: str, column: str, line_no: int) -> float:
@@ -296,22 +333,34 @@ def _parse_cell(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def _read_text(source) -> str:
-    """The text of ``source``, without one leading UTF-8 byte-order mark."""
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        at = exc.start + 3 * raw.startswith(b"\xef\xbb\xbf")
+        raise ParseError(f"byte {at}: {raw[at]:#04x} is not UTF-8 text") from None
+
+
+def _read_text(source) -> tuple[str, str | None]:
+    """The text of ``source`` without one leading UTF-8 byte-order mark (a
+    file's line breaks read as in text mode), and the absolute path of a
+    regular file whose suffix numpy does not decompress, else ``None``."""
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
+        return _decode(source), None
     if isinstance(source, os.PathLike) or (
         isinstance(source, str) and "\n" not in source and "\r" not in source
     ):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(source, "rb") as fh:
+            raw, mode = fh.read(), os.fstat(fh.fileno()).st_mode
+        text, path = _decode(raw).replace("\r\n", "\n").replace("\r", "\n"), os.fspath(source)
+        reread = stat.S_ISREG(mode) and isinstance(path, str)
+        reread = reread and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))  # numpy decompresses
+        return text, os.path.abspath(path) if reread else None
     if isinstance(source, str):
-        return source.removeprefix("\ufeff")
+        return source.removeprefix("\ufeff"), None
     if isinstance(source, io.IOBase) or hasattr(source, "read"):
         raw = source.read()
-        if isinstance(raw, bytes):
-            return raw.decode("utf-8-sig")
-        return raw.removeprefix("\ufeff")
+        return (_decode(raw) if isinstance(raw, bytes) else raw.removeprefix("\ufeff")), None
     raise SchemaError(f"unsupported source type {type(source)!r}")
 
 
@@ -325,17 +374,19 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     Text is UTF-8; one leading byte-order mark (``\\ufeff``, as spreadsheet
     programs write it) is dropped, so it never becomes part of the first
     column name.  Quoted cells and headers are not unquoted.
-    Non-role columns are ignored.  Errors: a row with more or fewer cells
-    than the header, or a role cell that is not a finite number, raises
-    :class:`ParseError` naming the line; a missing role column raises
+    Non-role columns are ignored.  Errors: a byte that is not UTF-8 raises
+    :class:`ParseError` naming its offset, and so does a row with more or
+    fewer cells than the header, or a role cell that is not a finite
+    number, naming the line; a missing role column raises
     :class:`SchemaError`; and a header-only table raises
     :class:`EmptyDataError`.
 
     Two readers give the same values, those of Python's ``float``:
 
-    1. numpy's C reader (``np.loadtxt``) parses every cell; if one is not a
-       number, it reads again with the cells of the non-role columns
-       discarded unparsed, so they may hold any text;
+    1. numpy's C reader (``np.loadtxt``) parses every cell, from a regular
+       file by its path (see :func:`_read_text`), else from memory; if one
+       is not a number, it reads again with the cells of the non-role
+       columns discarded unparsed, so they may hold any text;
     2. where it gives up, the per-cell reader runs over the whole input and
        raises the error for the first bad line.  It reads the tables that
        numpy's number parser or line splitting would read differently:
@@ -343,7 +394,7 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
        break before the last line, rows of only spaces, and the line breaks
        in :data:`_SPLITLINES_ONLY`.
     """
-    text = _read_text(source)
+    text, path = _read_text(source)
     header_line = _first_line(text)
     if not header_line.strip():
         raise EmptyDataError("input has no header line")
@@ -353,7 +404,7 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
         raise SchemaError(f"missing role columns {missing!r} in header {header!r}")
     names = roles.all_columns
     index = [header.index(c) for c in names]
-    columns = _parse_c(text, len(header_line), len(header), index)
+    columns = _parse_c(text, len(header_line), path, len(header), index)
     if columns is None:
         columns = _parse_per_cell(text.splitlines(), len(header), index, names)
     return Dataset(dict(zip(names, columns)), roles)
@@ -379,38 +430,38 @@ _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _NON_BLANK = re.compile(r"\S")
 
 
-def _discard(cell: str) -> float:
-    return 0.0
+def _loadtxt(text: str, skip: int, path: str | None, converters=None) -> np.ndarray:
+    if path is None:
+        stream = io.StringIO(text)
+        stream.seek(skip)
+        return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2, converters=converters)
+    return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, converters=converters,
+                      skiprows=1, encoding="utf-8-sig")
 
 
-def _loadtxt(text: str, skip: int, converters: dict | None = None) -> np.ndarray:
-    stream = io.StringIO(text)
-    stream.seek(skip)
-    return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2, converters=converters)
-
-
-def _parse_c(text: str, skip: int, width: int, index: list[int]) -> list[np.ndarray] | None:
+def _parse_c(text: str, skip: int, path, width: int, index: list[int]) -> list[np.ndarray] | None:
     """The columns ``index`` of the rows after the first ``skip`` characters
     (the header line) read by numpy's C reader, or ``None`` if the text has
     a line break in :data:`_SPLITLINES_ONLY`, has no row, or a row does not
     have ``width`` cells with finite float role values.  The cells of the
     other columns may hold text.  A lone ``\\r`` inside the text or a blank
-    row of spaces also gives ``None``."""
+    row of spaces also gives ``None``.  With a ``path``, numpy reads that
+    file after its first line, in chunks, not ``text`` line by line."""
     if any(c in text for c in _SPLITLINES_ONLY):
         return None
     if _NON_BLANK.search(text, skip) is None:
         return None
     try:
-        table = _loadtxt(text, skip)
+        table = _loadtxt(text, skip, path)
     except ValueError:
         # A cell is not a number: read again with the cells without a role
         # discarded unparsed.  Not on the first try, as a Python call per
         # discarded cell costs more than parsing a number in C.
-        others = {j: _discard for j in range(width) if j not in index}
+        others = {j: (lambda cell: 0.0) for j in range(width) if j not in index}
         if not others:
             return None
         try:
-            table = _loadtxt(text, skip, others)
+            table = _loadtxt(text, skip, path, others)
         except ValueError:
             return None
     if table.shape[1] != width:

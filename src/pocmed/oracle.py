@@ -110,6 +110,7 @@ class TableNode:
                 )
             table[key] = (cuts, values)
         self._table = table
+        self._lookup = None  # built by the first call of values
 
     def step(self, parents: Sequence[float]):
         key = tuple(float(p) for p in parents)
@@ -121,11 +122,13 @@ class TableNode:
     def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Node values for parent rows ``parent_cols`` and uniforms ``u``.
 
-        Rows are grouped by parent combination: each parent column is coded
-        by its sorted levels, the codes are combined into one combination
-        id, and one stable sort gathers each combination's rows.  Groups
-        are looked up in lexicographic order, so a missing table cell
-        raises for the smallest such combination.
+        Parent columns are coded by ``searchsorted`` against the node's key
+        levels (a NaN appended codes any other value).  A lookup built by
+        the first call maps a key prefix's id and the next code to the
+        longer prefix's id (past the last if no key has it), so the codes
+        end in small-int cell ids, and a stable sort of those gathers each
+        cell's rows.  A row without a table cell raises for the smallest
+        such combination in lexicographic order.
         """
         out = np.empty(u.shape, dtype=np.float64)
         if parent_cols.shape[1] == 0:
@@ -134,18 +137,31 @@ class TableNode:
             return out
         if u.size == 0:
             return out
-        levels, codes = zip(
-            *(np.unique(col, return_inverse=True) for col in parent_cols.T)
-        )
-        shape = tuple(lv.size for lv in levels)
-        combo = np.ravel_multi_index(codes, shape)
-        order = np.argsort(combo, kind="stable")
-        sorted_combo = combo[order]
-        starts = np.flatnonzero(np.diff(sorted_combo)) + 1
-        key_codes = np.unravel_index(sorted_combo[np.r_[0, starts]], shape)
-        keys = zip(*(lv[c].tolist() for lv, c in zip(levels, key_codes)))
-        steps = [self.step(key) for key in keys]
-        for (cuts, values), rows in zip(steps, np.split(order, starts)):
+        k = parent_cols.shape[1]
+        if self._lookup is None or self._lookup[0] != k:
+            keys = [key for key in self._table if len(key) == k]
+            levels = [np.append(np.unique([key[j] for key in keys]), np.nan) for j in range(k)]
+            ids, size, tables = np.zeros(len(keys), dtype=np.intp), 1, []
+            for j, lv in enumerate(levels):
+                codes = np.searchsorted(lv, [key[j] for key in keys])
+                prefixes, ids = np.unique(ids * lv.size + codes, return_inverse=True)
+                tables.append(np.full((size + 1) * lv.size, prefixes.size))
+                tables[-1][prefixes], size = np.arange(prefixes.size), prefixes.size
+            steps = dict(zip(ids.tolist(), map(self._table.__getitem__, keys)))
+            self._lookup = (k, levels, tables, steps)
+        _, levels, tables, steps = self._lookup
+        cell = np.zeros(u.size, dtype=np.intp)
+        for lv, table, col in zip(levels, tables, parent_cols.T):
+            code = np.searchsorted(lv, col)
+            cell = table[cell * lv.size + np.where(lv[code] == col, code, lv.size - 1)]
+        if (cell == len(steps)).any():
+            missing = parent_cols[cell == len(steps)]
+            self.step(missing[np.lexsort(missing.T[::-1])[0]].tolist())
+        order = np.argsort(cell.astype(np.min_scalar_type(len(steps))), kind="stable")
+        counts = np.bincount(cell, minlength=len(steps))
+        present = np.flatnonzero(counts)
+        for i, rows in zip(present.tolist(), np.split(order, np.cumsum(counts[present])[:-1])):
+            cuts, values = steps[i]
             out[rows] = np.asarray(values)[np.searchsorted(cuts, u[rows], side="right")]
         return out
 

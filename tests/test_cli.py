@@ -152,6 +152,22 @@ def test_estimate_missing_level_exits_2(sim_csv, tmp_path, capsys):
     assert "error" in json.loads(out.read_text())
 
 
+def test_estimate_table_not_utf8_exits_2_with_error_json(tmp_path, capsys):
+    # a Latin-1 cell used to escape as UnicodeDecodeError, without the JSON
+    table = tmp_path / "latin1.csv"
+    table.write_bytes("x,m,y,note\n0,0,1,café\n1,1,0,ok\n".encode("latin-1"))
+    out = tmp_path / "err.json"
+    code, stdout, err = _run(
+        capsys,
+        "estimate", "--input", str(table),
+        "--x-base", "0", "--x-alt", "1", "--y", "1", "--out", str(out),
+    )
+    message = "byte 20: 0xe9 is not UTF-8 text"
+    assert code == 2 and stdout == ""
+    assert err == f"error: ParseError: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": "ParseError", "message": message}}
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [

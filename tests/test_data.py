@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -165,6 +166,49 @@ def test_csv_round_trip_is_bit_exact(rows):
                               data.column(name).view(np.int64))
 
 
+def _per_row_csv(data):
+    columns = [data.column(name) for name in data.column_names]
+    return ",".join(data.column_names) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)
+    )
+
+
+def _spy_row_ids(monkeypatch):
+    calls = []
+    real = data_module._row_ids
+    monkeypatch.setattr(data_module, "_row_ids", lambda coded: calls.append(1) or real(coded))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, data_module._CSV_BLOCK_ROWS - 1,
+                               data_module._CSV_BLOCK_ROWS + 1, 3 * data_module._CSV_BLOCK_ROWS])
+def test_to_csv_matches_per_row_reference(n, monkeypatch):
+    # few distinct rows, each written in many places, with both zero
+    # spellings in one column: the lines are gathered from the distinct rows
+    rng = np.random.default_rng(n)
+    data = pm.Dataset({"x": rng.choice([0.0, -0.0, 1.0], n), "m": rng.choice([0.5, -2.0], n),
+                       "y": rng.choice(_EDGE_FLOATS, n)}, ROLES)
+    if n > 1:
+        assert {repr(v) for v in data.x.tolist()} == {"0.0", "-0.0", "1.0"}
+    calls = _spy_row_ids(monkeypatch)
+    assert data.to_csv() == _per_row_csv(data)
+    assert calls == [1]
+
+
+def test_to_csv_matches_per_row_reference_past_the_key_space(monkeypatch):
+    # seven columns of 600 distinct values each could form far more rows
+    # than the table has (past 2**63 even), so each row is joined as its own
+    rng = np.random.default_rng(5)
+    names = [f"c{i}" for i in range(7)]
+    columns = {name: rng.standard_normal(600) for name in names}
+    columns["c0"][:2] = [0.0, -0.0]
+    data = pm.Dataset(columns, pm.ColumnRoles("c0", "c1", "c2", tuple(names[3:])))
+    assert math.prod(np.unique(c).size for c in columns.values()) >= 1 << 63
+    calls = _spy_row_ids(monkeypatch)
+    assert data.to_csv() == _per_row_csv(data)
+    assert calls == []
+
+
 def test_to_csv_keeps_each_zero_spelling():
     data = pm.Dataset({"x": [0.0, -0.0, 0.0], "m": [-0.0, -0.0, 5e-324],
                        "y": [1e16, 1e-5, -0.0]}, ROLES)
@@ -261,43 +305,92 @@ def test_loader_matches_per_cell_for_every_character():
             _assert_same_outcome(_outcome(lambda: pm.load_dataset(text, ROLES)), want, text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x,m,y\n1\x1f,0,0\n",          # 1.0 to both readers; bare float("1\x1f") raises
-        "x,m,y\n0\x1c,0,0\n",          # one row to numpy, two lines to splitlines
-        "x,m,y\r0,0,1\r1,-0.0,0\r",    # lone carriage returns
-        "x,m,y\r0,0,1\n1,1,0\r\n",
-        "x,m,y\n0,0,1\r\r\n1,1,0\n",
-        "\ufeffx,m,y\r\n0,0,1\r\n1,1,0\r\n",
-        "x,m,y\n0,0,1#\n1,1,0\n",      # "#" is not a comment
-        "x,m,y\n#0,0,1\n1,1,0\n",
-        "x,m,y\n0,0,1\n  \n1,1,0\n",   # a blank row of spaces
-        "x,m,y\n0,0,1\n\t\n",
-        "x,m,y\n1_0,0,1\n",
-        "x,m,y\n\u0661,0,1\n",
-        "x,m,y\n1,0,nan\n",
-        "x,m,y\n1,0,1e400\n",
-        "x,m,y\n1,0,\n",
-        "x,m,y\n1,0,1,\n",
-        'x,m,y\n"1",0,1\n',
-        "x,m,y,z\n0,0,1,Zoë\n1,1,0,\u00e9\u2603\n",   # non-ASCII text without a role
-        "id,x,m,y\nr1,0,0,1\nr2,1,1,0\n",             # a text first column
-        "id,x,m,y\nr1,0,0,1\nr2,1,1,0,9\n",           # an extra cell after a text ID
-    ],
-)
+_EDGE_TEXTS = [
+    "x,m,y\n1\x1f,0,0\n",          # 1.0 to both readers; bare float("1\x1f") raises
+    "x,m,y\n0\x1c,0,0\n",          # one row to numpy, two lines to splitlines
+    "x,m,y\r0,0,1\r1,-0.0,0\r",    # lone carriage returns
+    "x,m,y\r0,0,1\n1,1,0\r\n",
+    "x,m,y\n0,0,1\r\r\n1,1,0\n",
+    "\ufeffx,m,y\r\n0,0,1\r\n1,1,0\r\n",
+    "x,m,y\n0,0,1#\n1,1,0\n",      # "#" is not a comment
+    "x,m,y\n#0,0,1\n1,1,0\n",
+    "x,m,y\n0,0,1\n  \n1,1,0\n",   # a blank row of spaces
+    "x,m,y\n0,0,1\n\t\n",
+    "x,m,y\n1_0,0,1\n",
+    "x,m,y\n\u0661,0,1\n",
+    "x,m,y\n1,0,nan\n",
+    "x,m,y\n1,0,1e400\n",
+    "x,m,y\n1,0,\n",
+    "x,m,y\n1,0,1,\n",
+    'x,m,y\n"1",0,1\n',
+    "x,m,y,z\n0,0,1,Zoë\n1,1,0,\u00e9\u2603\n",   # non-ASCII text without a role
+    "id,x,m,y\nr1,0,0,1\nr2,1,1,0\n",             # a text first column
+    "id,x,m,y\nr1,0,0,1\nr2,1,1,0,9\n",           # an extra cell after a text ID
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
 def test_loader_matches_per_cell_on_edge_texts(text):
     want = _per_cell_outcome(text.removeprefix("\ufeff"))
     for source in (text, text.encode("utf-8")):
         _assert_same_outcome(_outcome(lambda: pm.load_dataset(source, ROLES)), want, text)
 
 
-@pytest.mark.parametrize("text", ["x,m,y\n", "x,m,y", "x,m,y\r\n\r\n  \n\t\r\n", "x,m,y\r"])
+_HEADER_ONLY_TEXTS = ["x,m,y\n", "x,m,y", "x,m,y\r\n\r\n  \n\t\r\n", "x,m,y\r"]
+
+
+@pytest.mark.parametrize("text", _HEADER_ONLY_TEXTS)
 def test_header_only_table_warns_nothing(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EmptyDataError, match="a header but no data rows"):
             pm.load_dataset(text.encode("utf-8"), ROLES)
+
+
+def _strict_outcome(source):
+    """:func:`_outcome` of loading ``source`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _outcome(lambda: pm.load_dataset(source, ROLES))
+
+
+@pytest.mark.parametrize("text", _EDGE_TEXTS + _HEADER_ONLY_TEXTS)
+def test_file_sources_match_per_cell(tmp_path, text):
+    # numpy reads a regular file again by its path; a plain file named *.gz
+    # stays in memory, as numpy would try to decompress it
+    want = _per_cell_outcome(text.removeprefix("\ufeff"))
+    plain, gz = tmp_path / "table.csv", tmp_path / "table.csv.gz"
+    for path in (plain, gz):
+        path.write_bytes(text.encode("utf-8"))
+        for source in (str(path), path):
+            _assert_same_outcome(_strict_outcome(source), want, text)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("text", _EDGE_TEXTS + _HEADER_ONLY_TEXTS)
+def test_pipe_sources_match_per_cell(text):
+    # a pipe gives its text once, so it must stay in memory
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        got = _strict_outcome(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    _assert_same_outcome(got, _per_cell_outcome(text.removeprefix("\ufeff")), text)
+
+
+@pytest.mark.parametrize("raw, at", [
+    (b"x,m,y\n0,0,\xff\n", 10),
+    (b"\xef\xbb\xbfx,m,y\n\xe9,0,1\n", 9),   # counted from the byte-order mark
+    (b"x,m,y\n0,0,1\xc3", 11),                # a sequence cut short by the end
+])
+def test_table_not_utf8_raises_parse_error_naming_the_byte(tmp_path, raw, at):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    for source in (raw, path, str(path), io.BytesIO(raw)):
+        with pytest.raises(ParseError, match=f"^byte {at}: 0x{raw[at]:02x} is not UTF-8 text$"):
+            pm.load_dataset(source, ROLES)
 
 
 def test_clean_tables_take_the_c_reader(tmp_path, monkeypatch):
@@ -324,16 +417,22 @@ def test_clean_tables_take_the_c_reader(tmp_path, monkeypatch):
         "UTF-8 id": add_column("id", lambda i: f"Zoë{i}"),
         "text column last": add_column("note", lambda i: f"n{i}", last=True),
     }
-    calls = []
+    calls, sources = [], []
     real = data_module._parse_per_cell
     monkeypatch.setattr(data_module, "_parse_per_cell",
                         lambda *args: calls.append(args) or real(*args))
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, *args, **kwargs: sources.append(source)
+                        or real_loadtxt(source, *args, **kwargs))
     simulated = pm.load_dataset(path, ROLES)
+    # numpy is given the file's absolute path, so it reads in chunks
+    assert sources == [os.path.abspath(path)]
     _assert_same_outcome(pm.load_dataset(text.replace("\n", "\r\n"), ROLES), simulated, "crlf")
     _assert_same_outcome(pm.load_dataset(floats.to_csv(), ROLES), floats, "to_csv")
     for where, table in with_text.items():
         _assert_same_outcome(pm.load_dataset(table, ROLES), simulated, where)
     assert calls == []
+    assert all(isinstance(source, io.StringIO) for source in sources[1:])
 
 
 @pytest.mark.parametrize("field", ["x_base", "x_alt", "y_threshold", "m_fixed", "c_stratum"])

@@ -32,8 +32,11 @@ def test_sampling_rejects_empty(preset):
 
 
 def _random_table_case(rng):
-    """A table node over 0 to 3 parent columns, parent rows drawn from its
-    keys (levels include -0.0 next to 0.0), sometimes with a key missing."""
+    """A table node over 0 to 3 parent columns, parent rows drawn from the
+    product of its levels (which include -0.0 next to 0.0).  Sometimes a row
+    holds a value off the levels (4.0) or a NaN, or the node lacks one key
+    of the product, so every parent value is a known level but that
+    combination has no table cell."""
     k = int(rng.integers(0, 4))
     level_sets = [rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, -3.0], size=rng.integers(1, 4),
                              replace=False) for _ in range(k)]
@@ -43,12 +46,16 @@ def _random_table_case(rng):
         n_cuts = int(rng.integers(0, 4))
         cuts = np.sort(rng.choice(np.arange(1, 20), size=n_cuts, replace=False)) / 20.0
         cells[key] = (cuts, rng.choice([-0.0, 0.0, 1.0, 2.5, 7.0], size=n_cuts + 1))
+    if k and rng.random() < 0.3:
+        del cells[keys[rng.integers(0, len(keys))]]
     node = pm.TableNode(cells)
     n = int(rng.integers(0, 300))
     rows = np.asarray(keys, dtype=np.float64)[rng.integers(0, len(keys), n)]
     parent_cols = rows.reshape(n, k)
     if k and n and rng.random() < 0.3:
         parent_cols[rng.integers(0, n), 0] = 4.0
+    if k and n and rng.random() < 0.2:
+        parent_cols[rng.integers(0, n), rng.integers(0, k)] = np.nan
     # cut points themselves are drawn as uniforms to exercise ties
     u = np.where(rng.random(n) < 0.2, rng.integers(1, 20, n) / 20.0, rng.random(n))
     return node, parent_cols, u
@@ -64,19 +71,35 @@ def _values_or_error(fn, *args):
 
 
 def test_table_node_values_match_mask_loop():
-    shapes, errors = set(), 0
-    for seed in range(200):
+    shapes, errors = set(), set()
+    for seed in range(300):
         node, parent_cols, u = _random_table_case(np.random.default_rng(seed))
         got = _values_or_error(node.values, parent_cols, u)
         want = _values_or_error(mask_loop_values, node, parent_cols, u)
         if isinstance(want, str):
+            # both name the same parent combination
             assert got == want, seed
-            errors += 1
+            errors.add("nan" if "nan" in want else "off-level" if "4.0" in want else "no key")
         else:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
             shapes.add(parent_cols.shape[1])
-    # missing cells, and every parent count from none to three, were reached
-    assert errors and shapes == {0, 1, 2, 3}
+    # every kind of missing cell, and every parent count from none to three,
+    # was reached
+    assert errors == {"nan", "off-level", "no key"} and shapes == {0, 1, 2, 3}
+
+
+def test_table_node_builds_its_lookup_on_first_sampling(monkeypatch):
+    # the exact oracle builds many table nodes and samples none of them, so
+    # neither it nor the constructor may build a node's sampling lookup
+    nodes, init = [], oracle.TableNode.__init__
+    monkeypatch.setattr(oracle.TableNode, "__init__",
+                        lambda self, cells: init(self, cells) or nodes.append(self))
+    node = pm.TableNode({(0.0,): ((0.5,), (0.0, 1.0)), (1.0,): ((), (2.0,))})
+    assert verification.equivalence_suite(n_scms=4, seed=0)["accepted"] == 4
+    assert verification.decomposition_suite(n_scms=5, seed=0)["n_triples"] > 0
+    assert len(nodes) > 20 and all(n._lookup is None for n in nodes)
+    got = node.values(np.array([[1.0], [-0.0], [0.0]]), np.array([0.7, 0.7, 0.2]))
+    assert got.tolist() == [2.0, 1.0, 0.0] and node._lookup is not None
 
 
 def test_sampling_moments(preset):
