@@ -8,6 +8,8 @@ Commands:
   (built-in preset or config document).
 * ``verify``: self-contained check of the estimator stack against exact
   model truths and recorded reference values; exit 1 on any failed row.
+  Where ``os.fork`` exists, a child process computes the estimation rows
+  and the decomposition suite while this one runs the equivalence suite.
 * ``sweep``: evaluate the measures over a grid (outcome thresholds,
   covariate values, or a mediator threshold parameter) and emit
   plot-ready rows plus an optional SVG chart.
@@ -21,7 +23,11 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import pickle
+import signal
 import sys
 import warnings
 
@@ -465,13 +471,11 @@ def cmd_estimate(args) -> int:
         )
         report["queries"].append(block)
 
+    text = render_json(report) if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(render_estimate_table(report))
+            fh.write(text)
+    sys.stdout.write(text if args.format == "json" else render_estimate_table(report))
     return EXIT_OK
 
 
@@ -495,16 +499,115 @@ def cmd_simulate(args) -> int:
 _VERIFY_DEFAULTS = {False: ((100, 1000, 10000), 1000, 50, 200), True: ((100, 1000), 200, 10, 50)}
 
 
+def _held(fn, **kwargs):
+    """``fn(**kwargs)`` with the warnings it shows held back: ``(shown,
+    result, error)``, where ``error`` is the exception it raised, if any."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = fn(**kwargs), None
+        except Exception as exc:  # raised again by _release, in serial order
+            result, error = None, exc
+    shown = [(w.message, w.category, w.filename, w.lineno, w.line) for w in caught]
+    return shown, result, error
+
+
+def _release(held):
+    """Show the warnings of a :func:`_held` outcome, then raise its error
+    or return its result."""
+    shown, result, error = held
+    for message, category, filename, lineno, line in shown:
+        warnings.showwarning(message, category, filename, lineno, line=line)
+    if error is not None:
+        raise error
+    return result
+
+
+def _child(read_fd: int, write_fd: int, part) -> None:
+    """The forked child: send ``(True, part())``, or ``(False, exc)`` for
+    what it raised, down ``write_fd``, then leave through ``os._exit``, so
+    that no buffer or atexit hook of the parent runs twice."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = True, part()
+        except BaseException as exc:  # sent to the parent, which raises it
+            outcome = False, exc
+        data = pickle.dumps(outcome)  # if this raises, the parent reads no result
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _beside(part):
+    """Run ``part()`` in a forked child while the ``with`` block runs, and
+    yield ``join``: it waits for the child and returns what ``part``
+    returned, or raises what it raised.  Leaving the block reaps the
+    child, and kills it first unless it was joined.  Where ``os.fork``
+    does not exist, ``join`` runs ``part`` in-process."""
+    if not hasattr(os, "fork"):
+        yield part
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _child(read_fd, write_fd, part)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    joined = False
+
+    def join():
+        nonlocal joined
+        data = pipe.read()
+        joined = True
+        if not data:
+            raise ChildProcessError("the child process ended without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield join
+    finally:
+        try:
+            if not joined:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+        finally:
+            os.waitpid(pid, 0)
+
+
 def cmd_verify(args) -> int:
     sizes, replicates, n_eq, n_dec = _VERIFY_DEFAULTS[args.quick]
     replicates = _at_least("--replicates", args.replicates, 2, replicates)
     n_eq = _at_least("--scms", args.scms, 0, n_eq)
     n_dec = _at_least("--decomposition", args.decomposition, 0, n_dec)
     seed = _at_least("--seed", args.seed, 0, 0)
-    rows = []
-    rows.extend(verification.exact_truth_rows())
-    rows.extend(verification.estimation_rows(seed=seed, replicates=replicates, sizes=sizes))
-    rows.extend(verification.suite_rows(n_equivalence=n_eq, n_decomposition=n_dec, seed=seed))
+
+    def beside():
+        return (
+            _held(verification.estimation_rows, seed=seed, replicates=replicates, sizes=sizes),
+            _held(verification.decomposition_suite, n_scms=n_dec, seed=seed),
+        )
+
+    # the parts are separately seeded, so running two at once changes no
+    # figure; their warnings and errors are released in the serial order
+    with _beside(beside) as join:
+        rows = verification.exact_truth_rows()
+        equivalence = _held(verification.equivalence_suite, n_scms=n_eq, seed=seed)
+        estimation, decomposition = join()
+    rows.extend(_release(estimation))
+    eq = _release(equivalence)
+    rows.extend(verification.suite_rows(eq, _release(decomposition)))
     rows.extend(verification.exclusion_notes())
     table = render_verify_table(rows, f"pocmed {__version__} verification (seed {seed})")
     sys.stdout.write(table)

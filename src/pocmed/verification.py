@@ -233,7 +233,7 @@ def random_threshold_scm(
     treatment = TableNode({(): (tuple((i + 1) / kx for i in range(kx - 1)), x_levels)})
 
     def sign():
-        return 1.0 if coherent else float(rng.choice((-1.0, 1.0)))
+        return 1.0 if coherent else (-1.0, 1.0)[rng.integers(2)]
 
     m_slope = sign() * rng.uniform(0.08, 0.35)
     m_base = _sorted_cuts(rng, km - 1, lo=0.25, hi=0.75, gap=0.12)
@@ -353,6 +353,12 @@ def _gap_point(rng, levels) -> float:
 # -- decomposition suite (algebraic identities) --------------------------------
 
 
+def _worst(current: float, err: float) -> float:
+    """``max(current, err)``, except that a NaN ``err`` is kept, where
+    ``max`` would drop it; a NaN ``current`` stays, as with ``max``."""
+    return err if math.isnan(err) else max(current, err)
+
+
 def decomposition_suite(n_scms: int = 1000, seed: int = 0) -> dict:
     """Randomized check of the exact decomposition and proportion
     identities, plus agreement between the summed total and the direct
@@ -398,21 +404,20 @@ def decomposition_suite(n_scms: int = 1000, seed: int = 0) -> dict:
         a = an.cdf_y_given_x(q.y_threshold, q.x_base)
         b = an.cdf_y_given_x(q.y_threshold, q.x_alt)
         direct_total = max(a - b, 0.0)
-        max_decomp = max(
-            max_decomp, abs(results[0].t_pns - direct_total)
-        )
+        max_decomp = _worst(max_decomp, abs(results[0].t_pns - direct_total))
         # in the nondegenerate evidence branch, the summed total must match
         # the direct clipped-margin-over-mass formula
         if terms is not None and terms.case_flag == identify.CASE_A:
             formula_total = max(terms.margin_total / terms.ev_mass, 0.0)
-            max_decomp = max(max_decomp, abs(results[1].t_pns - formula_total))
+            max_decomp = _worst(max_decomp, abs(results[1].t_pns - formula_total))
         for triple in results:
             n_checked += 1
-            max_decomp = max(
+            max_decomp = _worst(
                 max_decomp, abs(triple.t_pns - (triple.nd_pns + triple.ni_pns))
             )
-            if triple.t_pns > 0.0:
-                max_prop = max(max_prop, abs(triple.prop_nd + triple.prop_ni - 1.0))
+            if not triple.t_pns <= 0.0:  # positive, or NaN
+                shares = math.nan if triple.prop_nd is None else triple.prop_nd + triple.prop_ni
+                max_prop = _worst(max_prop, abs(shares - 1.0))
     return {
         "max_decomposition_error": max_decomp,
         "max_proportion_error": max_prop,
@@ -604,7 +609,8 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0, max_attempts: int = 40) 
                 diffs.extend(_lex_equivalence_checks(lex, rng))
         for name, diff in diffs:
             n_checks += 1
-            if diff > max_diff:
+            # a NaN difference becomes the worst check and stays so
+            if not diff <= max_diff and not math.isnan(max_diff):
                 max_diff = diff
                 worst = (name, diff)
     return {
@@ -616,9 +622,9 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0, max_attempts: int = 40) 
     }
 
 
-def suite_rows(n_equivalence: int = 50, n_decomposition: int = 200, seed: int = 0) -> list[VerifyRow]:
-    eq = equivalence_suite(n_scms=n_equivalence, seed=seed)
-    dec = decomposition_suite(n_scms=n_decomposition, seed=seed)
+def suite_rows(eq: dict, dec: dict) -> list[VerifyRow]:
+    """The rows of an :func:`equivalence_suite` and a
+    :func:`decomposition_suite` result; a NaN figure fails its row."""
     return [
         VerifyRow(
             f"oracle equivalence ({eq['accepted']} models, {eq['n_checks']} checks)",

@@ -1,12 +1,20 @@
 """Command-line interface: exit codes, determinism, report schema."""
 
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pocmed as pm
+from pocmed import cli, identify, verification
 from pocmed.cli import main
+from pocmed.errors import PocError
 
 
 def _run(capsys, *argv):
@@ -78,6 +86,7 @@ def test_estimate_report_schema_and_determinism(sim_csv, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
     report = json.loads(stdout1)
+    assert out1.read_text(encoding="utf-8") == stdout1
     assert report["version"] == pm.__version__
     assert report["seed"] == 3
     block = report["queries"][0]
@@ -732,3 +741,140 @@ def test_empirical_covariate_sweep_rejects_two_covariates(tmp_path, capsys):
                              "--grid-over", "covariate")
     assert code == 2 and stdout == ""
     assert err.startswith(_ONE_COVARIATE)
+
+
+def test_estimate_renders_its_report_once_for_out_and_json(sim_csv, tmp_path, capsys,
+                                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "render_json", lambda report: calls.append(1) or "{}\n")
+    code, stdout, _ = _run(capsys, "estimate", "--input", sim_csv, "--x-base", "0",
+                           "--x-alt", "1", "--y", "1", "--replicates", "0",
+                           "--format", "json", "--out", str(tmp_path / "r.json"))
+    assert code == 0 and stdout == "{}\n" and len(calls) == 1
+
+
+# -- verify in two processes ---------------------------------------------------
+
+_SMALL_VERIFY = ("verify", "--quick", "--scms", "3", "--decomposition", "6",
+                 "--replicates", "20")
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forked_and_serial(capsys, monkeypatch, *argv, out=None):
+    """``argv`` run with ``os.fork`` and then without it: two ``(exit code,
+    stdout, stderr, --out text)``; no child may be left after either."""
+    runs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        extra = ("--out", str(out)) if out else ()
+        code, stdout, stderr = _run(capsys, *argv, *extra)
+        _assert_no_child_left()
+        runs.append((code, stdout, stderr, out.read_text(encoding="utf-8") if out else None))
+    return runs
+
+
+@needs_fork
+def test_verify_output_is_the_same_with_and_without_fork(tmp_path, capsys, monkeypatch):
+    forked, serial = _forked_and_serial(capsys, monkeypatch, "verify", "--quick",
+                                        out=tmp_path / "verify.json")
+    assert forked == serial
+    assert forked[0] == 0 and "FAIL" not in forked[1] and forked[2] == ""
+
+
+def _raising(error):
+    def part(*args, **kwargs):
+        raise error
+
+    return part
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "failing, shown",
+    [
+        # one part fails: in the child, in the parent's held part, or in the
+        # parent's part that runs unheld (the child is killed then)
+        ({"estimation_rows": "PocError"}, "PocError: estimation_rows"),
+        ({"decomposition_suite": "ValueError"}, "ValueError: decomposition_suite"),
+        ({"equivalence_suite": "PocError"}, "PocError: equivalence_suite"),
+        ({"exact_truth_rows": "ValueError"}, "ValueError: exact_truth_rows"),
+        # two fail: the one a serial run reaches first is reported
+        ({"equivalence_suite": "ValueError", "estimation_rows": "PocError"},
+         "PocError: estimation_rows"),
+        ({"decomposition_suite": "PocError", "equivalence_suite": "ValueError"},
+         "ValueError: equivalence_suite"),
+    ],
+)
+def test_verify_part_failure_matches_the_serial_run(capsys, monkeypatch, failing, shown):
+    for name, error in failing.items():
+        kind = {"PocError": PocError, "ValueError": ValueError}[error]
+        monkeypatch.setattr(verification, name, _raising(kind(name)))
+    forked, serial = _forked_and_serial(capsys, monkeypatch, *_SMALL_VERIFY)
+    assert forked == serial
+    assert forked[:3] == (2, "", f"error: {shown}\n")
+
+
+@needs_fork
+def test_verify_child_that_dies_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "decomposition_suite", lambda **kwargs: os._exit(3))
+    code, stdout, stderr = _run(capsys, *_SMALL_VERIFY)
+    _assert_no_child_left()
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: ChildProcessError: the child process ended without a result\n"
+
+
+@needs_fork
+def test_nan_total_fails_both_suite_rows(tmp_path, capsys, monkeypatch):
+    """A NaN compared value fails its row: it passed unseen before, since
+    ``diff > max_diff`` and ``max(err, nan)`` both drop a NaN."""
+    real = identify.natural_pns
+    monkeypatch.setattr(identify, "natural_pns",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), t_pns=math.nan))
+    forked, serial = _forked_and_serial(capsys, monkeypatch, *_SMALL_VERIFY,
+                                        out=tmp_path / "verify.json")
+    assert forked == serial and forked[0] == cli.EXIT_VERIFY_FAIL
+    rows = {r["name"].split(" (")[0]: r for r in json.loads(forked[3])["rows"]}
+    for name in ("oracle equivalence", "decomposition identities"):
+        assert rows[name]["passed"] is False and "nan" in rows[name]["detail"]
+
+
+_WARNING_SCRIPT = """
+import os, sys, warnings
+from pocmed import cli, verification
+
+if sys.argv[1] == "serial":
+    del os.fork
+for name in ("estimation_rows", "equivalence_suite", "decomposition_suite"):
+    def part(_real=getattr(verification, name), _name=name, **kwargs):
+        warnings.warn(f"planted in {_name}", UserWarning)
+        return _real(**kwargs)
+    setattr(verification, name, part)
+sys.exit(cli.main(["verify", "--quick", "--scms", "2", "--decomposition", "3",
+                   "--replicates", "20"]))
+"""
+
+
+@needs_fork
+def test_verify_warnings_reach_stderr_in_serial_order():
+    """Warnings shown in the child reach the parent's stderr, after those
+    of earlier parts and before those of later ones, as in a serial run."""
+    src = str(Path(pm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run([sys.executable, "-c", _WARNING_SCRIPT, mode], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for mode in ("fork", "serial")
+    ]
+    forked, serial = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert forked == serial
+    err = runs[0].stderr
+    order = [err.find(f"UserWarning: planted in {name}")
+             for name in ("estimation_rows", "equivalence_suite", "decomposition_suite")]
+    assert runs[0].returncode == 0 and -1 < order[0] < order[1] < order[2]

@@ -649,6 +649,36 @@ def test_random_threshold_models_build_with_many_levels(levels, coherent):
                 assert all(0.0 < a < b < 1.0 for a, b in zip(cuts, cuts[1:])), (seed, cuts)
 
 
+class _ChoiceSigns:
+    """A generator whose ``integers(2)`` is drawn as ``random_threshold_scm``
+    once drew an effect sign, by ``float(rng.choice((-1.0, 1.0)))``, and
+    returns that sign's index in ``(-1.0, 1.0)``."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, high):
+        assert high == 2
+        return (-1.0, 1.0).index(float(self._rng.choice((-1.0, 1.0))))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("levels", [(2, 2, 2), (3, 3, 3), (3, 2, 4)])
+def test_random_signs_draw_as_choice_did(levels):
+    """An incoherent model's effect signs come from ``rng.integers(2)``:
+    the models, and the generator's next draw, equal those of the former
+    ``rng.choice`` draw."""
+    for seed in range(300):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = verification.random_threshold_scm(new, *levels, coherent=False)
+        b = verification.random_threshold_scm(_ChoiceSigns(old), *levels, coherent=False)
+        for node in ("treatment", "mediator", "outcome"):
+            assert getattr(a, node)._table == getattr(b, node)._table, (seed, node)
+        assert new.random() == old.random(), seed
+
+
 def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
     """Six cuts 0.12 apart need a span of 0.6 > 0.8 - 0.25: no draw can
     succeed, so the call raises and leaves the stream where it was; so does
