@@ -652,10 +652,11 @@ def cmd_sweep(args) -> int:
         q = Query(x_base=args.x_base, x_alt=args.x_alt, y_threshold=y_value, m_fixed=args.m_fixed)
         a, b, r, low, high = identify._margin_inputs(model, "natural", q)
         nd, ni, _, _ = identify._clipped(a, b, r, low, high)
+        triple = identify._make_triple(nd, ni, identify.CASE_UNCONDITIONAL)
         out = {
-            "t_pns": nd + ni,
-            "nd_pns": nd,
-            "ni_pns": ni,
+            "t_pns": triple.t_pns,
+            "nd_pns": triple.nd_pns,
+            "ni_pns": triple.ni_pns,
             "cdf_base": a,
             "cdf_alt": b,
             "crossworld": r,

@@ -109,6 +109,10 @@ class EvidenceTerms:
 
 
 def _make_triple(nd: float, ni: float, case_flag: str) -> PnsTriple:
+    # the parts are rounded apart, so their sum can pass 1 by an ulp;
+    # trimming the indirect part keeps the total a probability
+    if nd + ni > 1.0:
+        ni = 1.0 - nd
     t = nd + ni
     if t > 0.0:
         prop_nd, prop_ni = nd / t, ni / t
@@ -190,6 +194,7 @@ def _clipped_columns(a, b, r, low, high) -> tuple:
         nd = np.where(case_b, np.where(inside & (low < r), 1.0, 0.0), np.where(0.0 > nd, 0.0, nd))
         ni = np.where(case_b, np.where(inside & (r <= low), 1.0, 0.0), np.where(0.0 > ni, 0.0, ni))
         nd, ni = np.where(bad, np.nan, nd), np.where(bad, np.nan, ni)
+        ni = np.where(nd + ni > 1.0, 1.0 - nd, ni)
         t = nd + ni
         return t, nd, ni, np.where(t > 0.0, nd / t, np.nan), np.where(t > 0.0, ni / t, np.nan), case_b
 

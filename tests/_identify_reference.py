@@ -2,7 +2,9 @@
 kernel and one evidence-bounds function replaced them.
 
 The functions below are copied unchanged: each writes its clipped-margin
-arithmetic and its evidence-endpoint rule out in full.
+arithmetic and its evidence-endpoint rule out in full.  The one later
+change they share is in ``_make_triple``: when two separately rounded
+parts sum past 1, the indirect part is trimmed to ``1 - nd``.
 :class:`ReferenceAnalyticCdf` restores the analytic marginal CDF that mixed
 the cell CDFs itself, before it became the joint CDF at ``m = +inf``.  The
 current code must agree with them bit for bit, error messages included.
@@ -37,6 +39,8 @@ class ReferenceAnalyticCdf(AnalyticCdf):
 
 
 def _make_triple(nd: float, ni: float, case_flag: str) -> PnsTriple:
+    if nd + ni > 1.0:
+        ni = 1.0 - nd
     t = nd + ni
     if t > 0.0:
         prop_nd, prop_ni = nd / t, ni / t

@@ -308,6 +308,8 @@ probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 @given(a=probs, b=probs, r=probs, l=probs, u=probs)
+# parts that round to a sum just past 1
+@example(a=1.0, b=0.0, r=0.32357319317826533, l=0.82421875, u=0.25)
 @settings(max_examples=300, deadline=None)
 def test_evidence_margins_and_decomposition(a, b, r, l, u):
     if l > u:
