@@ -17,7 +17,9 @@ weight; the Monte Carlo path samples the noise sources, one row of weight
 1.0 per draw.  Every truth is then a weighted sum of indicators on that
 table, the same code for both paths.  The exact partition is kept in a
 small cache (:data:`_PARTITIONS`) under the inputs that decide it, so the
-truths of one query and its evidence variants build it once.
+truths of one query and its evidence variants build it once; each entry
+also memoises, read-only, every counterfactual column built on it, so
+those truths build each column once, and the memo goes with its entry.
 Observational conditional CDFs implied by a model are exposed through
 :class:`AnalyticCdf`, which duck-types the empirical estimator surface so
 identification formulas can be evaluated at infinite-sample truth; each
@@ -25,7 +27,10 @@ instance memoises its answers for its lifetime.
 
 :func:`check_monotonicity` collects every crossing that the lazy
 :func:`_crossing_events` yields; the oracle-equivalence suite's gate stops
-at the first outcome or compound crossing instead.
+at the first outcome or compound crossing instead.  Both drop, before
+pairing, every region that is empty or whole on every stripe: one of its
+set differences with any region is exactly zero, so it can never cross
+and no report changes.
 """
 
 from __future__ import annotations
@@ -523,7 +528,7 @@ def _partition(scm: ScmSpec, strata, x_levels: tuple, xm_pairs: tuple):
             y_cuts = sorted({cut for pair in pairs for cut in steps[pair][0]})
             y_edges = (0.0, *y_cuts, 1.0)
             mids = []
-            stripes.append((len(weights), by_x, mids, steps, {}))
+            stripes.append((by_x, mids, steps))
             for lo, hi in zip(y_edges, y_edges[1:]):
                 weights.append(w_c * (w_m * (hi - lo)))
                 mids.append(0.5 * (lo + hi))
@@ -539,16 +544,19 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
     mediator values, are constant.
 
     Returns the rectangle weights ``w_c * (w_m * w_y)`` in stratum,
-    stripe, outcome-piece order (they sum to 1.0) and the ``med`` and
-    ``outc`` column makers of :func:`_columns`.  Every mediator column
-    those makers see is constant on a stripe, so ``outc`` reads it once
-    per stripe and remembers it.
+    stripe, outcome-piece order (they sum to 1.0) and the ``column``
+    maker of :func:`_columns`.
 
     The partition is decided by the mediator and outcome nodes, the
     strata, the treatment levels and the fixed (x, m) cells, so it is
     kept in :data:`_PARTITIONS` under those (the nodes by identity, never
     the model by equality: list-valued covariates are unhashable).  An
-    entry holds its nodes, so their ids cannot be reused while it lives."""
+    entry holds its nodes, so their ids cannot be reused while it lives.
+    It also memoises every counterfactual column built on it under the
+    column's key, so the truths of one query and its evidence variants
+    build each column once.  That memo holds at most the mediator under
+    each treatment level and the outcome under each pair of levels or
+    fixed cell, and it is dropped with its entry."""
     x_levels = [q.x_base, q.x_alt] + ([e.x_star] if e is not None else [])
     x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
     xm_pairs = []
@@ -562,68 +570,91 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
     if entry is None:
         if len(_PARTITIONS) >= _PARTITION_LIMIT:
             del _PARTITIONS[next(iter(_PARTITIONS))]
-        entry = (scm.mediator, scm.outcome, *_partition(scm, strata, x_levels, xm_pairs))
+        weights, stripes = _partition(scm, strata, x_levels, xm_pairs)
+        entry = (scm.mediator, scm.outcome, weights, _column_maker(stripes))
     _PARTITIONS[key] = entry
-    _, _, weights, stripes = entry
+    return entry[2], entry[3]
 
-    def med(x):
-        return np.array([by_x[x] for _, by_x, mids, _, _ in stripes for _ in mids])
 
-    def outc(x, m_col):
-        m_col, col = m_col.tolist(), []
-        for start, _, mids, steps, seen in stripes:
-            pair = (x, m_col[start])
-            if pair not in seen:
-                cuts, levels = steps[pair]
-                seen[pair] = [levels[bisect.bisect_right(cuts, mid)] for mid in mids]
-            col += seen[pair]
+def _column_maker(stripes: list):
+    """The ``column`` maker of :func:`_columns` over the rectangles of
+    ``stripes``, one value per rectangle: a stripe's mediator under each
+    treatment level and its outcome steps are read at the stripe's
+    outcome-piece midpoints."""
+
+    def build(_column, kind, x, other=None):
+        if kind == "med":
+            return np.array([by_x[x] for by_x, mids, _ in stripes for _ in mids])
+        col = []
+        for by_x, mids, steps in stripes:
+            cuts, levels = steps[(x, by_x[other] if kind == "arm" else other)]
+            col += [levels[bisect.bisect_right(cuts, mid)] for mid in mids]
         return np.array(col)
 
-    return weights, med, outc
+    return _Columns(build)
 
 
 def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
     """``n`` draws of the noise, shared by every intervention (marginal over
     covariates unless the query fixes a stratum): weights of 1.0 and the
-    ``med`` and ``outc`` column makers of :func:`_columns`."""
+    ``column`` maker of :func:`_columns`."""
     c_matrix, _, u_m, u_y = _draw_exogenous(scm, n, seed)
     if q.c_stratum is not None:
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
 
-    def med(x):
+    def build(column, kind, x, other=None):
         xs = np.full(n, float(x))
-        return scm.mediator.values(np.column_stack([xs, c_matrix]), u_m)
-
-    def outc(x, m_col):
-        xs = np.full(n, float(x))
+        if kind == "med":
+            return scm.mediator.values(np.column_stack([xs, c_matrix]), u_m)
+        m_col = column("med", other) if kind == "arm" else np.full(n, float(other))
         return scm.outcome.values(np.column_stack([xs, m_col, c_matrix]), u_y)
 
-    return np.ones(n), med, outc
+    return np.ones(n), _Columns(build)
 
 
-def _columns(q: Query, e: Evidence | None, med, outc) -> dict:
-    """The counterfactual columns of ``q`` and ``e``: ``med(x)`` is the
-    mediator under treatment ``x`` and ``outc(x, m_col)`` the outcome under
-    treatment ``x`` with the mediator held at ``m_col``, row by row."""
-    m_base, m_alt = med(q.x_base), med(q.x_alt)
+class _Columns:
+    """A column maker, ``column(*key)``: ``build(column, *key)`` with its
+    columns remembered under their keys and made read-only, so a column
+    asked for again is the same array.  ``build`` is handed the maker at
+    each call, so it can build a column from another and no reference
+    cycle keeps the memo alive."""
+
+    def __init__(self, build):
+        self._build = build
+        self._memo = {}
+
+    def __call__(self, *key):
+        col = self._memo.get(key)
+        if col is None:
+            col = self._memo[key] = self._build(self, *key)
+            col.flags.writeable = False
+        return col
+
+
+def _columns(q: Query, e: Evidence | None, column) -> dict:
+    """The counterfactual columns of ``q`` and ``e``, row by row.  Each is
+    asked of ``column`` by what it is: ``column("med", x)`` is the mediator
+    under treatment ``x``, ``column("arm", x, a)`` the outcome under ``x``
+    with the mediator of arm ``a``, and ``column("at", x, m)`` the outcome
+    under ``x`` with the mediator held at ``m``.  ``column`` builds each
+    key once (:class:`_Columns`): once per Monte Carlo table, and once per
+    exact partition for every truth that reads that partition."""
     cols = {
-        "m_base": m_base,
-        "m_alt": m_alt,
-        "y_base": outc(q.x_base, m_base),
-        "y_alt": outc(q.x_alt, m_alt),
-        "y_cross": outc(q.x_base, m_alt),
-        "y_nde": outc(q.x_alt, m_base),
+        "m_base": column("med", q.x_base),
+        "m_alt": column("med", q.x_alt),
+        "y_base": column("arm", q.x_base, q.x_base),
+        "y_alt": column("arm", q.x_alt, q.x_alt),
+        "y_cross": column("arm", q.x_base, q.x_alt),
+        "y_nde": column("arm", q.x_alt, q.x_base),
     }
     if q.m_fixed is not None:
-        fixed = np.full_like(m_base, q.m_fixed)
-        cols["y_base_m"] = outc(q.x_base, fixed)
-        cols["y_alt_m"] = outc(q.x_alt, fixed)
+        cols["y_base_m"] = column("at", q.x_base, q.m_fixed)
+        cols["y_alt_m"] = column("at", q.x_alt, q.m_fixed)
     if e is not None:
-        m_star = med(e.x_star)
-        cols["m_star"] = m_star
-        cols["y_star"] = outc(e.x_star, m_star)
+        cols["m_star"] = column("med", e.x_star)
+        cols["y_star"] = column("arm", e.x_star, e.x_star)
         if e.kind == KIND_POINT_MEDIATOR:
-            cols["y_star_cell"] = outc(e.x_star, np.full_like(m_star, e.m_star))
+            cols["y_star_cell"] = column("at", e.x_star, e.m_star)
     return cols
 
 
@@ -632,14 +663,14 @@ def _table(scm: ScmSpec, q: Query, e: Evidence | None, method: str, n: int, seed
     ``e``: one row per rectangle of the exact partition (total 1.0), or per
     Monte Carlo draw (total ``n``)."""
     if method == "exact":
-        (w, med, outc), total = _square_cells(scm, q, e), 1.0
+        (w, column), total = _square_cells(scm, q, e), 1.0
     elif method == "mc":
         if n < 1:
             raise ValueError("sample size must be at least 1")
-        (w, med, outc), total = _mc_draws(scm, q, n, seed), float(n)
+        (w, column), total = _mc_draws(scm, q, n, seed), float(n)
     else:
         raise UnsupportedSpecError(f"unknown method {method!r}")
-    return w, total, _columns(q, e, med, outc)
+    return w, total, _columns(q, e, column)
 
 
 def _sum(v: np.ndarray) -> float:
@@ -733,8 +764,13 @@ def truth_with_evidence(
     With zero-probability evidence the conditional is undefined;
     ``degenerate="error"`` raises :class:`ConditioningError`, while
     ``degenerate="threshold-limit"`` returns the limit-construction values
-    (see :func:`_limit_indicators`).
+    (see :func:`_limit_indicators`); any other value raises
+    :class:`UnsupportedSpecError`.
     """
+    if degenerate not in ("error", "threshold-limit"):
+        raise UnsupportedSpecError(
+            f"unknown degenerate {degenerate!r}: use 'error' or 'threshold-limit'"
+        )
     if e.kind == KIND_POINT_MEDIATOR and q.m_fixed is None:
         raise InvalidEvidenceError("point-mediator evidence requires m_fixed")
     w, _, cols = _table(scm, q, e, method, n, seed)
@@ -858,24 +894,55 @@ class MonotonicityReport:
         return self.outcome_ok and self.compound_ok
 
 
+#: A stripe's sub-level region when it holds nothing or the whole unit
+#: interval (:func:`_step_regions` merges adjacent pieces).
+_TRIVIAL = ((), ((0.0, 1.0),))
+
+
 def _crossings(regions: Sequence[Sequence], weights: Sequence[float]):
     """Every pair ``i < j`` of ``regions``, in row-major order, whose two
     set differences both exceed ``_TOL``, as ``(i, j, d1, d2)``.
 
     A region is one sorted disjoint interval list per stripe of weight
-    ``weights[s]``.  All differences are first estimated at once: the unit
-    interval is cut at every region end, a 0/1 matrix marks the pieces
-    each region covers, and ``d[i, j] = |i| - |i & j|`` is one matrix
-    product.  The estimate differs from the exact subtraction by rounding
-    only, a few ulps per piece (~1e-15 for a few dozen pieces), so a pair
-    whose estimate stays below ``_TOL / 2`` (or below a margin widened by
-    that rounding bound, for very many pieces) cannot cross.  The pairs
-    kept are measured again by exact interval subtraction, which alone
-    decides and reports them; a single stripe of weight ``1.0`` leaves
-    that measure unchanged."""
-    points = sorted({p for region in regions for ivs in region for iv in ivs for p in iv})
-    if len(points) < 2:
+    ``weights[s]``.  A region that is empty on every stripe, or the whole
+    unit interval on every stripe, is dropped first: subtracting any
+    region from it (if empty), or it from any region (if whole), leaves
+    nothing, and interval subtraction measures that as exactly 0.0 on
+    every stripe, so no pair with it can cross and dropping it changes no
+    report.  A region empty on some stripes and whole on others is kept.
+    The pairs of the regions kept are estimated by
+    :func:`_candidate_pairs` and measured again by exact interval
+    subtraction, which alone decides and reports them; a single stripe of
+    weight ``1.0`` leaves that measure unchanged."""
+    kept = [
+        r for r, region in enumerate(regions)
+        if region[0] not in _TRIVIAL or region.count(region[0]) != len(region)
+    ]
+    if len(kept) < 2:
         return
+    rows, cols = _candidate_pairs([regions[r] for r in kept], weights)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        i, j = kept[i], kept[j]
+        d1 = d2 = 0.0
+        for w, iv1, iv2 in zip(weights, regions[i], regions[j]):
+            d1 += w * _interval_subtract_measure(iv1, iv2)
+            d2 += w * _interval_subtract_measure(iv2, iv1)
+        if d1 > _TOL and d2 > _TOL:
+            yield i, j, d1, d2
+
+
+def _candidate_pairs(regions: Sequence[Sequence], weights: Sequence[float]):
+    """The pairs ``i < j`` of ``regions``, in row-major order, that may
+    cross, as two index arrays.
+
+    All set differences are estimated at once: the unit interval is cut at
+    every region end, a 0/1 cover matrix (one row per region) marks the
+    pieces each region covers, and ``d[i, j] = |i| - |i & j|`` is one
+    matrix product.  The estimate differs from the exact subtraction by
+    rounding only, a few ulps per piece (~1e-15 for a few dozen pieces),
+    so a pair whose estimate stays below ``_TOL / 2`` (or below a margin
+    widened by that rounding bound, for very many pieces) cannot cross."""
+    points = sorted({p for region in regions for ivs in region for iv in ivs for p in iv})
     index = {p: k for k, p in enumerate(points)}
     n_pieces = len(points) - 1
     cover = np.zeros((len(regions), len(weights) * n_pieces))
@@ -886,16 +953,7 @@ def _crossings(regions: Sequence[Sequence], weights: Sequence[float]):
     mass = cover * np.outer(weights, np.diff(points)).ravel()
     d = mass.sum(axis=1)[:, None] - mass @ cover.T
     rounding = 4 * np.finfo(np.float64).eps * cover.shape[1]
-    rows, cols = np.nonzero(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i >= j:
-            continue
-        d1 = d2 = 0.0
-        for w, iv1, iv2 in zip(weights, regions[i], regions[j]):
-            d1 += w * _interval_subtract_measure(iv1, iv2)
-            d2 += w * _interval_subtract_measure(iv2, iv1)
-        if d1 > _TOL and d2 > _TOL:
-            yield i, j, d1, d2
+    return np.nonzero(np.triu(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding), 1))
 
 
 def _crossing_events(scm: ScmSpec, mediator: bool = True):
@@ -954,7 +1012,8 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
     """Compare every pair of counterfactual sub-level regions over the
     threshold partition and report every two-sided crossing.
 
-    Pairs are pruned by a vectorised estimate of both set differences;
+    Regions that are empty or whole on every stripe are dropped and the
+    other pairs pruned by a vectorised estimate of both set differences;
     every reported crossing is measured by exact interval subtraction
     (see :func:`_crossings`)."""
     found = {"outcome": [], "compound": [], "mediator": []}

@@ -187,6 +187,15 @@ def test_truth_zero_mass_evidence(preset, base_query):
     assert set(limit.values.values()) <= {0.0, 1.0}
 
 
+def test_truth_with_evidence_rejects_unknown_degenerate(preset, base_query):
+    # with evidence of positive mass and with zero-mass evidence alike
+    mass = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
+    zero = pm.Evidence(x_star=1, interval_y=pm.Interval.point(0.5))
+    for e, degenerate in ((mass, "typo"), (zero, "threshhold-limit")):
+        with pytest.raises(UnsupportedSpecError, match="'error' or 'threshold-limit'"):
+            pm.truth_with_evidence(preset, base_query, e, degenerate=degenerate)
+
+
 def test_truth_mc_with_evidence(preset, base_query):
     e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
     rep = pm.truth_with_evidence(preset, base_query, e, method="mc", n=400_000, seed=3)
@@ -343,9 +352,31 @@ def _random_covariate_table_scm(rng):
     return pm.ScmSpec(treatment, mediator, outcome, (((0.0,), 0.25), ((2.0,), 0.75)))
 
 
+def _random_constant_cell_scm(rng):
+    """Table nodes in which some cells are constant: some sub-level regions
+    are empty or whole on every stripe, and a compound region built from a
+    constant outcome cell and a cut one is whole on some stripes only."""
+
+    def cell(levels):
+        n_cuts = int(rng.choice([0, 0, 1, 2]))
+        cuts = np.sort(rng.choice(np.arange(1, 10), size=n_cuts, replace=False)) / 10.0
+        return tuple(cuts), tuple(rng.choice(levels, size=n_cuts + 1))
+
+    x_levels, m_levels, y_levels = (0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0)
+    return pm.ScmSpec(
+        treatment=pm.TableNode({(): ((0.5,), x_levels)}),
+        mediator=pm.TableNode({(x,): cell(m_levels) for x in x_levels}),
+        outcome=pm.TableNode({(x, m): cell(y_levels) for x in x_levels for m in m_levels}),
+    )
+
+
+#: Model kinds of :func:`_random_oracle_scm`; the last is the constant-cell one.
+_ORACLE_KINDS = 6
+
+
 def _random_oracle_scm(seed):
     rng = np.random.default_rng(seed)
-    kind = seed % 5
+    kind = seed % _ORACLE_KINDS
     if kind in (0, 1):
         return verification.random_threshold_scm(
             rng,
@@ -363,16 +394,46 @@ def _random_oracle_scm(seed):
         )
     if kind == 3:
         return _random_logistic_scm(rng)
-    return _random_covariate_table_scm(rng)
+    if kind == 4:
+        return _random_covariate_table_scm(rng)
+    return _random_constant_cell_scm(rng)
 
 
-def test_monotonicity_matches_pairwise_reference():
+def _fill(region) -> str:
+    """``"empty"`` or ``"whole"`` for a region that is so on every stripe,
+    ``"some whole"`` for one that is whole on some stripes only, else
+    ``"part"``."""
+    fills = {"empty" if not ivs else "whole" if ivs == ((0.0, 1.0),) else "part"
+             for ivs in region}
+    if len(fills) == 1 and fills != {"part"}:
+        return fills.pop()
+    return "some whole" if "whole" in fills else "part"
+
+
+def test_monotonicity_matches_pairwise_reference(monkeypatch):
     reached = dict.fromkeys(("outcome", "compound", "mediator"), 0)
-    models = [_crossing_scm()] + [_random_oracle_scm(seed) for seed in range(600)]
-    for seed, scm in enumerate(models):
-        got = pm.check_monotonicity(scm)
+    fills = set()  # of the constant-cell models' regions
+    models = [(None, _crossing_scm())]
+    models += [(seed % _ORACLE_KINDS, _random_oracle_scm(seed)) for seed in range(600)]
+    for seed, (kind, scm) in enumerate(models):
+        handed, rows = [], []
+        with monkeypatch.context() as mp:
+            for name, log in (("_crossings", handed), ("_candidate_pairs", rows)):
+
+                def spy(regions, weights, _real=getattr(oracle, name), _log=log):
+                    _log.append(regions)
+                    return _real(regions, weights)
+
+                mp.setattr(oracle, name, spy)
+            got = pm.check_monotonicity(scm)
         want = _oracle_reference.check_monotonicity(scm)
         assert got == want and repr(got) == repr(want), seed
+        # the pair estimate sees every region but those empty or whole on
+        # every stripe, whenever two or more are left
+        kept = [[r for r in regions if _fill(r) not in ("empty", "whole")] for regions in handed]
+        assert [k for k in kept if len(k) > 1] == rows, seed
+        if kind == _ORACLE_KINDS - 1:
+            fills.update(_fill(r) for regions in handed for r in regions)
         # the suites' first-crossing gates read the same regions
         assert verification._gate(scm) == got.ok, seed
         assert verification._gate(scm, lex=True) == (got.ok and got.mediator_ok), seed
@@ -380,6 +441,9 @@ def test_monotonicity_matches_pairwise_reference():
             reached[part] += len(getattr(got, f"{part}_violations"))
     # every kind of crossing was reported, so the exact recompute was reached
     assert all(reached.values()), reached
+    # the constant-cell models handed over regions that are pruned and
+    # regions whole on some stripes only, which are kept
+    assert fills == {"empty", "whole", "some whole", "part"}, fills
 
 
 def _signed_zero_scm():
@@ -499,6 +563,29 @@ def _assert_partitions_reused(scm, cases, seed):
             answers[-1].append(repr(_report_or_error(call)))
             assert len(oracle._PARTITIONS) <= oracle._PARTITION_LIMIT, seed
     assert answers[0] == answers[1][::-1], seed
+
+
+def test_partition_columns_are_read_only_and_die_with_their_entry(monkeypatch, preset):
+    monkeypatch.setattr(oracle, "_PARTITIONS", {})
+    q = pm.Query(0, 1, 1.0, m_fixed=1.0)
+    e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
+    truths = [
+        functools.partial(pm.truth_pns, preset, q),
+        functools.partial(pm.truth_effects, preset, q),
+        functools.partial(pm.truth_with_evidence, preset, q, e),
+    ]
+    # from an empty cache; the three truths read one partition
+    fresh = [repr(truth()) for truth in truths]
+    _, column = oracle._square_cells(preset, q, e)
+    col = column("arm", 0.0, 1.0)
+    assert col is column("arm", 0.0, 1.0) and not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0] = 7.0
+    keys = set(oracle._PARTITIONS)
+    for k in range(oracle._PARTITION_LIMIT):
+        pm.truth_pns(preset, pm.Query(0, 1, 1.0, m_fixed=2.0 + k))
+    assert len(keys) == 1 and not keys & set(oracle._PARTITIONS)
+    assert [repr(truth()) for truth in truths] == fresh
 
 
 def test_truths_match_reference():
@@ -699,7 +786,10 @@ def test_equivalence_suite_work_counts(monkeypatch):
     step masses (each ``AnalyticCdf`` answer worked out once) and 306
     exact interval subtractions (the gate stops at the first crossing).
     Without the partition cache, the memo and the gate they read 145,
-    1689 and 1970."""
+    1689 and 1970.  The gate's cover matrices hold 1188 rows (2498 before
+    regions empty or whole on every stripe were dropped), and the exact
+    partitions build 375 counterfactual columns (1440 before each entry
+    memoised its columns)."""
     counts = dict.fromkeys(("_partition", "_step_mass", "_interval_subtract_measure"), 0)
     for name in counts:
 
@@ -708,7 +798,24 @@ def test_equivalence_suite_work_counts(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(oracle, name, spy)
+
+    def candidate_pairs(regions, weights, _real=oracle._candidate_pairs):
+        counts["cover rows"] += len(regions)
+        return _real(regions, weights)
+
+    def columns(build, _real=oracle._Columns):
+        def counted(*args):
+            counts["columns"] += 1
+            return build(*args)
+
+        return _real(counted)
+
+    # the suite's truths are all exact, so every column is a partition's
+    counts.update({"cover rows": 0, "columns": 0})
+    monkeypatch.setattr(oracle, "_candidate_pairs", candidate_pairs)
+    monkeypatch.setattr(oracle, "_Columns", columns)
     monkeypatch.setattr(oracle, "_PARTITIONS", {})
     result = verification.equivalence_suite(n_scms=20, seed=0)
     assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
-    assert counts == {"_partition": 46, "_step_mass": 552, "_interval_subtract_measure": 306}
+    assert counts == {"_partition": 46, "_step_mass": 552, "_interval_subtract_measure": 306,
+                      "cover rows": 1188, "columns": 375}
