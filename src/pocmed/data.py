@@ -218,14 +218,27 @@ def _row_ids(coded) -> tuple[np.ndarray, np.ndarray]:
     return first, ids
 
 
+def _coding(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct int64 bit patterns, sorted, and each row's index
+    in them in the smallest integer type that holds it."""
+    bits, codes = np.unique(column.view(np.int64), return_inverse=True)
+    return bits, codes.astype(np.min_scalar_type(bits.size))
+
+
 class Dataset:
     """Immutable table of (treatment, mediator, outcome, covariates) records.
 
     Columns are float64 arrays marked read-only; all operations are pure, so
-    a dataset is safely shareable across concurrent readers.
+    a dataset is safely shareable across concurrent readers.  ``codings``
+    may give columns' ``(bits, codes)`` coding as :meth:`to_csv` uses it:
+    the column's distinct int64 bit patterns, sorted (levels no row carries
+    are allowed), and each row's index in them in the smallest unsigned
+    type that holds it.  The caller vouches that they match the columns;
+    the dataset keeps them read-only, and :meth:`take` drops them.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray], roles: ColumnRoles):
+    def __init__(self, columns: dict[str, np.ndarray], roles: ColumnRoles,
+                 codings: dict[str, tuple[np.ndarray, np.ndarray]] | None = None):
         for name in roles.all_columns:
             if name not in columns:
                 raise SchemaError(f"missing role column {name!r}")
@@ -248,6 +261,10 @@ class Dataset:
             raise EmptyDataError("dataset must contain at least one row")
         self._n = int(n)
         self.roles = roles
+        self._codings = {}
+        for name, (bits, codes) in (codings or {}).items():
+            codes.flags.writeable = False
+            self._codings[name] = (bits, codes)
 
     def __len__(self) -> int:
         return self._n
@@ -301,13 +318,15 @@ class Dataset:
 
         Every value is written as ``repr(float(v))``, spelled once per distinct
         int64 bit pattern of a column (so ``-0.0`` and ``0.0`` keep their own
-        spellings).  If the columns' distinct values can form no more rows
-        than the table has, each distinct row is joined once and the lines
-        are gathered from those, else each row is joined; in blocks of
-        :data:`_CSV_BLOCK_ROWS`."""
+        spellings).  A column's coding is the one the dataset keeps (as
+        :func:`~pocmed.oracle.sample_observational` gives it), else one
+        ``np.unique`` of its bits.  If the columns' levels can form no more
+        rows than the table has, each distinct row is joined once and the
+        lines are gathered from those, else each row is joined; in blocks
+        of :data:`_CSV_BLOCK_ROWS`.  Either way, and whatever levels a
+        coding holds beyond the column's, the text is the same."""
         names, n, block = self.column_names, self._n, _CSV_BLOCK_ROWS
-        coded = [np.unique(self._columns[c].view(np.int64), return_inverse=True) for c in names]
-        coded = [(bits, codes.astype(np.min_scalar_type(bits.size))) for bits, codes in coded]
+        coded = [self._codings.get(c) or _coding(self._columns[c]) for c in names]
         columns = [(np.asarray([repr(v) for v in bits.view(np.float64).tolist()], dtype=object),
                     codes) for bits, codes in coded]
         if math.prod(spelled.size for spelled, _ in columns) <= n:

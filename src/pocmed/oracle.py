@@ -63,6 +63,10 @@ class LogisticNode:
     """Binary node: value 1 iff its uniform source is below
     ``sigmoid(intercept + coefs . parents)``."""
 
+    #: bit patterns of the node's values 0.0 and 1.0, in increasing order
+    _BITS = np.array([0.0, 1.0]).view(np.int64)
+    _BITS.flags.writeable = False
+
     def __init__(self, intercept: float, coefs: Sequence[float] = ()):
         self.intercept = float(intercept)
         self.coefs = tuple(float(c) for c in coefs)
@@ -83,14 +87,26 @@ class LogisticNode:
         return bernoulli_cell(self.prob_one(parents))
 
     def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return self.draw(list(parent_cols.T), [None] * parent_cols.shape[1], u)[0]
+
+    def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
+        """Values and ``(bits, codes)`` coding for parent columns ``cols``;
+        the codes are the ``u < p`` comparison (``codings`` is not read)."""
         t = np.full(u.shape, self.intercept)
         for j, c in enumerate(self.coefs):
-            t += c * parent_cols[:, j]
-        p = 1.0 / (1.0 + np.exp(-t))
-        return (u < p).astype(np.float64)
+            t += c * cols[j]
+        hit = u < 1.0 / (1.0 + np.exp(-t))
+        return hit.astype(np.float64), (self._BITS, hit.view(np.uint8))
 
     def value_levels(self) -> tuple[float, ...]:
         return (0.0, 1.0)
+
+
+def _match(levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted ``levels``, which end in a NaN: the
+    NaN's index for a value equal to none of the others."""
+    code = np.searchsorted(levels, values)
+    return np.where(levels[code] == values, code, levels.size - 1)
 
 
 class TableNode:
@@ -113,9 +129,13 @@ class TableNode:
                 raise UnsupportedSpecError(
                     f"cell {key!r}: cuts must be strictly increasing inside (0, 1)"
                 )
+            if not all(map(math.isfinite, key + values)):
+                raise UnsupportedSpecError(
+                    f"cell {key!r}: parents and values must be finite, got values {list(values)!r}"
+                )
             table[key] = (cuts, values)
         self._table = table
-        self._lookup = None  # built by the first call of values
+        self._lookup = None  # built by the first call of draw
 
     def step(self, parents: Sequence[float]):
         key = tuple(float(p) for p in parents)
@@ -125,24 +145,17 @@ class TableNode:
             raise UnsupportedSpecError(f"no table cell for parents {key!r}") from None
 
     def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Node values for parent rows ``parent_cols`` and uniforms ``u``.
+        """Node values for parent rows ``parent_cols`` and uniforms ``u``:
+        :meth:`draw` with every parent column left to be coded."""
+        return self.draw(list(parent_cols.T), [None] * parent_cols.shape[1], u)[0]
 
-        Parent columns are coded by ``searchsorted`` against the node's key
-        levels (a NaN appended codes any other value).  A lookup built by
-        the first call maps a key prefix's id and the next code to the
-        longer prefix's id (past the last if no key has it), so the codes
-        end in small-int cell ids, and a stable sort of those gathers each
-        cell's rows.  A row without a table cell raises for the smallest
-        such combination in lexicographic order.
-        """
-        out = np.empty(u.shape, dtype=np.float64)
-        if parent_cols.shape[1] == 0:
-            cuts, values = self.step(())
-            out[:] = np.asarray(values)[np.searchsorted(cuts, u, side="right")]
-            return out
-        if u.size == 0:
-            return out
-        k = parent_cols.shape[1]
+    def _sampler(self, k: int):
+        """The lookup of :meth:`draw` for ``k`` parents, built on first use:
+        each parent position's key levels with a NaN appended, which stands
+        for any other value; one table per position that maps a key
+        prefix's id and the next level to the longer prefix's id (past the
+        last if no key has it); the node's distinct value bit patterns; and
+        per cell id, the cell's cuts and the codes of its values."""
         if self._lookup is None or self._lookup[0] != k:
             keys = [key for key in self._table if len(key) == k]
             levels = [np.append(np.unique([key[j] for key in keys]), np.nan) for j in range(k)]
@@ -150,25 +163,50 @@ class TableNode:
             for j, lv in enumerate(levels):
                 codes = np.searchsorted(lv, [key[j] for key in keys])
                 prefixes, ids = np.unique(ids * lv.size + codes, return_inverse=True)
-                tables.append(np.full((size + 1) * lv.size, prefixes.size))
-                tables[-1][prefixes], size = np.arange(prefixes.size), prefixes.size
-            steps = dict(zip(ids.tolist(), map(self._table.__getitem__, keys)))
-            self._lookup = (k, levels, tables, steps)
-        _, levels, tables, steps = self._lookup
+                tables.append(np.full((size + 1, lv.size), prefixes.size))
+                tables[-1].flat[prefixes], size = np.arange(prefixes.size), prefixes.size
+            cells = [self._table[key] for key in keys]
+            bits = np.unique(np.array([v for _, values in cells for v in values]).view(np.int64))
+            steps = [None] * len(keys)
+            for i, (cuts, values) in zip(ids.tolist(), cells):
+                codes = np.searchsorted(bits, np.array(values).view(np.int64))
+                steps[i] = (np.array(cuts), codes.astype(np.min_scalar_type(bits.size)))
+            self._lookup = (k, levels, tables, bits, steps)
+        return self._lookup[1:]
+
+    def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
+        """Values and ``(bits, codes)`` coding for parent columns ``cols``
+        and uniforms ``u``: ``bits`` are the node's distinct value bit
+        patterns, sorted as int64, and ``codes`` each row's index in them.
+
+        ``codings[j]`` is the ``(bits, codes)`` coding of ``cols[j]``, or
+        ``None`` to code that column by ``searchsorted`` against the key
+        levels.  Each parent's levels are mapped onto the node's key levels
+        once, so a row reaches its cell id by one gather per parent and no
+        coded column is searched.  A stable sort of the cell ids gathers
+        each cell's rows.  A row without a table cell raises for the
+        smallest such combination in lexicographic order.
+        """
+        if not cols:
+            self.step(())
+        levels, tables, bits, steps = self._sampler(len(cols))
         cell = np.zeros(u.size, dtype=np.intp)
-        for lv, table, col in zip(levels, tables, parent_cols.T):
-            code = np.searchsorted(lv, col)
-            cell = table[cell * lv.size + np.where(lv[code] == col, code, lv.size - 1)]
-        if (cell == len(steps)).any():
-            missing = parent_cols[cell == len(steps)]
-            self.step(missing[np.lexsort(missing.T[::-1])[0]].tolist())
+        for j, (lv, table, col, coding) in enumerate(zip(levels, tables, cols, codings)):
+            src, codes = (lv.view(np.int64), _match(lv, col)) if coding is None else coding
+            remapped = table[:, _match(lv, src.view(np.float64))]
+            cell = remapped.ravel()[cell * src.size + codes if j else codes]
+        missing = cell == len(steps)
+        if missing.any():
+            rows = np.column_stack(cols)[missing]
+            self.step(rows[np.lexsort(rows.T[::-1])[0]].tolist())
+        out = np.empty(u.size, dtype=np.min_scalar_type(bits.size))
         order = np.argsort(cell.astype(np.min_scalar_type(len(steps))), kind="stable")
         counts = np.bincount(cell, minlength=len(steps))
         present = np.flatnonzero(counts)
         for i, rows in zip(present.tolist(), np.split(order, np.cumsum(counts[present])[:-1])):
-            cuts, values = steps[i]
-            out[rows] = np.asarray(values)[np.searchsorted(cuts, u[rows], side="right")]
-        return out
+            cuts, codes = steps[i]
+            out[rows] = codes[np.searchsorted(cuts, u[rows], side="right")]
+        return bits.view(np.float64)[out], (bits, out)
 
     def value_levels(self) -> tuple[float, ...]:
         levels = sorted({v for _, values in self._table.values() for v in values})
@@ -191,6 +229,10 @@ class FunctionNode:
         return np.asarray(
             [self.fn(ui, *row) for ui, row in zip(u, parent_cols)], dtype=np.float64
         )
+
+    def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
+        """:meth:`values` of the stacked ``cols``, with no coding."""
+        return self.values(np.column_stack([np.empty((u.size, 0)), *cols]), u), None
 
     def value_levels(self) -> tuple[float, ...]:
         raise UnsupportedSpecError("function nodes do not declare value levels")
@@ -230,9 +272,13 @@ class ScmSpec:
         pairs = tuple(
             (tuple(float(v) for v in c), float(w)) for c, w in self.covariates
         )
-        total = sum(w for _, w in pairs)
-        if total <= 0:
-            raise UnsupportedSpecError("covariate weights must be positive")
+        weights = [w for _, w in pairs]
+        total = sum(weights)
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or not 0 < total < math.inf:
+            raise UnsupportedSpecError(
+                f"covariate weights must be finite and non-negative with a positive, "
+                f"finite total, got {weights!r}"
+            )
         return tuple((c, w / total) for c, w in pairs)
 
     def treatment_levels(self, c: tuple = ()) -> tuple[float, ...]:
@@ -278,31 +324,43 @@ def _uniform_matrix(seed: int, n: int, cols: int) -> np.ndarray:
 
 
 def _draw_exogenous(scm: ScmSpec, n: int, seed: int):
-    u = _uniform_matrix(seed, n, 4)
+    """Covariate rows, each covariate column's ``(bits, codes)`` coding
+    (from the support index of each row), and the node uniforms."""
     support = scm.covariate_support()
+    u = _uniform_matrix(seed, n, 4)
     if scm.covariates is None:
-        c_matrix = np.empty((n, 0))
-    else:
-        weights = np.cumsum([w for _, w in support])
-        idx = np.searchsorted(weights, u[:, 0], side="right")
-        idx = np.minimum(idx, len(support) - 1)
-        c_matrix = np.asarray([c for c, _ in support], dtype=np.float64)[idx]
-    return c_matrix, u[:, 1], u[:, 2], u[:, 3]
+        return np.empty((n, 0)), [], u[:, 1], u[:, 2], u[:, 3]
+    weights = np.cumsum([w for _, w in support])
+    idx = np.searchsorted(weights, u[:, 0], side="right")
+    idx = np.minimum(idx, len(support) - 1)
+    points = np.asarray([c for c, _ in support], dtype=np.float64)
+    codings = []
+    for col in points.T:
+        bits, codes = np.unique(col.view(np.int64), return_inverse=True)
+        codings.append((bits, codes.astype(np.min_scalar_type(bits.size))[idx]))
+    return points[idx], codings, u[:, 1], u[:, 2], u[:, 3]
 
 
 def sample_observational(scm: ScmSpec, n: int, seed: int) -> Dataset:
-    """Draw ``n`` iid observational rows; deterministic given ``seed``."""
-    if n < 1:
+    """Draw ``n`` iid observational rows; deterministic given ``seed``.
+
+    Each column is drawn with its ``(bits, codes)`` coding where its node
+    gives one (covariates, table and logistic nodes; see
+    :meth:`TableNode.draw`), and a table node reads its parents' codings
+    instead of searching their columns.  The :class:`Dataset` keeps the
+    codings, so :meth:`Dataset.to_csv` sorts none of those columns."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("sample size must be at least 1")
-    c_matrix, u_x, u_m, u_y = _draw_exogenous(scm, n, seed)
-    x = scm.treatment.values(c_matrix, u_x)
-    m = scm.mediator.values(np.column_stack([x, c_matrix]), u_m)
-    y = scm.outcome.values(np.column_stack([x, m, c_matrix]), u_y)
+    c_matrix, c_codings, u_x, u_m, u_y = _draw_exogenous(scm, n, seed)
+    c_cols = list(c_matrix.T)
+    x, x_coding = scm.treatment.draw(c_cols, c_codings, u_x)
+    m, m_coding = scm.mediator.draw([x, *c_cols], [x_coding, *c_codings], u_m)
+    y, y_coding = scm.outcome.draw([x, m, *c_cols], [x_coding, m_coding, *c_codings], u_y)
     c_names = tuple(f"c{i+1}" for i in range(c_matrix.shape[1]))
-    columns = {"x": x, "m": m, "y": y}
-    for i, name in enumerate(c_names):
-        columns[name] = c_matrix[:, i]
-    return Dataset(columns, ColumnRoles("x", "m", "y", c_names))
+    columns = {"x": x, "m": m, "y": y, **dict(zip(c_names, c_cols))}
+    codings = {"x": x_coding, "m": m_coding, "y": y_coding, **dict(zip(c_names, c_codings))}
+    return Dataset(columns, ColumnRoles("x", "m", "y", c_names),
+                   codings={k: v for k, v in codings.items() if v is not None})
 
 
 # -- analytic observational CDFs ---------------------------------------------
@@ -598,7 +656,7 @@ def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
     """``n`` draws of the noise, shared by every intervention (marginal over
     covariates unless the query fixes a stratum): weights of 1.0 and the
     ``column`` maker of :func:`_columns`."""
-    c_matrix, _, u_m, u_y = _draw_exogenous(scm, n, seed)
+    c_matrix, _, _, u_m, u_y = _draw_exogenous(scm, n, seed)
     if q.c_stratum is not None:
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
 

@@ -174,7 +174,7 @@ def truth_pns(
 def _mc_counterfactuals(scm, q, e, n, seed):
     """Vector counterfactual draws on shared noise (marginal over covariates
     unless the query fixes a stratum)."""
-    c_matrix, _, u_m, u_y = _draw_exogenous(scm, n, seed)
+    c_matrix, _, _, u_m, u_y = _draw_exogenous(scm, n, seed)
     if q.c_stratum is not None:
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
     def med(x):

@@ -348,6 +348,16 @@ def _with(path, value):
             {"parents": [-0.0], "cuts": [], "values": [0]},
             {"parents": [1], "cuts": [], "values": [1]}]}),
          "ConfigError: scm.mediator.table has two cells for parents [-0.0]"),
+        # these weights used to simulate every row in one stratum, or draw
+        # rows with probability -0.5
+        *((_with(("covariates",), [{"values": [0], "weight": w}, {"values": [1], "weight": v}]),
+           "UnsupportedSpecError: covariate weights must be finite and non-negative")
+          for w, v in ((float("nan"), 1), (float("inf"), 1), (-1, 3))),
+        # a non-finite cell used to fail after sampling, as a CSV ParseError
+        (_with(("treatment",), {"table": [{"cuts": [0.5], "values": [0, float("inf")]}]}),
+         "UnsupportedSpecError: cell (): parents and values must be finite"),
+        (_with(("mediator",), {"table": [{"parents": [float("nan")], "cuts": [], "values": [1]}]}),
+         "UnsupportedSpecError: cell (nan,): parents and values must be finite"),
     ],
 )
 def test_malformed_scm_document_exits_2(tmp_path, capsys, doc, message):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pocmed.errors import ConditioningError, UnsupportedSpecError
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
 import _oracle_reference
-from _sampling_reference import mask_loop_values
+from _sampling_reference import float_sample_observational, mask_loop_values, searchsorted_values
 
 INF = float("inf")
 
@@ -26,9 +27,63 @@ def test_sampling_deterministic(preset):
     assert not first.equals(pm.sample_observational(preset, 5, seed=124))
 
 
+def _no_draws(monkeypatch):
+    def draw(*args):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(oracle, "_uniform_matrix", draw)
+
+
 def test_sampling_rejects_empty(preset):
     with pytest.raises(ValueError):
         pm.sample_observational(preset, 0, seed=1)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None])
+def test_sampling_rejects_a_size_that_is_not_an_integer(preset, monkeypatch, n):
+    # True and 2.5 used to fail with a TypeError from inside numpy
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="^sample size must be at least 1$"):
+        pm.sample_observational(preset, n, seed=1)
+
+
+def test_sampling_takes_a_numpy_integer_size(preset):
+    got = pm.sample_observational(preset, np.int64(3), seed=1)
+    assert got.equals(pm.sample_observational(preset, 3, seed=1)) and got.n == 3
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 3.0),
+                                     (0.0, 0.0), (1e308, 1e308)])
+def test_covariate_weights_must_be_finite_and_non_negative(preset, base_query, monkeypatch,
+                                                          weights):
+    # these used to sample every row in one stratum, or with probability -0.5
+    scm = pm.ScmSpec(preset.treatment, preset.mediator, preset.outcome,
+                     covariates=tuple(((c,), w) for c, w in zip((0.0, 1.0), weights)))
+    _no_draws(monkeypatch)
+    for call in (lambda: pm.sample_observational(scm, 10, seed=0),
+                 lambda: pm.truth_pns(scm, base_query)):
+        with pytest.raises(UnsupportedSpecError, match="covariate weights must be finite"):
+            call()
+
+
+def test_covariate_weight_zero_leaves_a_stratum_out(preset):
+    scm = pm.ScmSpec(preset.treatment, pm.LogisticNode(1.0, (0.5, 0.0)),
+                     pm.LogisticNode(1.0, (0.5, 0.5, 0.0)),
+                     covariates=(((0.0,), 0.0), ((1.0,), 2.0)))
+    assert scm.covariate_support() == (((0.0,), 0.0), ((1.0,), 1.0))
+    assert pm.sample_observational(scm, 50, seed=0).column("c1").tolist() == [1.0] * 50
+
+
+@pytest.mark.parametrize("cells, named", [
+    ({(0.0,): ((0.5,), (0.0, math.inf))}, "(0.0,)"),
+    ({(0.0,): ((), (math.nan,))}, "(0.0,)"),
+    ({(math.nan,): ((), (1.0,))}, "(nan,)"),
+    ({(0.0, -math.inf): ((), (1.0,))}, "(0.0, -inf)"),
+])
+def test_table_node_rejects_non_finite_cells(cells, named):
+    with pytest.raises(UnsupportedSpecError,
+                       match=rf"^cell {re.escape(named)}: parents and values must be finite"):
+        pm.TableNode(cells)
 
 
 def _random_table_case(rng):
@@ -70,18 +125,38 @@ def _values_or_error(fn, *args):
         return str(exc).replace("-0.0", "0.0")
 
 
+def _coded_values(node, parent_cols, u, rng):
+    """``node.draw`` with each parent column given its bit-pattern coding,
+    some with levels no row carries, checked against the values it codes."""
+    codings = []
+    for col in parent_cols.T:
+        extra = rng.choice([-0.0, 0.5, 9.0, np.nan], size=rng.integers(0, 3))
+        bits, codes = np.unique(np.concatenate([col, extra]).view(np.int64),
+                                return_inverse=True)
+        codings.append((bits, codes[: col.size].astype(np.min_scalar_type(bits.size))))
+    values, (bits, codes) = node.draw(list(parent_cols.T), codings, u)
+    assert np.array_equal(bits.view(np.float64)[codes].view(np.int64), values.view(np.int64))
+    return values
+
+
 def test_table_node_values_match_mask_loop():
     shapes, errors = set(), set()
     for seed in range(300):
-        node, parent_cols, u = _random_table_case(np.random.default_rng(seed))
-        got = _values_or_error(node.values, parent_cols, u)
+        rng = np.random.default_rng(seed)
+        node, parent_cols, u = _random_table_case(rng)
         want = _values_or_error(mask_loop_values, node, parent_cols, u)
+        # the float path, the coded path, and the float sampler before codes
+        for got in (_values_or_error(node.values, parent_cols, u),
+                    _values_or_error(_coded_values, node, parent_cols, u, rng),
+                    _values_or_error(searchsorted_values, node, parent_cols, u)):
+            if isinstance(want, str):
+                # all name the same parent combination
+                assert got == want, seed
+            else:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
         if isinstance(want, str):
-            # both name the same parent combination
-            assert got == want, seed
             errors.add("nan" if "nan" in want else "off-level" if "4.0" in want else "no key")
         else:
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
             shapes.add(parent_cols.shape[1])
     # every kind of missing cell, and every parent count from none to three,
     # was reached
@@ -100,6 +175,123 @@ def test_table_node_builds_its_lookup_on_first_sampling(monkeypatch):
     assert len(nodes) > 20 and all(n._lookup is None for n in nodes)
     got = node.values(np.array([[1.0], [-0.0], [0.0]]), np.array([0.7, 0.7, 0.2]))
     assert got.tolist() == [2.0, 1.0, 0.0] and node._lookup is not None
+
+
+_SAMPLE_LEVELS = (-0.0, 0.0, 1.0, 2.5, -3.0)
+
+
+def _random_sampling_node(rng, parent_levels):
+    """A table, logistic or function node over parents whose values lie in
+    ``parent_levels`` (one tuple per parent), and the values it can take.
+    A table node may also key a parent value no row carries (7.0), spell a
+    key's zero as ``-0.0`` where the parent draws ``0.0``, or lack a key."""
+    kind = int(rng.integers(4))
+    if kind == 1:
+        return pm.LogisticNode(rng.normal(), rng.normal(size=len(parent_levels))), (0.0, 1.0)
+    if kind == 2:
+        return pm.FunctionNode(lambda u, *p: 2.0 if u < 0.4 else -0.0), (-0.0, 2.0)
+    level_sets = [list(dict.fromkeys(levels)) for levels in parent_levels]
+    for lv in level_sets:
+        if rng.random() < 0.3:
+            lv.append(7.0)
+        if 0.0 in lv and rng.random() < 0.5:
+            lv[lv.index(0.0)] = -0.0 if rng.random() < 0.5 else 0.0
+    cells, taken = {}, set()
+    for key in itertools.product(*level_sets):
+        n_cuts = int(rng.integers(0, 4))
+        cuts = np.sort(rng.choice(np.arange(1, 20), size=n_cuts, replace=False)) / 20.0
+        values = tuple(rng.choice(_SAMPLE_LEVELS, size=n_cuts + 1))
+        cells[key] = (cuts, values)
+        taken.update(values)
+    if parent_levels and rng.random() < 0.15:
+        del cells[list(cells)[rng.integers(len(cells))]]
+    return pm.TableNode(cells), tuple(taken)
+
+
+def _random_sampling_scm(rng):
+    """A model of random table, logistic and function nodes over 0 to 2
+    covariates, whose support may hold ``-0.0`` beside ``0.0`` and a point
+    of weight zero."""
+    d = int(rng.integers(0, 3))
+    covariates = None
+    if d:
+        points = rng.choice(_SAMPLE_LEVELS, size=(int(rng.integers(1, 4)), d))
+        weights = rng.random(len(points)) * (rng.random(len(points)) < 0.8)
+        weights[rng.integers(len(points))] += 0.1
+        covariates = tuple((tuple(p), float(w)) for p, w in zip(points, weights))
+    c_levels = [tuple(p[j] for p, _ in covariates) for j in range(d)] if d else []
+    treatment, x_levels = _random_sampling_node(rng, c_levels)
+    mediator, m_levels = _random_sampling_node(rng, [x_levels, *c_levels])
+    outcome, _ = _random_sampling_node(rng, [x_levels, m_levels, *c_levels])
+    return pm.ScmSpec(treatment, mediator, outcome, covariates)
+
+
+def _sample_or_error(fn, scm, n, seed):
+    try:
+        return fn(scm, n, seed)
+    except UnsupportedSpecError as exc:
+        return str(exc)
+
+
+def _assert_same_sample(scm, n, seed):
+    got = _sample_or_error(pm.sample_observational, scm, n, seed)
+    want = _sample_or_error(float_sample_observational, scm, n, seed)
+    if isinstance(want, str):
+        assert got == want, seed
+        return "error"
+    assert got.column_names == want.column_names and got.roles == want.roles
+    for name in got.column_names:
+        col = got.column(name)
+        assert np.array_equal(col.view(np.int64), want.column(name).view(np.int64)), seed
+        if name in got._codings:
+            bits, codes = got._codings[name]
+            assert codes.dtype == np.min_scalar_type(bits.size)
+            assert np.array_equal(bits.view(np.float64)[codes].view(np.int64), col.view(np.int64))
+    rebuilt = pm.Dataset({c: got.column(c) for c in got.column_names}, got.roles)
+    assert got.to_csv() == rebuilt.to_csv(), seed
+    return "function" if len(got._codings) < len(got.column_names) else "coded"
+
+
+def test_sampling_matches_float_reference():
+    reached = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        scm = _random_sampling_scm(rng)
+        reached.add(_assert_same_sample(scm, 1 if seed % 4 == 0 else int(rng.integers(2, 400)), seed))
+        if scm.covariates is not None and any(w == 0 for _, w in scm.covariates):
+            # a support point of weight zero leaves levels that no row carries
+            reached.add("zero weight")
+    assert reached >= {"error", "function", "coded", "zero weight"}
+    # past one chunk of uniforms, with table, logistic and function nodes
+    big = oracle._MC_CHUNK + 7
+    scm = pm.ScmSpec(
+        treatment=pm.TableNode({(c,): ((0.3,), (-0.0, 0.0 + c)) for c in (0.0, 1.0)}),
+        mediator=pm.LogisticNode(0.5, (1.0, -1.0)),
+        outcome=pm.TableNode({(x, m, c): ((0.2, 0.6), (x, m, c + 2.5))
+                              for x in (0.0, 1.0) for m in (0.0, 1.0) for c in (0.0, 1.0)}),
+        covariates=(((-0.0,), 0.4), ((1.0,), 0.6)),
+    )
+    assert _assert_same_sample(scm, big, 3) == "coded"
+    assert _assert_same_sample(_function_scm(), big, 4) == "function"
+
+
+def test_sampled_table_is_written_from_its_codes(monkeypatch):
+    # simulate codes no column by sorting it: every node gives its codes
+    scm = pm.ScmSpec(
+        treatment=pm.TableNode({(c,): ((0.5,), (0.0, 1.0 + c)) for c in (0.0, 1.0)}),
+        mediator=pm.LogisticNode(0.5, (1.0, -1.0)),
+        outcome=pm.TableNode({(x, m, c): ((0.5,), (-0.0, x + m)) for x in (0.0, 1.0, 2.0)
+                              for m in (0.0, 1.0) for c in (0.0, 1.0)}),
+        covariates=(((0.0,), 1.0), ((1.0,), 1.0)),
+    )
+    data = pm.sample_observational(scm, 500, seed=0)
+    want = pm.Dataset({c: data.column(c) for c in data.column_names}, data.roles).to_csv()
+
+    def coding(column):
+        raise AssertionError("coded a sampled column by sorting it")
+
+    monkeypatch.setattr(pm.data, "_coding", coding)
+    assert data.to_csv() == want
 
 
 def test_sampling_moments(preset):
