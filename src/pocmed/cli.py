@@ -42,11 +42,12 @@ from .data import (
     Evidence,
     Interval,
     Query,
+    _decode,
     load_dataset,
     stratum_mask,
 )
 from .ecdf import CdfModel
-from .errors import ConfigError, PocError, PositivityError
+from .errors import ConfigError, ParseError, PocError, PositivityError
 from .identify import MediatorMonotonicityWarning
 from .oracle import (
     AnalyticCdf,
@@ -204,10 +205,25 @@ def _parse_scm(doc: dict) -> ScmSpec:
 
 
 def _load_config(path: str | None) -> dict:
+    """The config document at ``path``, read as UTF-8 without one leading
+    byte-order mark; text that is not UTF-8 or not JSON raises
+    :class:`ConfigError` naming the byte, or the line and column, and so
+    does JSON nested too deeply for the parser."""
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return _mapping(json.load(fh), "the config document")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(_decode(raw))
+    except ParseError as exc:
+        raise ConfigError(f"the config document: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"the config document: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise ConfigError("the config document: nested too deeply to read") from None
+    return _mapping(doc, "the config document")
 
 
 def _resolve_scm(args, config: dict) -> ScmSpec:
@@ -750,6 +766,10 @@ def cmd_sweep(args) -> int:
         else:
             rows.append((value, "-", float("nan"), status))
 
+    for message in warnings_list:
+        print(f"warning: {message}", file=sys.stderr)
+    if args.svg and not any(v == v for values in series.values() for v in values):
+        raise PocError(f"--svg {args.svg}: no grid point has a value to plot")
     lines = ["grid,quantity,value,status"]
     for value, key, val, status in rows:
         lines.append(f"{value!r},{key},{val!r},{status}")
@@ -763,8 +783,6 @@ def cmd_sweep(args) -> int:
         svg = render_line_chart(xs, series, x_label=args.grid_over)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
-    for message in warnings_list:
-        print(f"warning: {message}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -878,7 +896,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(render_json(payload))
         return EXIT_USAGE
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

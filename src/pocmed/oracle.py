@@ -14,16 +14,19 @@ row.  The exact path partitions the (mediator-noise, outcome-noise) unit
 square of each covariate stratum into rectangles on which every column is
 constant, one row per rectangle weighted by its area times the stratum
 weight; the Monte Carlo path samples the noise sources, one row of weight
-1.0 per draw.  Every truth is then a weighted sum of indicators on that
-table, the same code for both paths.  The exact partition is kept in a
-small cache (:data:`_PARTITIONS`) under the inputs that decide it, so the
-truths of one query and its evidence variants build it once; each entry
-also memoises, read-only, every counterfactual column built on it, so
-those truths build each column once, and the memo goes with its entry.
+1.0 per draw, through each node's ``draw``, the one way a node samples
+(:func:`sample_observational` calls it too).  Every truth is then a
+weighted sum of indicators on that table, the same code for both paths.
+The exact partition is kept in a small cache (:data:`_PARTITIONS`) under
+the inputs that decide it, so the truths of one query and its evidence
+variants build it once; each entry also memoises, read-only, every
+counterfactual column built on it, so those truths build each column
+once, and the memo goes with its entry.
 Observational conditional CDFs implied by a model are exposed through
 :class:`AnalyticCdf`, which duck-types the empirical estimator surface so
 identification formulas can be evaluated at infinite-sample truth; each
-instance memoises its answers for its lifetime.
+instance memoises its answers, the mediator pmfs and supports among them,
+in one memo for its lifetime.
 
 :func:`check_monotonicity` collects every crossing that the lazy
 :func:`_crossing_events` yields; the oracle-equivalence suite's gate stops
@@ -86,9 +89,6 @@ class LogisticNode:
     def step(self, parents: Sequence[float]):
         return bernoulli_cell(self.prob_one(parents))
 
-    def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.draw(list(parent_cols.T), [None] * parent_cols.shape[1], u)[0]
-
     def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
         """Values and ``(bits, codes)`` coding for parent columns ``cols``;
         the codes are the ``u < p`` comparison (``codings`` is not read)."""
@@ -143,11 +143,6 @@ class TableNode:
             return self._table[key]
         except KeyError:
             raise UnsupportedSpecError(f"no table cell for parents {key!r}") from None
-
-    def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Node values for parent rows ``parent_cols`` and uniforms ``u``:
-        :meth:`draw` with every parent column left to be coded."""
-        return self.draw(list(parent_cols.T), [None] * parent_cols.shape[1], u)[0]
 
     def _sampler(self, k: int):
         """The lookup of :meth:`draw` for ``k`` parents, built on first use:
@@ -225,14 +220,10 @@ class FunctionNode:
             "exact computation requires threshold (step-function) nodes"
         )
 
-    def values(self, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [self.fn(ui, *row) for ui, row in zip(u, parent_cols)], dtype=np.float64
-        )
-
     def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
-        """:meth:`values` of the stacked ``cols``, with no coding."""
-        return self.values(np.column_stack([np.empty((u.size, 0)), *cols]), u), None
+        """``fn`` of each row's uniform and parent values, with no coding."""
+        values = [self.fn(ui, *row) for ui, *row in zip(u, *cols)]
+        return np.asarray(values, dtype=np.float64), None
 
     def value_levels(self) -> tuple[float, ...]:
         raise UnsupportedSpecError("function nodes do not declare value levels")
@@ -393,14 +384,14 @@ class AnalyticCdf:
     """Infinite-sample observational conditional CDFs of a threshold model,
     exposing the same query surface as the empirical estimator.
 
-    The node steps, mediator pmfs and mediator supports are pure functions
-    of the immutable model, and so is every query answer, so each instance
-    caches them for its lifetime, keyed by ``float`` (``-0.0`` and ``0.0``
-    share a key, as they compare equal).  The answers of
-    ``cdf_y_given_xm``, ``joint_cdf_ym_given_x`` (which also serves
-    ``cdf_y_given_x``), ``crossworld_cdf`` and ``outcome_levels`` are
-    memoised under the query's name and its float arguments, with the
-    strictness flags as ``bool``; that memo holds at most
+    Every answer is a pure function of the immutable model, so each
+    instance memoises its answers for its lifetime in one dict, under the
+    query's name and its arguments as ``float`` (``-0.0`` and ``0.0``
+    share a key, as they compare equal) and the strictness flags as
+    ``bool``: ``mediator_pmf``, ``mediator_support``, ``cdf_y_given_xm``,
+    ``joint_cdf_ym_given_x`` (which also serves ``cdf_y_given_x``),
+    ``crossworld_cdf`` and ``outcome_levels``.  Node steps are read from
+    the model at each answer worked out.  The memo holds at most
     :data:`_ANSWER_LIMIT` answers and starts over when full."""
 
     def __init__(self, scm: ScmSpec, c_stratum: Sequence[float] | None = None):
@@ -411,10 +402,6 @@ class AnalyticCdf:
             )
         self.scm = scm
         self.c = c
-        self._med_steps: dict = {}
-        self._out_steps: dict = {}
-        self._pmfs: dict = {}
-        self._supports: dict = {}
         self._answers: dict = {}
 
     def _remember(self, key: tuple, answer):
@@ -423,46 +410,32 @@ class AnalyticCdf:
         self._answers[key] = answer
         return answer
 
-    def _mediator_step(self, x: float):
-        x = float(x)
-        step = self._med_steps.get(x)
-        if step is None:
-            step = self._med_steps[x] = self.scm.mediator.step((x, *self.c))
-        return step
-
-    def _outcome_step(self, x: float, m: float):
-        key = (float(x), float(m))
-        step = self._out_steps.get(key)
-        if step is None:
-            step = self._out_steps[key] = self.scm.outcome.step((*key, *self.c))
-        return step
-
     def x_levels(self) -> tuple[float, ...]:
         return self.scm.treatment_levels(self.c)
 
     def mediator_support(self, x: float) -> tuple[float, ...]:
-        x = float(x)
-        support = self._supports.get(x)
+        key = ("support", float(x))
+        support = self._answers.get(key)
         if support is None:
-            _, values = self._mediator_step(x)
-            support = tuple(sorted({v for v in values if self.mediator_pmf(v, x) > 0.0}))
-            self._supports[x] = support
+            _, values = self.scm.mediator.step((key[1], *self.c))
+            levels = {v for v in values if self.mediator_pmf(v, x) > 0.0}
+            support = self._remember(key, tuple(sorted(levels)))
         return support
 
     def mediator_pmf(self, m: float, x: float) -> float:
-        key = (float(m), float(x))
-        pmf = self._pmfs.get(key)
+        key = ("pmf", float(m), float(x))
+        pmf = self._answers.get(key)
         if pmf is None:
-            pmf = self._pmfs[key] = _step_mass(
-                self._mediator_step(x), lambda v: v == key[0]
-            )
+            step = self.scm.mediator.step((key[2], *self.c))
+            pmf = self._remember(key, _step_mass(step, lambda v: v == key[1]))
         return pmf
 
     def cdf_y_given_xm(self, y: float, x: float, m: float, strict: bool = True) -> float:
         key = ("xm", float(y), float(x), float(m), bool(strict))
         answer = self._answers.get(key)
         if answer is None:
-            answer = self._remember(key, _step_cdf(self._outcome_step(x, m), y, strict))
+            step = self.scm.outcome.step((key[2], key[3], *self.c))
+            answer = self._remember(key, _step_cdf(step, y, strict))
         return answer
 
     @staticmethod
@@ -518,7 +491,7 @@ class AnalyticCdf:
             levels: set[float] = set()
             for x in self.x_levels():
                 for m in self.mediator_support(x):
-                    _, values = self._outcome_step(x, m)
+                    _, values = self.scm.outcome.step((x, m, *self.c))
                     levels.update(values)
             answer = self._remember(("levels",), tuple(sorted(levels)))
         return answer
@@ -661,11 +634,12 @@ def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
 
     def build(column, kind, x, other=None):
-        xs = np.full(n, float(x))
-        if kind == "med":
-            return scm.mediator.values(np.column_stack([xs, c_matrix]), u_m)
-        m_col = column("med", other) if kind == "arm" else np.full(n, float(other))
-        return scm.outcome.values(np.column_stack([xs, m_col, c_matrix]), u_y)
+        cols = [np.full(n, float(x))]
+        if kind != "med":
+            cols.append(column("med", other) if kind == "arm" else np.full(n, float(other)))
+        cols += list(c_matrix.T)
+        node, u = (scm.mediator, u_m) if kind == "med" else (scm.outcome, u_y)
+        return node.draw(cols, [None] * len(cols), u)[0]
 
     return np.ones(n), _Columns(build)
 

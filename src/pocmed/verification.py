@@ -433,6 +433,12 @@ def _check_pair(diffs: list, name: str, got: float, want: float):
     diffs.append((name, abs(got - want)))
 
 
+def _check_triple(diffs: list, prefix: str, triple, truth) -> None:
+    """A :func:`_check_pair` per quantity, named ``prefix`` and its key."""
+    for key in ("t_pns", "nd_pns", "ni_pns"):
+        _check_pair(diffs, prefix + key, getattr(triple, key), truth.values[key])
+
+
 def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
     """All identification-vs-oracle comparisons for one accepted model."""
     an = AnalyticCdf(scm)
@@ -443,9 +449,7 @@ def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
     # controlled-direct and natural quantities, unconditional
     truth = truth_pns(scm, q)
     _check_pair(diffs, "cd", identify.cd_pns(an, q), truth.values["cd_pns"])
-    triple = identify.natural_pns(an, q)
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, key, getattr(triple, key), truth.values[key])
+    _check_triple(diffs, "", identify.natural_pns(an, q), truth)
 
     x_levels = an.x_levels()
     x_star = float(x_levels[rng.integers(len(x_levels))])
@@ -454,8 +458,7 @@ def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
     e_a = Evidence(x_star=x_star, interval_y=_random_outcome_interval(rng, an, x_star))
     triple_a, terms_a = identify.natural_pns_with_evidence(an, q, e_a)
     truth_a = truth_with_evidence(scm, q, e_a)
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, f"ev_a_{key}", getattr(triple_a, key), truth_a.values[key])
+    _check_triple(diffs, "ev_a_", triple_a, truth_a)
 
     # outcome evidence, degenerate branch (zero-mass interval)
     e_b = Evidence(
@@ -464,8 +467,7 @@ def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
     )
     triple_b, terms_b = identify.natural_pns_with_evidence(an, q, e_b)
     truth_b = truth_with_evidence(scm, q, e_b, degenerate="threshold-limit")
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, f"ev_b_{key}", getattr(triple_b, key), truth_b.values[key])
+    _check_triple(diffs, "ev_b_", triple_b, truth_b)
 
     # point-mediator evidence around the controlled-direct query
     support = an.mediator_support(x_star)
@@ -498,15 +500,13 @@ def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
         scm, q, Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF)),
         degenerate="threshold-limit",
     )
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, f"pn_{key}", getattr(pn, key), truth_pn.values[key])
+    _check_triple(diffs, "pn_", pn, truth_pn)
     ps = identify.ps_family(an, q)
     truth_ps = truth_with_evidence(
         scm, q, Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold)),
         degenerate="threshold-limit",
     )
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, f"ps_{key}", getattr(ps, key), truth_ps.values[key])
+    _check_triple(diffs, "ps_", ps, truth_ps)
 
     return diffs
 
@@ -555,8 +555,7 @@ def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
             an, q, e, mediator_monotone=True
         )
     truth = truth_with_evidence(scm, q, e)
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        _check_pair(diffs, f"lex_{key}", getattr(triple, key), truth.values[key])
+    _check_triple(diffs, "lex_", triple, truth)
     return diffs
 
 
@@ -567,7 +566,11 @@ def _gate(scm: ScmSpec, lex: bool = False) -> bool:
     return next(_crossing_events(scm, mediator=lex), None) is None
 
 
-def equivalence_suite(n_scms: int = 200, seed: int = 0, max_attempts: int = 40) -> dict:
+#: Models :func:`equivalence_suite` may draw per model it is to accept.
+_MAX_ATTEMPTS = 40
+
+
+def equivalence_suite(n_scms: int = 200, seed: int = 0) -> dict:
     """Accept ``n_scms`` randomized threshold models that pass the
     monotone-coupling diagnostics and compare every identification
     operation at analytic CDFs against the definitional oracle; also runs
@@ -579,9 +582,8 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0, max_attempts: int = 40) 
     max_diff = 0.0
     worst = ("", 0.0)
     n_checks = 0
-    attempts_budget = n_scms * max_attempts
     attempts = 0
-    while accepted < n_scms and attempts < attempts_budget:
+    while accepted < n_scms and attempts < n_scms * _MAX_ATTEMPTS:
         attempts += 1
         kx = 2 if rng.random() < 0.6 else 3
         km = 2 if rng.random() < 0.7 else 3

@@ -29,6 +29,8 @@ from pocmed.oracle import (
     _step_cdf,
 )
 
+from _sampling_reference import drawn_values
+
 
 @dataclass(frozen=True)
 class _Rect:
@@ -179,10 +181,10 @@ def _mc_counterfactuals(scm, q, e, n, seed):
         c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
     def med(x):
         xs = np.full(n, float(x))
-        return scm.mediator.values(np.column_stack([xs, c_matrix]), u_m)
+        return drawn_values(scm.mediator, np.column_stack([xs, c_matrix]), u_m)
     def outc(x, m_col):
         xs = np.full(n, float(x))
-        return scm.outcome.values(np.column_stack([xs, m_col, c_matrix]), u_y)
+        return drawn_values(scm.outcome, np.column_stack([xs, m_col, c_matrix]), u_y)
     m_base, m_alt = med(q.x_base), med(q.x_alt)
     cols = {
         "m_base": m_base,

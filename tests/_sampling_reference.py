@@ -1,7 +1,7 @@
 """Reference implementations for table-node sampling.
 
 :func:`mask_loop_values` is the implementation that grouped
-``TableNode.values`` replaced: it finds the distinct parent rows with
+table-node sampling replaced: it finds the distinct parent rows with
 ``np.unique(axis=0)`` and fills one full-length boolean mask per parent
 combination, visiting the combinations in lexicographic order.  The
 grouped version must agree with it bit for bit, and raise the same error
@@ -36,7 +36,7 @@ def mask_loop_values(node, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray
 
 
 def searchsorted_values(node, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``TableNode.values`` before level codes; its lookup is rebuilt on
+    """The table node sampler before level codes; its lookup is rebuilt on
     each call."""
     out = np.empty(u.shape, dtype=np.float64)
     if parent_cols.shape[1] == 0:
@@ -71,10 +71,16 @@ def searchsorted_values(node, parent_cols: np.ndarray, u: np.ndarray) -> np.ndar
     return out
 
 
+def drawn_values(node, parent_cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``node.draw`` of the columns of ``parent_cols``, none of them coded:
+    the node's values alone."""
+    return node.draw(list(parent_cols.T), [None] * parent_cols.shape[1], u)[0]
+
+
 def _values(node, parent_cols, u):
     if isinstance(node, oracle.TableNode):
         return searchsorted_values(node, parent_cols, u)
-    return node.values(parent_cols, u)
+    return drawn_values(node, parent_cols, u)
 
 
 def _draw_exogenous(scm, n: int, seed: int):

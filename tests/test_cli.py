@@ -368,6 +368,38 @@ def test_malformed_scm_document_exits_2(tmp_path, capsys, doc, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--input", "data.csv"],
+    ["simulate", "--n", "5"],
+    ["sweep", "--x-base", "0", "--x-alt", "1"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("raw, message", [
+    # these exited 2 with an untyped JSONDecodeError or UnicodeDecodeError,
+    # and wrote no error block to --out
+    (b'{"scm":\n  [1,}', "line 2 column 6: Expecting value"),
+    (b'\xef\xbb\xbf{"a": "\xff"}', "byte 10: 0xff is not UTF-8 text"),
+    # this one exited 1 with a RecursionError traceback
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply to read"),
+], ids=["not-json", "not-utf8", "too-deep"])
+def test_unreadable_config_document_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                       command, raw, message):
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("x,m,y\n0,0,0\n1,1,1\n")
+    Path("run.json").write_bytes(raw)
+    code, stdout, err = _run(capsys, *command, "--config", "run.json", "--out", "out.json")
+    want = f"the config document: {message}"
+    assert code == 2 and stdout == "" and err == f"error: ConfigError: {want}\n"
+    assert json.loads(Path("out.json").read_text()) == {
+        "error": {"type": "ConfigError", "message": want}}
+
+
+def test_config_document_may_open_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"scm": _LOGISTIC_SCM}).encode())
+    code, stdout, _ = _run(capsys, "simulate", "--config", str(path), "--n", "3", "--seed", "1")
+    assert code == 0 and stdout.startswith("x,m,y\n")
+
+
 def _query_with(**fields):
     """A one-query ``queries`` list; ``None`` fields are left out."""
     query = {"x_base": 0, "x_alt": 1, "y": 1, **fields}
@@ -672,6 +704,25 @@ def test_sweep_positivity_flagged_not_fatal(tmp_path, capsys):
         "--x-base", "0", "--x-alt", "1", "--grid-over", "covariate",
     )
     assert code == 2
+
+
+def test_sweep_svg_with_nothing_to_plot_writes_nothing(tmp_path, capsys):
+    # no row has treatment 1, so every grid point fails positivity; this
+    # wrote the rows, then exited 2 with an untyped ValueError from the
+    # chart and without the per-point warnings
+    path = tmp_path / "pos.csv"
+    path.write_text("x,m,y\n0,0,0\n0,1,1\n0,0,1\n")
+    rows, svg = tmp_path / "rows.csv", tmp_path / "out.svg"
+    code, stdout, err = _run(capsys, "sweep", "--input", str(path), "--x-base", "0",
+                             "--x-alt", "1", "--svg", str(svg), "--out", str(rows))
+    message = f"--svg {svg}: no grid point has a value to plot"
+    assert code == 2 and stdout == "" and not svg.exists()
+    assert err.splitlines() == [
+        "warning: grid 0.5: no rows with treatment level 1.0",
+        "warning: grid 1.0: no rows with treatment level 1.0",
+        f"error: PocError: {message}",
+    ]
+    assert json.loads(rows.read_text()) == {"error": {"type": "PocError", "message": message}}
 
 
 def test_sweep_mediator_intercept_monotone(capsys):

@@ -15,7 +15,12 @@ from pocmed.errors import ConditioningError, UnsupportedSpecError
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
 import _oracle_reference
-from _sampling_reference import float_sample_observational, mask_loop_values, searchsorted_values
+from _sampling_reference import (
+    drawn_values,
+    float_sample_observational,
+    mask_loop_values,
+    searchsorted_values,
+)
 
 INF = float("inf")
 
@@ -146,7 +151,7 @@ def test_table_node_values_match_mask_loop():
         node, parent_cols, u = _random_table_case(rng)
         want = _values_or_error(mask_loop_values, node, parent_cols, u)
         # the float path, the coded path, and the float sampler before codes
-        for got in (_values_or_error(node.values, parent_cols, u),
+        for got in (_values_or_error(drawn_values, node, parent_cols, u),
                     _values_or_error(_coded_values, node, parent_cols, u, rng),
                     _values_or_error(searchsorted_values, node, parent_cols, u)):
             if isinstance(want, str):
@@ -173,7 +178,7 @@ def test_table_node_builds_its_lookup_on_first_sampling(monkeypatch):
     assert verification.equivalence_suite(n_scms=4, seed=0)["accepted"] == 4
     assert verification.decomposition_suite(n_scms=5, seed=0)["n_triples"] > 0
     assert len(nodes) > 20 and all(n._lookup is None for n in nodes)
-    got = node.values(np.array([[1.0], [-0.0], [0.0]]), np.array([0.7, 0.7, 0.2]))
+    got = drawn_values(node, np.array([[1.0], [-0.0], [0.0]]), np.array([0.7, 0.7, 0.2]))
     assert got.tolist() == [2.0, 1.0, 0.0] and node._lookup is not None
 
 
@@ -884,6 +889,31 @@ def test_cached_analytic_cdf_matches_fresh_instances():
                 want = repr(getattr(pm.AnalyticCdf(scm, c), name)(*args))
                 for asked in (args, _other_zero(args)):
                     assert repr(getattr(an, name)(*asked)) == want, (seed, name, asked)
+
+
+def test_analytic_cdf_memo_gives_the_same_answers_after_it_starts_over(monkeypatch):
+    """With room for 3 answers the memo of each ``AnalyticCdf`` starts over
+    again and again, and both suites read what they read with the full
+    memo; the memo is the instance's one cache."""
+
+    def suites():
+        return repr((verification.equivalence_suite(n_scms=20, seed=0),
+                     verification.decomposition_suite(n_scms=50, seed=0)))
+
+    want, sizes, remember = suites(), [], oracle.AnalyticCdf._remember
+
+    def spy(self, key, answer):
+        before = len(self._answers)
+        got = remember(self, key, answer)
+        sizes.append((before, len(self._answers)))
+        return got
+
+    monkeypatch.setattr(oracle, "_ANSWER_LIMIT", 3)
+    monkeypatch.setattr(oracle.AnalyticCdf, "_remember", spy)
+    assert suites() == want
+    assert max(after for _, after in sizes) == 3
+    assert sizes.count((3, 1)) > 1000  # each a memo that started over
+    assert sorted(vars(pm.AnalyticCdf(pm.logistic_bernoulli_preset()))) == ["_answers", "c", "scm"]
 
 
 def test_logistic_node_rejects_non_finite_parameters():
