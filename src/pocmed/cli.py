@@ -206,13 +206,18 @@ def _parse_scm(doc: dict) -> ScmSpec:
 
 def _load_config(path: str | None) -> dict:
     """The config document at ``path``, read as UTF-8 without one leading
-    byte-order mark; text that is not UTF-8 or not JSON raises
-    :class:`ConfigError` naming the byte, or the line and column, and so
+    byte-order mark; a file that cannot be read raises
+    :class:`ConfigError` naming the path and the reason, text that is not
+    UTF-8 or not JSON one naming the byte, or the line and column, and so
     does JSON nested too deeply for the parser."""
     if not path:
         return {}
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read the config document {path!r}: "
+                          f"{exc.strerror or exc}") from None
     try:
         doc = json.loads(_decode(raw))
     except ParseError as exc:
@@ -449,9 +454,11 @@ def cmd_estimate(args) -> int:
         raise PocError("no input table (use --input or the config document)")
     roles = _roles_from(args, config)
 
-    families = args.families or ",".join(
-        _strings(config.get("families", ["pns", "cd"]), "families")
-    )
+    families = args.families
+    if families is None:
+        families = ",".join(_strings(config.get("families", ["pns", "cd"]), "families"))
+    elif not families:
+        raise PocError(f"--families needs a comma list from {','.join(_FAMILY_ORDER)}, got ''")
     families = tuple(families.split(","))
     for family in families:
         if family not in _FAMILY_ORDER:
@@ -893,8 +900,12 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if getattr(args, "out", None):
             payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(render_json(payload))
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(render_json(payload))
+            except OSError as write_exc:
+                print(f"error: the error block could not be written to {args.out!r}: "
+                      f"{write_exc.strerror or write_exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

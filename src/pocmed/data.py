@@ -363,14 +363,19 @@ def _decode(raw: bytes) -> str:
 def _read_text(source) -> tuple[str, str | None]:
     """The text of ``source`` without one leading UTF-8 byte-order mark (a
     file's line breaks read as in text mode), and the absolute path of a
-    regular file whose suffix numpy does not decompress, else ``None``."""
+    regular file whose suffix numpy does not decompress, else ``None``.
+    A file that cannot be read raises :class:`ParseError` naming its path
+    and the reason."""
     if isinstance(source, bytes):
         return _decode(source), None
     if isinstance(source, os.PathLike) or (
         isinstance(source, str) and "\n" not in source and "\r" not in source
     ):
-        with open(source, "rb") as fh:
-            raw, mode = fh.read(), os.fstat(fh.fileno()).st_mode
+        try:
+            with open(source, "rb") as fh:
+                raw, mode = fh.read(), os.fstat(fh.fileno()).st_mode
+        except OSError as exc:
+            raise ParseError(f"cannot read {os.fspath(source)!r}: {exc.strerror or exc}") from None
         text, path = _decode(raw).replace("\r\n", "\n").replace("\r", "\n"), os.fspath(source)
         reread = stat.S_ISREG(mode) and isinstance(path, str)
         reread = reread and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))  # numpy decompresses

@@ -6,7 +6,8 @@ class PocError(Exception):
 
 
 class ParseError(PocError):
-    """A delimited-text cell could not be parsed; message names the line."""
+    """A delimited-text cell could not be parsed (message names the line),
+    or the input could not be read (message names the path or the byte)."""
 
 
 class SchemaError(PocError):
@@ -14,8 +15,8 @@ class SchemaError(PocError):
 
 
 class ConfigError(PocError):
-    """A config document has the wrong shape: a value of the wrong type or
-    a missing key."""
+    """A config document cannot be read or has the wrong shape: a value of
+    the wrong type or a missing key."""
 
 
 class EmptyDataError(PocError):

@@ -30,10 +30,13 @@ in one memo for its lifetime.
 
 :func:`check_monotonicity` collects every crossing that the lazy
 :func:`_crossing_events` yields; the oracle-equivalence suite's gate stops
-at the first outcome or compound crossing instead.  Both drop, before
-pairing, every region that is empty or whole on every stripe: one of its
-set differences with any region is exactly zero, so it can never cross
-and no report changes.
+at the first outcome or compound crossing instead.  A covariate stratum
+whose steps all ascend, as in every model the suites draw, takes a closed
+form: each of its sub-level regions is a prefix of its stripe, so only
+compound regions can cross.  Any other stratum drops, before pairing,
+every region that is empty or whole on every stripe: one of its set
+differences with any region is exactly zero, so it can never cross.
+Either way every report is the one exact interval subtraction gives.
 """
 
 from __future__ import annotations
@@ -988,13 +991,53 @@ def _candidate_pairs(regions: Sequence[Sequence], weights: Sequence[float]):
     return np.nonzero(np.triu(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding), 1))
 
 
+def _ascends(values) -> bool:
+    """Whether a step's ``values``, in increasing-``u`` order, never fall."""
+    return all(map(operator.le, values, values[1:]))
+
+
+def _prefix_ends(step, thresholds) -> dict[float, float]:
+    """For each threshold y, the end ``e`` of the prefix ``[0, e)`` where
+    an ascending step's value is < y (``0.0`` for none of it): the region
+    that :func:`_step_regions` gives as ``((0.0, e),)``, or ``()``."""
+    cuts, values = step
+    edges = (0.0, *cuts, 1.0)
+    return {y: edges[bisect.bisect_left(values, y)] for y in thresholds}
+
+
+def _prefix_crossings(ends: np.ndarray, weights: Sequence[float]):
+    """:func:`_crossings` for regions that are prefixes ``[0, ends[r, s])``
+    of every stripe ``s``, yielding the same pairs with the same bits.
+
+    Interval subtraction measures ``[0, e1) - [0, e2)`` as exactly
+    ``max(e1 - e2, 0.0)``, so ``d[i, j]`` is that difference times the
+    stripe's weight, summed from ``0.0`` in stripe order, as
+    :func:`_crossings` sums it; the pairs are read off all of ``d`` at
+    once, and none is pruned or measured again."""
+    d = np.zeros((len(ends), len(ends)))
+    for s, w in enumerate(weights):
+        d += w * np.maximum(ends[:, s, None] - ends[:, s], 0.0)
+    rows, cols = np.nonzero(np.triu((d > _TOL) & (d.T > _TOL), 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        yield i, j, d[i, j].item(), d[j, i].item()
+
+
 def _crossing_events(scm: ScmSpec, mediator: bool = True):
     """Every two-sided crossing between counterfactual sub-level regions
     over the threshold partition, lazily, as ``(kind, violation)`` with
     ``kind`` one of ``"outcome"``, ``"compound"`` and ``"mediator"``: per
     covariate stratum the outcome crossings, then the compound ones, then
     (unless ``mediator`` is false) the mediator ones.  A consumer that
-    stops early skips the regions and exact measures after it."""
+    stops early skips the regions and exact measures after it.
+
+    A stratum whose outcome cells and mediator arms all have ascending
+    step values (:func:`_ascends`) takes a closed form.  Each of its
+    sub-level regions is a prefix ``[0, e)`` of its stripe
+    (:func:`_prefix_ends`), and of two prefixes of one stripe one holds
+    the other, so it has no outcome or mediator crossing and those stages
+    are skipped; its compound regions go to :func:`_prefix_crossings`,
+    which yields what :func:`_crossings` would.  Every other stratum
+    takes the interval path, and no report changes either way."""
     for c, _w in scm.covariate_support():
         x_levels = scm.treatment_levels(c)
         m_levels = scm.mediator_levels(c)
@@ -1008,14 +1051,18 @@ def _crossing_events(scm: ScmSpec, mediator: bool = True):
                 out_steps[(x, m)] = step
                 y_values.update(step[1])
         y_grid = tuple(sorted(y_values))
+        med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
+        prefixes = all(_ascends(v) for _, v in (*out_steps.values(), *med_steps.values()))
 
         cell_regions = {
-            key: _step_regions(step, y_grid) for key, step in out_steps.items()
+            key: (_prefix_ends if prefixes else _step_regions)(step, y_grid)
+            for key, step in out_steps.items()
         }
-        tagged = [(key, y) for key in out_steps for y in y_grid]
-        regions = [(cell_regions[key][y],) for key, y in tagged]
-        for i, j, d1, d2 in _crossings(regions, (1.0,)):
-            yield "outcome", (c, tagged[i], tagged[j], d1, d2)
+        if not prefixes:
+            tagged = [(key, y) for key in out_steps for y in y_grid]
+            regions = [(cell_regions[key][y],) for key, y in tagged]
+            for i, j, d1, d2 in _crossings(regions, (1.0,)):
+                yield "outcome", (c, tagged[i], tagged[j], d1, d2)
 
         # compound regions on the square, expressed on shared stripes
         stripes = _stripes(scm, c, x_levels)
@@ -1024,16 +1071,19 @@ def _crossing_events(scm: ScmSpec, mediator: bool = True):
             [cell_regions[(x_out, med[x_med])][y] for _w2, med in stripes]
             for (x_out, x_med), y in ctagged
         ]
-        for i, j, d1, d2 in _crossings(regions, [w_s for w_s, _ in stripes]):
+        weights = [w_s for w_s, _ in stripes]
+        if prefixes:
+            crossings = _prefix_crossings(np.array(regions), weights)
+        else:
+            crossings = _crossings(regions, weights)
+        for i, j, d1, d2 in crossings:
             yield "compound", (c, ctagged[i], ctagged[j], d1, d2)
 
-        if not mediator:
+        if not mediator or prefixes:
             continue
         # mediator response regions (relevant to joint-evidence use)
         m_grid = tuple(sorted(m_levels))
-        med_regions = {
-            x: _step_regions(scm.mediator.step((x, *c)), m_grid) for x in x_levels
-        }
+        med_regions = {x: _step_regions(step, m_grid) for x, step in med_steps.items()}
         mtagged = [(x, m) for x in x_levels for m in m_grid]
         regions = [(med_regions[x][m],) for x, m in mtagged]
         for i, j, d1, d2 in _crossings(regions, (1.0,)):
@@ -1044,10 +1094,13 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
     """Compare every pair of counterfactual sub-level regions over the
     threshold partition and report every two-sided crossing.
 
-    Regions that are empty or whole on every stripe are dropped and the
-    other pairs pruned by a vectorised estimate of both set differences;
-    every reported crossing is measured by exact interval subtraction
-    (see :func:`_crossings`)."""
+    In a stratum whose steps all ascend only compound pairs can cross, and
+    their set differences are read from the prefix ends (see
+    :func:`_crossing_events`).  Elsewhere regions that are empty or whole
+    on every stripe are dropped and the other pairs pruned by a vectorised
+    estimate of both set differences; every reported crossing is measured
+    by exact interval subtraction (see :func:`_crossings`).  The report is
+    the same bit for bit either way."""
     found = {"outcome": [], "compound": [], "mediator": []}
     for kind, violation in _crossing_events(scm):
         found[kind].append(violation)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, report schema."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -393,6 +394,47 @@ def test_unreadable_config_document_is_a_config_error(tmp_path, monkeypatch, cap
         "error": {"type": "ConfigError", "message": want}}
 
 
+_QUERY = ["--x-base", "0", "--x-alt", "1", "--y", "1"]
+
+
+@pytest.mark.parametrize("command, error, message", [
+    # these exited 2 with an untyped FileNotFoundError or IsADirectoryError,
+    # and wrote no error block to --out
+    (["simulate", "--n", "5", "--config", "nope.json"], "ConfigError",
+     f"cannot read the config document 'nope.json': {os.strerror(errno.ENOENT)}"),
+    (["estimate", "--input", "nope.csv", *_QUERY], "ParseError",
+     f"cannot read 'nope.csv': {os.strerror(errno.ENOENT)}"),
+    (["estimate", "--input", "folder", *_QUERY], "ParseError",
+     f"cannot read 'folder': {os.strerror(errno.EISDIR)}"),
+    (["sweep", "--input", "nope.csv", "--x-base", "0", "--x-alt", "1", "--grid-over", "y"],
+     "ParseError", f"cannot read 'nope.csv': {os.strerror(errno.ENOENT)}"),
+], ids=["simulate-config", "estimate-missing", "estimate-directory", "sweep-missing"])
+def test_unreadable_input_file_is_a_typed_error(tmp_path, monkeypatch, capsys,
+                                                command, error, message):
+    monkeypatch.chdir(tmp_path)
+    Path("folder").mkdir()
+    code, stdout, err = _run(capsys, *command, "--out", "out.json")
+    assert code == 2 and stdout == "" and err == f"error: {error}: {message}\n"
+    assert json.loads(Path("out.json").read_text()) == {
+        "error": {"type": error, "message": message}}
+
+
+def test_unwritable_error_block_exits_2_without_a_traceback(tmp_path, capsys):
+    # a FileNotFoundError traceback with exit 1 before
+    table = tmp_path / "table.csv"
+    table.write_text("x,m,y\n0,0,0\n0,1,1\n")
+    out = tmp_path / "missing" / "out.json"
+    code, stdout, err = _run(capsys, "estimate", "--input", str(table), *_QUERY,
+                             "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == (
+        "error: PositivityError: x_alt level 1.0 not present in the treatment support\n"
+        f"error: the error block could not be written to {str(out)!r}: "
+        f"{os.strerror(errno.ENOENT)}\n"
+    )
+    assert not out.parent.exists()
+
+
 def test_config_document_may_open_with_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"scm": _LOGISTIC_SCM}).encode())
@@ -511,6 +553,9 @@ def test_malformed_estimate_document_exits_2(tmp_path, capsys, sim_csv, queries,
          "ConfigError: bootstrap.level must be inside (0, 1), got 1.0"),
         ({"bootstrap": {"level": -0.5}}, [],
          "ConfigError: bootstrap.level must be inside (0, 1), got -0.5"),
+        # read as absent, so the default families ran, exit 0, before
+        ({}, ["--families", ""],
+         "PocError: --families needs a comma list from pns,cd,pn,ps, got ''"),
     ],
 )
 def test_malformed_estimate_settings_exit_2(tmp_path, capsys, sim_csv, fields, flags, message):

@@ -643,6 +643,84 @@ def test_monotonicity_matches_pairwise_reference(monkeypatch):
     assert fills == {"empty", "whole", "some whole", "part"}, fills
 
 
+def _steps_ascend(scm, c):
+    """Whether every outcome cell and mediator arm of stratum ``c`` lists
+    its values in nondecreasing order."""
+    x_levels = scm.treatment_levels(c)
+    steps = [scm.mediator.step((x, *c)) for x in x_levels]
+    steps += [scm.outcome.step((x, m, *c)) for x in x_levels for m in scm.mediator_levels(c)]
+    return all(list(values) == sorted(values) for _, values in steps)
+
+
+def _prefix_end(ivs):
+    """The end ``e`` of a stripe's region ``((0.0, e),)``, ``0.0`` for ``()``."""
+    if not ivs:
+        return 0.0
+    ((lo, end),) = ivs
+    assert lo == 0.0, ivs
+    return end
+
+
+def test_prefix_closed_form_matches_interval_path(monkeypatch):
+    """A stratum whose steps all ascend takes the prefix closed form, and
+    ``check_monotonicity`` and both gates read what they read with every
+    stratum forced onto the interval path.  The closed form is handed, per
+    such stratum and in stratum order, the ends of the compound regions
+    that the interval path builds, each a prefix of its stripe."""
+    models = [(None, _crossing_scm())]
+    models += [(seed % _ORACLE_KINDS, _random_oracle_scm(seed)) for seed in range(600)]
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(2, 4, size=3).tolist()
+        models.append(("threshold", verification.random_threshold_scm(
+            rng, *levels, coherent=bool(seed % 2))))
+        stripes, inner = rng.integers(2, 4, size=2).tolist()
+        models.append(("lex", verification.random_lex_scm(rng, 2, stripes, inner)))
+
+    def reports(scm, name, log):
+        """The report and both gates, with what ``check_monotonicity``
+        hands the function ``name`` appended to ``log``."""
+
+        def logged(regions, weights, _real=getattr(oracle, name)):
+            log.append((regions, list(weights)))
+            return _real(regions, weights)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, name, logged)
+            got = repr(pm.check_monotonicity(scm))
+        return got, verification._gate(scm), verification._gate(scm, lex=True)
+
+    closed_strata = dict.fromkeys(("threshold", "lex", "logistic", "descending logistic"), 0)
+    for seed, (kind, scm) in enumerate(models):
+        closed, handed = [], []
+        got = reports(scm, "_prefix_crossings", closed)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_ascends", lambda values: False)
+            want = reports(scm, "_crossings", handed)
+        assert got == want, seed
+        # per stratum the interval path hands over the outcome, compound
+        # and mediator regions
+        ascending = [_steps_ascend(scm, c) for c, _ in scm.covariate_support()]
+        expected = [
+            ([[_prefix_end(ivs) for ivs in region] for region in regions], weights)
+            for (regions, weights), up in zip(handed[1::3], ascending) if up
+        ]
+        assert [(ends.tolist(), w) for ends, w in closed] == expected, seed
+        if kind in (0, 1, "threshold"):
+            closed_strata["threshold"] += len(ascending)
+            assert all(ascending), seed
+        elif kind in (2, "lex"):
+            closed_strata["lex"] += len(ascending)
+            assert all(ascending), seed
+        elif kind == 3:
+            closed_strata["logistic"] += sum(ascending)
+            closed_strata["descending logistic"] += ascending.count(False)
+    # every threshold and lex stratum took the closed form; logistic strata
+    # took it only where no cell has a cut, and most did not
+    assert closed_strata == {"threshold": 400, "lex": 300, "logistic": 7,
+                             "descending logistic": 140}, closed_strata
+
+
 def _signed_zero_scm():
     """Mediator equal to the treatment, outcome ``0.0`` when the mediator
     equals the treatment and ``-0.0`` otherwise: the natural effects of two
@@ -1004,15 +1082,19 @@ def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
 
 def test_equivalence_suite_work_counts(monkeypatch):
     """The suite's oracle work as counts, not times: 46 exact partitions
-    for 145 truths (one per distinct set of arms and fixed cells), 552
-    step masses (each ``AnalyticCdf`` answer worked out once) and 306
-    exact interval subtractions (the gate stops at the first crossing).
-    Without the partition cache, the memo and the gate they read 145,
-    1689 and 1970.  The gate's cover matrices hold 1188 rows (2498 before
-    regions empty or whole on every stripe were dropped), and the exact
+    for 145 truths (one per distinct set of arms and fixed cells) and 552
+    step masses (each ``AnalyticCdf`` answer worked out once).  Without
+    the partition cache and the memo they read 145 and 1689.  Every one
+    of the gate's 65 strata has ascending steps and takes the prefix
+    closed form, so it makes no exact interval subtraction and no cover
+    matrix (306 subtractions and 1188 cover rows on the interval path,
+    1970 and 2498 before the gate stopped at the first crossing and
+    dropped regions empty or whole on every stripe).  The exact
     partitions build 375 counterfactual columns (1440 before each entry
     memoised its columns)."""
-    counts = dict.fromkeys(("_partition", "_step_mass", "_interval_subtract_measure"), 0)
+    counts = dict.fromkeys(
+        ("_partition", "_step_mass", "_interval_subtract_measure", "_prefix_crossings"), 0
+    )
     for name in counts:
 
         def spy(*args, _real=getattr(oracle, name), _name=name):
@@ -1033,11 +1115,16 @@ def test_equivalence_suite_work_counts(monkeypatch):
         return _real(counted)
 
     # the suite's truths are all exact, so every column is a partition's
-    counts.update({"cover rows": 0, "columns": 0})
     monkeypatch.setattr(oracle, "_candidate_pairs", candidate_pairs)
     monkeypatch.setattr(oracle, "_Columns", columns)
-    monkeypatch.setattr(oracle, "_PARTITIONS", {})
-    result = verification.equivalence_suite(n_scms=20, seed=0)
-    assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
-    assert counts == {"_partition": 46, "_step_mass": 552, "_interval_subtract_measure": 306,
-                      "cover rows": 1188, "columns": 375}
+    # the gate's subtractions, closed-form strata and cover rows, then the
+    # same on the interval path
+    for gate in ((0, 65, 0), (306, 0, 1188)):
+        counts.update(dict.fromkeys(counts | {"cover rows": 0, "columns": 0}, 0))
+        monkeypatch.setattr(oracle, "_PARTITIONS", {})
+        result = verification.equivalence_suite(n_scms=20, seed=0)
+        assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
+        assert counts == {"_partition": 46, "_step_mass": 552,
+                          "_interval_subtract_measure": gate[0], "_prefix_crossings": gate[1],
+                          "cover rows": gate[2], "columns": 375}
+        monkeypatch.setattr(oracle, "_ascends", lambda values: False)
