@@ -16,8 +16,8 @@ Commands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or data error.
 A config document (JSON) may carry the same settings as the flags; flags
-override the document.  Identical inputs and seed produce byte-identical
-outputs.
+override the document.  Every setting is one row of ``SETTINGS``.
+Identical inputs and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import pickle
 import signal
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +75,138 @@ _PRESETS = {"logistic-bernoulli": logistic_bernoulli_preset}
 _FAMILY_ORDER = ("pns", "cd", "pn", "ps")
 
 
-def _parse_interval(text: str, upper_closed: bool) -> Interval:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise PocError(f"interval must be 'L,U', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise PocError(f"cannot parse interval endpoints {text!r}") from None
-    return Interval(lo, hi, upper_closed=upper_closed)
+class Setting(NamedTuple):
+    """One flag and the config key it overrides: a dotted path into the
+    config document, a ``queries[].`` path into each query object, or None.
+    A ``(full, --quick)`` pair is a default of ``verify``.  ``rule`` is what
+    a value must be, in words, and its test or the values allowed."""
+
+    flag: str
+    key: str | None
+    kind: str  # a kind that _typed checks, or "choice" for fixed choices
+    commands: str
+    help: str
+    default: object = None
+    rule: tuple | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_NONEMPTY = ("must not be empty", bool)
+_PAIR = ("must be a list of two numbers", lambda v: len(v) == 2)
+_COUNT = ("must be at least 0", lambda v: v >= 0)
+_FINITE = ("must be a finite number", math.isfinite)
+
+SETTINGS = (
+    Setting("--config", None, "path", "estimate simulate sweep", "JSON config", rule=_NONEMPTY),
+    Setting("--out", None, "path", "estimate simulate verify sweep", "output path", rule=_NONEMPTY),
+    Setting("--seed", "seed", "integer", "estimate", "64-bit seed", 0),
+    Setting("--seed", None, "integer", "simulate verify", "64-bit seed", 0, _COUNT),
+    Setting("--format", None, "choice", "estimate", "report format", "table",
+            ("must be json or table", ("json", "table"))),
+    Setting("--input", "input", "path", "estimate", "CSV input path", rule=_NONEMPTY),
+    Setting("--input", None, "path", "sweep", "CSV input path (empirical sweep)", rule=_NONEMPTY),
+    Setting("--preset", None, "string", "simulate sweep", "built-in model name", None,
+            (f"must be one of {', '.join(_PRESETS)}", _PRESETS)),
+    Setting("--x-col", "schema.x", "string", "estimate sweep", "treatment column", "x", _NONEMPTY),
+    Setting("--m-col", "schema.m", "string", "estimate sweep", "mediator column", "m", _NONEMPTY),
+    Setting("--y-col", "schema.y", "string", "estimate sweep", "outcome column", "y", _NONEMPTY),
+    Setting("--c-cols", "schema.c", "strings", "estimate sweep", "covariate columns", [],
+            ("must name no empty column", all)),
+    Setting("--families", "families", "strings", "estimate", "families to estimate", ["pns", "cd"],
+            (f"needs a comma list from {','.join(_FAMILY_ORDER)}",
+             lambda v: bool(v) and all(f in _FAMILY_ORDER for f in v))),
+    Setting("--replicates", "bootstrap.replicates", "integer", "estimate", "bootstrap replicates",
+            1000, ("must be 0 (no bootstrap) or at least 2", lambda v: v == 0 or v >= 2)),
+    Setting("--level", "bootstrap.level", "number", "estimate", "confidence level", 0.95,
+            ("must be inside (0, 1)", lambda v: 0.0 < v < 1.0)),
+    Setting("--assume-mediator-monotone", "assume_mediator_monotone", "boolean", "estimate",
+            "assert the mediator monotonicity condition for joint evidence", False),
+    Setting("--x-base", "queries[].x_base", "number", "estimate", "base treatment level x'"),
+    Setting("--x-alt", "queries[].x_alt", "number", "estimate", "alternative treatment level x"),
+    Setting("--y", "queries[].y", "number", "estimate", "outcome threshold"),
+    Setting("--m-fixed", "queries[].m_fixed", "number", "estimate", "mediator value for cd"),
+    Setting("--stratum", "queries[].stratum", "numbers", "estimate", "covariate stratum values"),
+    Setting("--evidence-x", "queries[].evidence.x_star", "number", "estimate", "factual x*"),
+    Setting("--evidence-m", "queries[].evidence.m_star", "number", "estimate", "factual m*"),
+    Setting("--y-interval", "queries[].evidence.y_interval", "numbers", "estimate",
+            "factual outcome interval 'L,U'", None, _PAIR),
+    Setting("--y-upper-closed", "queries[].evidence.y_upper_closed", "boolean", "estimate",
+            "close the outcome interval", False),
+    Setting("--m-interval", "queries[].evidence.m_interval", "numbers", "estimate",
+            "factual mediator interval 'L,U'", None, _PAIR),
+    Setting("--m-upper-closed", "queries[].evidence.m_upper_closed", "boolean", "estimate",
+            "close the mediator interval", False),
+    Setting("--x-base", None, "number", "sweep", "base treatment level x'", rule=_FINITE),
+    Setting("--x-alt", None, "number", "sweep", "alternative treatment level x", rule=_FINITE),
+    Setting("--y", None, "number", "sweep", "outcome threshold (non-y sweeps)", rule=_FINITE),
+    Setting("--m-fixed", None, "number", "sweep", "mediator value for cd_pns", rule=_FINITE),
+    Setting("--grid-over", None, "choice", "sweep", "what the grid varies", "y",
+            ("must be y, covariate or mediator-intercept",
+             ("y", "covariate", "mediator-intercept"))),
+    Setting("--grid", None, "numbers", "sweep", "comma-separated grid values", None,
+            ("must hold finite numbers", lambda v: all(map(math.isfinite, v)))),
+    Setting("--svg", None, "path", "sweep", "write an SVG line chart here", rule=_NONEMPTY),
+    Setting("--n", None, "integer", "simulate", "number of rows", None,
+            ("must be at least 1", lambda v: v >= 1)),
+    Setting("--quick", None, "boolean", "verify", "small fast suite", False),
+    Setting("--replicates", None, "integer", "verify", "bootstrap replicates", (1000, 200),
+            ("must be at least 2", lambda v: v >= 2)),
+    Setting("--scms", None, "integer", "verify", "equivalence-suite models", (50, 10), _COUNT),
+    Setting("--decomposition", None, "integer", "verify", "decomposition-suite models", (200, 50),
+            _COUNT),
+)
+
+_COMMAND_ROWS = {command: [row for row in SETTINGS if command in row.commands.split()]
+                 for command in ("estimate", "simulate", "verify", "sweep")}
+#: the query rows by their path inside a query object
+_QUERY_ROWS = {row.key.removeprefix("queries[]."): row for row in SETTINGS
+               if (row.key or "").startswith("queries[].")}
+#: the keys that each query object, and each evidence object, must have
+_REQUIRED = ("x_base", "x_alt", "y", "evidence.x_star")
+
+#: what a config value of each kind must be, and the type it must have; a
+#: kind not listed, such as ``numbers``, is a list of such things
+_KINDS = {
+    "number": ("a number", (int, float)),
+    "integer": ("an integer", int),
+    "boolean": ("true or false", bool),
+    "string": ("a string", str),
+    "path": ("a string", str),
+    "object": ("an object", dict),
+    "list": ("a list", list),
+}
+
+
+def _typed(value, kind: str, where: str):
+    """``value`` if it is of ``kind``, a number as a float and a list of
+    numbers or strings checked entry by entry; otherwise a
+    :class:`ConfigError` naming ``where``."""
+    what, types = _KINDS.get(kind) or (f"a list of {kind}", list)
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    if kind in ("numbers", "strings"):
+        return [_typed(v, kind[:-1], where) for v in value]
+    return float(value) if kind == "number" else value
+
+
+def _field(body: dict, key: str, where: str, kind: str | None = None, name: str | None = None):
+    """``body[key]``, checked to be of ``kind``, if given, under ``name``
+    (by default ``where.key``)."""
+    if key not in body:
+        raise ConfigError(f"{where} has no {key!r} key")
+    return body[key] if kind is None else _typed(body[key], kind, name or f"{where}.{key}")
+
+
+def _checked(row: Setting, value, shown, where: str, error: type[PocError]):
+    """``value`` if it passes ``row``'s rule; otherwise ``error`` naming
+    ``where`` and ``shown``, the value as it was given."""
+    text, ok = row.rule or ("", None)
+    if ok is None or (ok(value) if callable(ok) else value in ok):
+        return value
+    raise error(f"{where} {text}, got {shown!r}")
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -95,105 +220,94 @@ def _floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _at_least(flag: str, value: int | None, least: int, default: int) -> int:
-    """An integer flag's value, ``default`` when it is not given."""
-    if value is None:
-        return default
-    if value < least:
-        raise PocError(f"{flag} must be at least {least}, got {value}")
-    return value
+def _read(row: Setting, body: dict, path: str, prefix: str = ""):
+    """``row``'s value at the dotted ``path`` of the config object ``body``,
+    named ``prefix + path``: its default where the key is absent, or null
+    with no default, unless the key is required."""
+    *sections, leaf = path.split(".")
+    for section in sections:
+        body = _typed(body.get(section, {}), "object", prefix + section)
+    absent = leaf not in body or (body[leaf] is None and row.default is None)
+    if absent and path not in _REQUIRED:
+        return row.default
+    name = prefix + path
+    value = _field(body, leaf, name.rpartition(".")[0], row.kind, name)
+    return _checked(row, value, value, name, ConfigError)
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return value
+def _resolve(args) -> tuple[argparse.Namespace, dict]:
+    """Every setting of ``args.command``, in table order: its flag when
+    given, else its config key (a query key is read per query), else its
+    default; and the config document that ``--config`` names."""
+    values, config = {}, {}
+    for row in _COMMAND_ROWS[args.command]:
+        flag = getattr(args, row.dest)
+        if flag is not None and flag is not False:  # a switch not given is False
+            value = flag
+            if row.kind == "numbers":
+                value = _floats(flag, row.flag)
+            elif row.kind == "strings":
+                value = flag.split(",") if flag else []
+            value = _checked(row, value, flag, row.flag, PocError)
+        elif row.key is not None and not row.key.startswith("queries[]."):
+            value = _read(row, config, row.key)
+        else:
+            value = row.default[args.quick] if isinstance(row.default, tuple) else row.default
+        values[row.dest] = value
+        if row.dest == "config" and value is not None:
+            config = _load_config(value)
+    return argparse.Namespace(**values), config
 
 
-def _field(body: dict, key: str, where: str):
-    if key not in body:
-        raise ConfigError(f"{where} has no {key!r} key")
-    return body[key]
-
-
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    return [_number(v, where) for v in value]
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
-
-
-def _strings(value, where: str) -> list[str]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
-    return [_string(v, where) for v in value]
+def _write(flag: str, path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, the value of ``flag``, or to standard
+    output when the flag is not given."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PocError(f"{flag}: cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _parse_node(spec, where: str):
-    spec = _mapping(spec, where)
+    spec = _typed(spec, "object", where)
     if "logistic" in spec:
         where = f"{where}.logistic"
-        body = _mapping(spec["logistic"], where)
+        body = _typed(spec["logistic"], "object", where)
         return LogisticNode(
-            _number(_field(body, "intercept", where), f"{where}.intercept"),
-            _numbers(body.get("coefs", []), f"{where}.coefs"),
+            _field(body, "intercept", where, "number"),
+            _typed(body.get("coefs", []), "numbers", f"{where}.coefs"),
         )
     if "table" in spec:
         where = f"{where}.table"
-        if not isinstance(spec["table"], list):
-            raise ConfigError(f"{where} must be a list of cells, got {spec['table']!r}")
         cells = {}
-        for cell in spec["table"]:
-            cell = _mapping(cell, f"{where} cell")
-            key = tuple(_numbers(cell.get("parents", []), f"{where} cell parents"))
+        for cell in _typed(spec["table"], "cells", where):
+            cell = _typed(cell, "object", f"{where} cell")
+            key = tuple(_typed(cell.get("parents", []), "numbers", f"{where} cell parents"))
             if key in cells:
                 raise ConfigError(f"{where} has two cells for parents {list(key)!r}")
             cells[key] = (
-                _numbers(_field(cell, "cuts", f"{where} cell"), f"{where} cell cuts"),
-                _numbers(_field(cell, "values", f"{where} cell"), f"{where} cell values"),
+                _field(cell, "cuts", f"{where} cell", "numbers", f"{where} cell cuts"),
+                _field(cell, "values", f"{where} cell", "numbers", f"{where} cell values"),
             )
         return TableNode(cells)
     raise ConfigError(f"unknown node spec {sorted(spec)!r}")
 
 
 def _parse_scm(doc: dict) -> ScmSpec:
-    body = _mapping(doc["scm"], "scm") if "scm" in doc else doc
+    body = _typed(doc["scm"], "object", "scm") if "scm" in doc else doc
     covariates = None
     if body.get("covariates"):
-        entries = body["covariates"]
-        if not isinstance(entries, list):
-            raise ConfigError(f"scm.covariates must be a list, got {entries!r}")
         covariates = []
-        for entry in entries:
-            entry = _mapping(entry, "scm.covariates entry")
+        for entry in _typed(body["covariates"], "list", "scm.covariates"):
+            entry = _typed(entry, "object", "scm.covariates entry")
             covariates.append((
-                tuple(_numbers(_field(entry, "values", "scm.covariates entry"),
-                               "scm.covariates values")),
-                _number(_field(entry, "weight", "scm.covariates entry"),
-                        "scm.covariates weight"),
+                tuple(_field(entry, "values", "scm.covariates entry", "numbers",
+                             "scm.covariates values")),
+                _field(entry, "weight", "scm.covariates entry", "number", "scm.covariates weight"),
             ))
         covariates = tuple(covariates)
     return ScmSpec(
@@ -204,14 +318,12 @@ def _parse_scm(doc: dict) -> ScmSpec:
     )
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str) -> dict:
     """The config document at ``path``, read as UTF-8 without one leading
     byte-order mark; a file that cannot be read raises
     :class:`ConfigError` naming the path and the reason, text that is not
     UTF-8 or not JSON one naming the byte, or the line and column, and so
     does JSON nested too deeply for the parser."""
-    if not path:
-        return {}
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -228,126 +340,63 @@ def _load_config(path: str | None) -> dict:
         ) from None
     except RecursionError:
         raise ConfigError("the config document: nested too deeply to read") from None
-    return _mapping(doc, "the config document")
+    return _typed(doc, "object", "the config document")
 
 
-def _resolve_scm(args, config: dict) -> ScmSpec:
-    if getattr(args, "preset", None):
-        if args.preset not in _PRESETS:
-            raise PocError(
-                f"unknown preset {args.preset!r}; available: {sorted(_PRESETS)}"
-            )
-        return _PRESETS[args.preset]()
+def _resolve_scm(settings, config: dict) -> ScmSpec:
+    if settings.preset is not None:
+        return _PRESETS[settings.preset]()
     if "scm" in config or {"treatment", "mediator", "outcome"} <= set(config):
         return _parse_scm(config)
     raise PocError("no structural model given (use --preset or a config document)")
 
 
-def _roles_from(args, config: dict) -> ColumnRoles:
-    schema = _mapping(config.get("schema", {}), "schema")
-    x = args.x_col or _string(schema.get("x", "x"), "schema.x")
-    m = args.m_col or _string(schema.get("m", "m"), "schema.m")
-    y = args.y_col or _string(schema.get("y", "y"), "schema.y")
-    if args.c_cols is not None:
-        c = tuple(s for s in args.c_cols.split(",") if s)
-    else:
-        c = tuple(_strings(schema.get("c", []), "schema.c"))
-    return ColumnRoles(x, m, y, c)
-
-
-def _interval_from(spec: dict, axis: str, where: str) -> Interval | None:
-    """``spec["<axis>_interval"]``, a list of two numbers, closed above when
-    ``spec["<axis>_upper_closed"]`` is true; None when absent."""
-    bounds = spec.get(f"{axis}_interval")
-    if bounds is None:
-        return None
-    bounds = _numbers(bounds, f"{where}.{axis}_interval")
-    if len(bounds) != 2:
-        raise ConfigError(
-            f"{where}.{axis}_interval must be a list of two numbers, got {bounds!r}"
-        )
-    closed = _boolean(spec.get(f"{axis}_upper_closed", False), f"{where}.{axis}_upper_closed")
-    return Interval(bounds[0], bounds[1], upper_closed=closed)
-
-
-def _evidence_from_spec(spec, where: str):
-    """Split one evidence description into the per-family evidence records:
-    the natural family conditions on (x*, Y interval[, M interval]); the
-    controlled-direct family additionally needs the exact mediator value."""
-    if spec is None:
-        return None, None
-    spec = _mapping(spec, where)
-    x_star = _number(_field(spec, "x_star", where), f"{where}.x_star")
-    interval_y = _interval_from(spec, "y", where) or Interval.full()
-    interval_m = _interval_from(spec, "m", where)
-    natural = Evidence(x_star=x_star, interval_y=interval_y, interval_m=interval_m)
-    cd = None
-    if spec.get("m_star") is not None:
-        m_star = _number(spec["m_star"], f"{where}.m_star")
-        cd = Evidence(x_star=x_star, interval_y=interval_y, m_star=m_star)
-    return natural, cd
-
-
-def _queries_from(args, config: dict) -> list[dict]:
-    queries = config.get("queries", [])
-    if not isinstance(queries, list):
-        raise ConfigError(f"queries must be a list of objects, got {queries!r}")
-    queries = [_mapping(spec, f"queries[{i}]") for i, spec in enumerate(queries)]
-    if args.evidence_x is None:
-        for flag, value in (("--evidence-m", args.evidence_m), ("--y-interval", args.y_interval),
-                            ("--m-interval", args.m_interval)):
-            if value is not None:
-                raise PocError(f"{flag} needs --evidence-x")
-    flag_query = {}
-    per_query = (args.x_base, args.x_alt, args.y, args.m_fixed, args.stratum, args.evidence_x)
-    if any(value is not None for value in per_query):
-        if args.x_base is None or args.x_alt is None or args.y is None:
+def _queries(settings, config: dict) -> list[dict]:
+    """The value of each query row, by its path, for each query object of
+    the config document and then for the query that the flags give."""
+    queries = []
+    for i, spec in enumerate(_typed(config.get("queries", []), "objects", "queries")):
+        spec = _typed(spec, "object", f"queries[{i}]")
+        evidence = spec.get("evidence") is not None  # null evidence is no evidence
+        queries.append({path: _read(row, spec, path, f"queries[{i}].")
+                        if evidence or not path.startswith("evidence.") else row.default
+                        for path, row in _QUERY_ROWS.items()})
+    flags = {path: getattr(settings, row.dest) for path, row in _QUERY_ROWS.items()}
+    given = [path for path, row in _QUERY_ROWS.items() if flags[path] != row.default]
+    for path in given:
+        if path.startswith("evidence.") and "evidence.x_star" not in given:
+            raise PocError(f"{_QUERY_ROWS[path].flag} needs --evidence-x")
+    if given:
+        if not {"x_base", "x_alt", "y"} <= set(given):
             raise PocError("a query needs --x-base, --x-alt, and --y together")
-        flag_query = {
-            "x_base": args.x_base,
-            "x_alt": args.x_alt,
-            "y": args.y,
-        }
-        if args.m_fixed is not None:
-            flag_query["m_fixed"] = args.m_fixed
-        if args.stratum is not None:
-            flag_query["stratum"] = _floats(args.stratum, "--stratum")
-        evidence = {}
-        if args.evidence_x is not None:
-            evidence["x_star"] = args.evidence_x
-            if args.y_interval:
-                iv = _parse_interval(args.y_interval, args.y_upper_closed)
-                evidence["y_interval"] = [iv.lower, iv.upper]
-                evidence["y_upper_closed"] = iv.upper_closed
-            if args.evidence_m is not None:
-                evidence["m_star"] = args.evidence_m
-            if args.m_interval:
-                iv = _parse_interval(args.m_interval, args.m_upper_closed)
-                evidence["m_interval"] = [iv.lower, iv.upper]
-                evidence["m_upper_closed"] = iv.upper_closed
-        if evidence:
-            flag_query["evidence"] = evidence
-        queries.append(flag_query)
+        queries.append(flags)
     if not queries:
         raise PocError("no queries: pass --x-base/--x-alt/--y or a config document")
     return queries
 
 
-def _query_from_spec(
-    spec: dict, where: str
-) -> tuple[Query, Evidence | None, Evidence | None]:
-    natural_e, cd_e = _evidence_from_spec(spec.get("evidence"), f"{where}.evidence")
-    m_fixed = spec.get("m_fixed")
-    stratum = spec.get("stratum")
-    stratum = () if stratum is None else tuple(_numbers(stratum, f"{where}.stratum"))
-    q = Query(
-        x_base=_number(_field(spec, "x_base", where), f"{where}.x_base"),
-        x_alt=_number(_field(spec, "x_alt", where), f"{where}.x_alt"),
-        y_threshold=_number(_field(spec, "y", where), f"{where}.y"),
-        m_fixed=None if m_fixed is None else _number(m_fixed, f"{where}.m_fixed"),
-        c_stratum=stratum or None,
+def _query(values: dict) -> tuple[Query, Evidence | None, Evidence | None]:
+    """One query, and its evidence for the natural family (x*, Y
+    interval[, M interval]) and for the controlled-direct family, which
+    also needs the exact mediator value m*."""
+    stratum = values["stratum"]
+    q = Query(x_base=values["x_base"], x_alt=values["x_alt"], y_threshold=values["y"],
+              m_fixed=values["m_fixed"], c_stratum=tuple(stratum) if stratum else None)
+    x_star = values["evidence.x_star"]
+    if x_star is None:
+        return q, None, None
+    interval_y, interval_m = (
+        None if values[f"evidence.{axis}_interval"] is None
+        else Interval(*values[f"evidence.{axis}_interval"],
+                      upper_closed=values[f"evidence.{axis}_upper_closed"])
+        for axis in "ym"
     )
-    return q, natural_e, cd_e
+    natural = Evidence(x_star=x_star, interval_y=interval_y or Interval.full(),
+                       interval_m=interval_m)
+    m_star = values["evidence.m_star"]
+    cd = None if m_star is None else Evidence(x_star=x_star, interval_y=natural.interval_y,
+                                              m_star=m_star)
+    return q, natural, cd
 
 
 def _validate_query(dataset: Dataset, q: Query) -> None:
@@ -360,47 +409,39 @@ def _validate_query(dataset: Dataset, q: Query) -> None:
             )
 
 
-def _echo_query(q: Query, natural_e, cd_e) -> dict:
-    echo = {
-        "x_base": q.x_base,
-        "x_alt": q.x_alt,
-        "y_threshold": q.y_threshold,
-        "m_fixed": q.m_fixed,
-        "c_stratum": list(q.c_stratum) if q.c_stratum else None,
-        "evidence": None,
-    }
-    if natural_e is not None:
+def _echo_query(values: dict) -> dict:
+    """A query's settings as its report block states them."""
+    echo = {"x_base": values["x_base"], "x_alt": values["x_alt"], "y_threshold": values["y"],
+            "m_fixed": values["m_fixed"], "c_stratum": values["stratum"] or None, "evidence": None}
+    if values["evidence.x_star"] is not None:
+        y_interval, m_interval = values["evidence.y_interval"], values["evidence.m_interval"]
         echo["evidence"] = {
-            "x_star": natural_e.x_star,
-            "y_interval": [natural_e.interval_y.lower, natural_e.interval_y.upper],
-            "y_upper_closed": natural_e.interval_y.upper_closed,
-            "m_star": cd_e.m_star if cd_e is not None else None,
-            "m_interval": (
-                [natural_e.interval_m.lower, natural_e.interval_m.upper]
-                if natural_e.interval_m is not None
-                else None
-            ),
-            "m_upper_closed": (
-                natural_e.interval_m.upper_closed
-                if natural_e.interval_m is not None
-                else None
-            ),
+            "x_star": values["evidence.x_star"],
+            "y_interval": y_interval or [-math.inf, math.inf],
+            "y_upper_closed": y_interval is not None and values["evidence.y_upper_closed"],
+            "m_star": values["evidence.m_star"],
+            "m_interval": m_interval,
+            "m_upper_closed": None if m_interval is None else values["evidence.m_upper_closed"],
         }
     return echo
 
 
-def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone,
-                    models):
-    """One query's report block.  Without a bootstrap the query reads the
-    :class:`CdfModel` of its stratum from ``models``, built on first use
+def _estimate_block(settings, dataset, models, qi, values, q, natural_e, cd_e):
+    """The report block of query ``qi``.  Without a bootstrap the query reads
+    the :class:`CdfModel` of its stratum from ``models``, built on first use
     and shared by the later queries of the same stratum."""
-    block = {"query": _echo_query(q, natural_e, cd_e), "families": {}, "warnings": []}
+    boot_cfg = None
+    if settings.replicates >= 2:
+        boot_cfg = BootstrapConfig(replicates=settings.replicates, level=settings.level,
+                                   seed=(settings.seed * 1_000_003 + qi * 97) % (2**63))
+    block = {"query": _echo_query(values), "families": {}, "warnings": []}
     estimands = {"pns": ("natural", natural_e), "cd": ("cd", cd_e), "pn": ("pn", None),
                  "ps": ("ps", None)}
     targets = {
-        family: estimator_target(kind, q, evidence=evidence, mediator_monotone=mediator_monotone)
+        family: estimator_target(kind, q, evidence=evidence,
+                                 mediator_monotone=settings.assume_mediator_monotone)
         for family, (kind, evidence) in estimands.items()
-        if family in families and (family != "cd" or q.m_fixed is not None)
+        if family in settings.families and (family != "cd" or q.m_fixed is not None)
     }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MediatorMonotonicityWarning)
@@ -437,89 +478,34 @@ def _estimate_block(dataset, q, natural_e, cd_e, families, boot_cfg, mediator_mo
     return block
 
 
-def _bootstrap_setting(args, boot: dict, key: str, default, parse):
-    """A bootstrap setting from its flag, else from the config document's
-    ``bootstrap`` object, with the name and error type to report it by."""
-    value = getattr(args, key)
-    if value is not None:
-        return value, f"--{key}", PocError
-    where = f"bootstrap.{key}"
-    return parse(boot.get(key, default), where), where, ConfigError
-
-
 def cmd_estimate(args) -> int:
-    config = _load_config(args.config)
-    input_path = args.input or config.get("input")
-    if not input_path:
+    s, config = _resolve(args)
+    if s.input is None:
         raise PocError("no input table (use --input or the config document)")
-    roles = _roles_from(args, config)
+    dataset = load_dataset(s.input, ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols)))
 
-    families = args.families
-    if families is None:
-        families = ",".join(_strings(config.get("families", ["pns", "cd"]), "families"))
-    elif not families:
-        raise PocError(f"--families needs a comma list from {','.join(_FAMILY_ORDER)}, got ''")
-    families = tuple(families.split(","))
-    for family in families:
-        if family not in _FAMILY_ORDER:
-            raise PocError(f"unknown family {family!r}; choose from {_FAMILY_ORDER}")
-    seed = args.seed if args.seed is not None else _integer(config.get("seed", 0), "seed")
-    boot = _mapping(config.get("bootstrap", {}), "bootstrap")
-    replicates, where, error = _bootstrap_setting(args, boot, "replicates", 1000, _integer)
-    if replicates < 0 or replicates == 1:
-        raise error(f"{where} must be 0 (no bootstrap) or at least 2, got {replicates}")
-    # checked with or without a bootstrap, so that a bad level never passes
-    level, where, error = _bootstrap_setting(args, boot, "level", 0.95, _number)
-    if not 0.0 < level < 1.0:
-        raise error(f"{where} must be inside (0, 1), got {level!r}")
-    mediator_monotone = args.assume_mediator_monotone or _boolean(
-        config.get("assume_mediator_monotone", False), "assume_mediator_monotone"
-    )
-    dataset = load_dataset(input_path, roles)
-
-    specs = _queries_from(args, config)
-    parsed = [_query_from_spec(spec, f"queries[{i}]") for i, spec in enumerate(specs)]
-    for q, _, _ in parsed:
+    parsed = [(values, *_query(values)) for values in _queries(s, config)]
+    for _, q, _, _ in parsed:
         _validate_query(dataset, q)
 
-    report = new_report(str(input_path), dataset.n, seed)
+    report = new_report(str(s.input), dataset.n, s.seed)
     models = {}
-    for qi, (q, natural_e, cd_e) in enumerate(parsed):
-        boot_cfg = None
-        if replicates >= 2:
-            block_seed = (seed * 1_000_003 + qi * 97) % (2**63)
-            boot_cfg = BootstrapConfig(replicates=replicates, level=level, seed=block_seed)
-        block = _estimate_block(
-            dataset, q, natural_e, cd_e, families, boot_cfg, mediator_monotone, models
-        )
-        report["queries"].append(block)
-
-    text = render_json(report) if args.out or args.format == "json" else None
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text if args.format == "json" else render_estimate_table(report))
+    report["queries"] = [_estimate_block(s, dataset, models, qi, *query)
+                         for qi, query in enumerate(parsed)]
+    text = render_json(report) if s.out is not None or s.format == "json" else None
+    if s.out is not None:
+        _write("--out", s.out, text)
+    sys.stdout.write(text if s.format == "json" else render_estimate_table(report))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    scm = _resolve_scm(args, config)
-    if args.n is None or args.n < 1:
-        raise PocError("--n must be a positive row count")
-    dataset = sample_observational(scm, args.n, seed=_at_least("--seed", args.seed, 0, 0))
-    text = dataset.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    s, config = _resolve(args)
+    scm = _resolve_scm(s, config)
+    if s.n is None:
+        raise PocError("simulate needs --n, the number of rows")
+    _write("--out", s.out, sample_observational(scm, s.n, seed=s.seed).to_csv())
     return EXIT_OK
-
-
-#: ``verify`` defaults, full and ``--quick``: estimation sample sizes,
-#: replicates, equivalence and decomposition model counts
-_VERIFY_DEFAULTS = {False: ((100, 1000, 10000), 1000, 50, 200), True: ((100, 1000), 200, 10, 50)}
 
 
 def _held(fn, **kwargs):
@@ -610,47 +596,43 @@ def _beside(part):
 
 
 def cmd_verify(args) -> int:
-    sizes, replicates, n_eq, n_dec = _VERIFY_DEFAULTS[args.quick]
-    replicates = _at_least("--replicates", args.replicates, 2, replicates)
-    n_eq = _at_least("--scms", args.scms, 0, n_eq)
-    n_dec = _at_least("--decomposition", args.decomposition, 0, n_dec)
-    seed = _at_least("--seed", args.seed, 0, 0)
+    s, _ = _resolve(args)
+    sizes = (100, 1000) if s.quick else (100, 1000, 10000)
 
     def beside():
         return (
-            _held(verification.estimation_rows, seed=seed, replicates=replicates, sizes=sizes),
-            _held(verification.decomposition_suite, n_scms=n_dec, seed=seed),
+            _held(verification.estimation_rows, seed=s.seed, replicates=s.replicates, sizes=sizes),
+            _held(verification.decomposition_suite, n_scms=s.decomposition, seed=s.seed),
         )
 
     # the parts are separately seeded, so running two at once changes no
     # figure; their warnings and errors are released in the serial order
     with _beside(beside) as join:
         rows = verification.exact_truth_rows()
-        equivalence = _held(verification.equivalence_suite, n_scms=n_eq, seed=seed)
+        equivalence = _held(verification.equivalence_suite, n_scms=s.scms, seed=s.seed)
         estimation, decomposition = join()
     rows.extend(_release(estimation))
     eq = _release(equivalence)
     rows.extend(verification.suite_rows(eq, _release(decomposition)))
     rows.extend(verification.exclusion_notes())
-    table = render_verify_table(rows, f"pocmed {__version__} verification (seed {seed})")
+    table = render_verify_table(rows, f"pocmed {__version__} verification (seed {s.seed})")
     sys.stdout.write(table)
-    if args.out:
+    if s.out is not None:
         payload = {
             "version": __version__,
-            "seed": seed,
+            "seed": s.seed,
             "rows": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in rows
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(payload))
+        _write("--out", s.out, render_json(payload))
     failed = [r for r in rows if r.passed is False]
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def _sweep_grid(args, levels) -> list[float]:
-    if args.grid is not None:
-        return _floats(args.grid, "--grid")
+def _sweep_grid(grid, levels) -> list[float]:
+    if grid is not None:
+        return grid
     grid = sorted(set(levels))
     mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
     return sorted(grid[1:] + mids)
@@ -665,14 +647,16 @@ def _require_one_covariate(count: int) -> None:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    if args.x_base is None or args.x_alt is None:
+    s, config = _resolve(args)
+    if s.x_base is None or s.x_alt is None:
         raise PocError("sweep needs --x-base and --x-alt")
+    if s.grid_over != "y" and s.y is None:
+        raise PocError(f"a {s.grid_over} sweep needs --y")
     rows = []
     warnings_list = []
 
     def measure(model, y_value):
-        q = Query(x_base=args.x_base, x_alt=args.x_alt, y_threshold=y_value, m_fixed=args.m_fixed)
+        q = Query(x_base=s.x_base, x_alt=s.x_alt, y_threshold=y_value, m_fixed=s.m_fixed)
         a, b, r, low, high = identify._margin_inputs(model, "natural", q)
         nd, ni, _, _ = identify._clipped(a, b, r, low, high)
         triple = identify._make_triple(nd, ni, identify.CASE_UNCONDITIONAL)
@@ -684,62 +668,55 @@ def cmd_sweep(args) -> int:
             "cdf_alt": b,
             "crossworld": r,
         }
-        if args.m_fixed is not None:
+        if s.m_fixed is not None:
             out["cd_pns"] = identify.cd_pns(model, q)
         return out
 
-    if args.input:
-        roles = _roles_from(args, config)
-        dataset = load_dataset(args.input, roles)
-        if args.grid_over == "y":
-            grid = _sweep_grid(args, np.unique(dataset.y).tolist())
+    if s.input is not None:
+        roles = ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols))
+        dataset = load_dataset(s.input, roles)
+        if s.grid_over == "y":
+            grid = _sweep_grid(s.grid, np.unique(dataset.y).tolist())
             model = CdfModel(dataset)
             points = [(v, lambda v=v: measure(model, v)) for v in grid]
-        elif args.grid_over == "covariate":
+        elif s.grid_over == "covariate":
             if not roles.c:
                 raise PocError("covariate sweep needs covariate columns (--c-cols)")
             _require_one_covariate(len(roles.c))
-            if args.y is None:
-                raise PocError("covariate sweep needs --y")
             grid = (
-                _floats(args.grid, "--grid")
-                if args.grid is not None
+                s.grid
+                if s.grid is not None
                 else sorted(np.unique(dataset.column(roles.c[0])).tolist())
             )
             points = [
-                (v, lambda v=v: measure(CdfModel(dataset, (v,)), args.y))
+                (v, lambda v=v: measure(CdfModel(dataset, (v,)), s.y))
                 for v in grid
             ]
         else:
             raise PocError("empirical sweeps support --grid-over y or covariate")
     else:
-        scm = _resolve_scm(args, config)
-        if args.grid_over == "y":
+        scm = _resolve_scm(s, config)
+        if s.grid_over == "y":
             model = AnalyticCdf(scm)
-            grid = _sweep_grid(args, model.outcome_levels())
+            grid = _sweep_grid(s.grid, model.outcome_levels())
             points = [(v, lambda v=v: measure(model, v)) for v in grid]
-        elif args.grid_over == "covariate":
+        elif s.grid_over == "covariate":
             if scm.covariates is None:
                 raise PocError("the model has no covariates to sweep over")
-            if args.y is None:
-                raise PocError("covariate sweep needs --y")
-            if args.grid is not None:
+            if s.grid is not None:
                 raise PocError("--grid does not apply to a model covariate sweep, "
                                "which runs every covariate stratum")
             strata = [c for c, _ in scm.covariate_support()]
             _require_one_covariate(len(strata[0]))
             points = [
-                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), args.y))
+                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), s.y))
                 for c in strata
             ]
-        elif args.grid_over == "mediator-intercept":
-            if args.y is None:
-                raise PocError("parameter sweep needs --y")
+        elif s.grid_over == "mediator-intercept":
             if not isinstance(scm.mediator, LogisticNode):
                 raise PocError("mediator-intercept sweep needs a logistic mediator node")
-            if args.grid is None:
+            if s.grid is None:
                 raise PocError("parameter sweep needs --grid with explicit values")
-            grid = _floats(args.grid, "--grid")
 
             def model_at(v):
                 shifted = ScmSpec(
@@ -750,9 +727,7 @@ def cmd_sweep(args) -> int:
                 )
                 return AnalyticCdf(shifted)
 
-            points = [(v, lambda v=v: measure(model_at(v), args.y)) for v in grid]
-        else:
-            raise PocError(f"unknown --grid-over {args.grid_over!r}")
+            points = [(v, lambda v=v: measure(model_at(v), s.y)) for v in s.grid]
 
     series: dict[str, list[float]] = {"t_pns": [], "nd_pns": [], "ni_pns": []}
     xs = []
@@ -775,61 +750,26 @@ def cmd_sweep(args) -> int:
 
     for message in warnings_list:
         print(f"warning: {message}", file=sys.stderr)
-    if args.svg and not any(v == v for values in series.values() for v in values):
-        raise PocError(f"--svg {args.svg}: no grid point has a value to plot")
+    if s.svg is not None and not any(v == v for values in series.values() for v in values):
+        raise PocError(f"--svg {s.svg}: no grid point has a value to plot")
     lines = ["grid,quantity,value,status"]
     for value, key, val, status in rows:
         lines.append(f"{value!r},{key},{val!r},{status}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.svg:
-        svg = render_line_chart(xs, series, x_label=args.grid_over)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    _write("--out", s.out, "\n".join(lines) + "\n")
+    if s.svg is not None:
+        _write("--svg", s.svg, render_line_chart(xs, series, x_label=s.grid_over))
     return EXIT_OK
 
 
-_COMMON = {
-    "--config": {"help": "JSON config document"},
-    "--out": {"help": "output path"},
-    "--seed": {"type": int, "default": None, "help": "64-bit seed"},
-    "--format": {"choices": ("json", "table"), "default": "table"},
+_COMMANDS = {
+    "estimate": (cmd_estimate, "estimate from a CSV table"),
+    "simulate": (cmd_simulate, "sample an observational CSV from a model"),
+    "verify": (cmd_verify, "check the stack against exact truths"),
+    "sweep": (cmd_sweep, "evaluate measures over a grid"),
 }
-
-
-def _add_common(p, *flags):
-    """Declare the shared flags that the command reads."""
-    for flag in flags:
-        p.add_argument(flag, **_COMMON[flag])
-
-
-def _add_schema(p):
-    p.add_argument("--x-col", help="treatment column name (default x)")
-    p.add_argument("--m-col", help="mediator column name (default m)")
-    p.add_argument("--y-col", help="outcome column name (default y)")
-    p.add_argument("--c-cols", help="comma-separated covariate column names")
-
-
-def _add_query(p):
-    p.add_argument("--x-base", type=float, help="base treatment level x'")
-    p.add_argument("--x-alt", type=float, help="alternative treatment level x")
-    p.add_argument("--y", type=float, help="outcome threshold")
-    p.add_argument("--m-fixed", type=float, help="mediator value for cd quantities")
-    p.add_argument("--stratum", help="comma-separated covariate stratum values")
-    p.add_argument("--evidence-x", type=float, help="factual treatment level x*")
-    p.add_argument("--evidence-m", type=float, help="factual mediator value m*")
-    p.add_argument("--y-interval", help="factual outcome interval 'L,U'")
-    p.add_argument(
-        "--y-upper-closed", action="store_true", help="close the outcome interval"
-    )
-    p.add_argument("--m-interval", help="factual mediator interval 'L,U'")
-    p.add_argument(
-        "--m-upper-closed", action="store_true", help="close the mediator interval"
-    )
+#: the argparse options of each kind; the others take the text as given
+_ARGPARSE = {"integer": {"type": int}, "number": {"type": float},
+             "boolean": {"action": "store_true"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -839,55 +779,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_est = sub.add_parser("estimate", help="estimate from a CSV table")
-    _add_common(p_est, "--config", "--out", "--seed", "--format")
-    _add_schema(p_est)
-    _add_query(p_est)
-    p_est.add_argument("--input", help="CSV input path")
-    p_est.add_argument(
-        "--families", help="comma list from pns,cd,pn,ps (default pns[,cd])"
-    )
-    p_est.add_argument("--replicates", type=int, help="bootstrap replicates (0 disables)")
-    p_est.add_argument("--level", type=float, help="confidence level (default 0.95)")
-    p_est.add_argument(
-        "--assume-mediator-monotone",
-        action="store_true",
-        help="assert the mediator monotonicity condition for joint evidence",
-    )
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_sim = sub.add_parser("simulate", help="sample an observational CSV from a model")
-    _add_common(p_sim, "--config", "--out", "--seed")
-    p_sim.add_argument("--preset", help="built-in model name (logistic-bernoulli)")
-    p_sim.add_argument("--n", type=int, help="number of rows")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="check the stack against exact truths")
-    _add_common(p_ver, "--out", "--seed")
-    p_ver.add_argument("--replicates", type=int, help="bootstrap replicates")
-    p_ver.add_argument("--scms", type=int, help="equivalence-suite model count")
-    p_ver.add_argument("--decomposition", type=int, help="decomposition-suite model count")
-    p_ver.add_argument("--quick", action="store_true", help="small fast suite")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_sw = sub.add_parser("sweep", help="evaluate measures over a grid")
-    _add_common(p_sw, "--config", "--out")
-    _add_schema(p_sw)
-    p_sw.add_argument("--input", help="CSV input path (empirical sweep)")
-    p_sw.add_argument("--preset", help="built-in model name (analytic sweep)")
-    p_sw.add_argument("--x-base", type=float)
-    p_sw.add_argument("--x-alt", type=float)
-    p_sw.add_argument("--y", type=float, help="outcome threshold (non-y sweeps)")
-    p_sw.add_argument("--m-fixed", type=float)
-    p_sw.add_argument(
-        "--grid-over",
-        choices=("y", "covariate", "mediator-intercept"),
-        default="y",
-    )
-    p_sw.add_argument("--grid", help="comma-separated grid values")
-    p_sw.add_argument("--svg", help="write an SVG line chart here")
-    p_sw.set_defaults(func=cmd_sweep)
+    for command, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for row in _COMMAND_ROWS[command]:
+            options = _ARGPARSE.get(row.kind, {})
+            if row.kind == "choice":
+                options = {"choices": row.rule[1], "default": row.default}
+            p.add_argument(row.flag, help=row.help, **options)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,13 +1,15 @@
-"""The README's library quickstart runs as written, and the bootstrap
-contract it states holds."""
+"""The README's library quickstart runs as written, the bootstrap
+contract it states holds, and its settings table is the CLI's."""
 
 import functools
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import pocmed as pm
+from pocmed.cli import SETTINGS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +40,25 @@ def test_readme_python_blocks_run():
 
     with pytest.raises(ValueError):
         pm.bootstrap_ci(data, halved, cfg)
+
+
+def _cells(row) -> list[str]:
+    """A settings row as the README table writes it."""
+    default = row.default
+    if isinstance(default, tuple):
+        default = f"`{default[0]}` (`{default[1]}` with `--quick`)"
+    elif default is not None:
+        default = f"`{json.dumps(default)}`"
+    return [f"`{row.flag}`", f"`{row.key}`" if row.key else "", ", ".join(row.commands.split()),
+            default or "", row.rule[0] if row.rule else ""]
+
+
+def test_readme_settings_table_is_the_code_table():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Flag | Config key | Commands | Default | Rule |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert rows == [_cells(row) for row in SETTINGS]
