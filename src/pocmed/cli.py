@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .data import (
     stratum_mask,
 )
 from .ecdf import CdfModel
-from .errors import ConfigError, ParseError, PocError, PositivityError
+from .errors import ConfigError, InvalidEvidenceError, ParseError, PocError, PositivityError
 from .identify import MediatorMonotonicityWarning
 from .oracle import (
     AnalyticCdf,
@@ -351,16 +352,17 @@ def _resolve_scm(settings, config: dict) -> ScmSpec:
     raise PocError("no structural model given (use --preset or a config document)")
 
 
-def _queries(settings, config: dict) -> list[dict]:
+def _queries(settings, config: dict) -> list[tuple[str | None, dict]]:
     """The value of each query row, by its path, for each query object of
-    the config document and then for the query that the flags give."""
+    the config document and then for the query that the flags give, each
+    after the prefix of its keys (``queries[i].``), or None for the flags."""
     queries = []
     for i, spec in enumerate(_typed(config.get("queries", []), "objects", "queries")):
         spec = _typed(spec, "object", f"queries[{i}]")
         evidence = spec.get("evidence") is not None  # null evidence is no evidence
-        queries.append({path: _read(row, spec, path, f"queries[{i}].")
+        queries.append((f"queries[{i}].", {path: _read(row, spec, path, f"queries[{i}].")
                         if evidence or not path.startswith("evidence.") else row.default
-                        for path, row in _QUERY_ROWS.items()})
+                        for path, row in _QUERY_ROWS.items()}))
     flags = {path: getattr(settings, row.dest) for path, row in _QUERY_ROWS.items()}
     given = [path for path, row in _QUERY_ROWS.items() if flags[path] != row.default]
     for path in given:
@@ -369,13 +371,26 @@ def _queries(settings, config: dict) -> list[dict]:
     if given:
         if not {"x_base", "x_alt", "y"} <= set(given):
             raise PocError("a query needs --x-base, --x-alt, and --y together")
-        queries.append(flags)
+        queries.append((None, flags))
     if not queries:
         raise PocError("no queries: pass --x-base/--x-alt/--y or a config document")
     return queries
 
 
-def _query(values: dict) -> tuple[Query, Evidence | None, Evidence | None]:
+def _interval(values: dict, axis: str, prefix: str | None) -> Interval | None:
+    """The ``axis`` interval of a query's evidence, if given; its error, if
+    :class:`Interval` refuses it, names the flag or the key after ``prefix``."""
+    path = f"evidence.{axis}_interval"
+    if values[path] is None:
+        return None
+    try:
+        return Interval(*values[path], upper_closed=values[f"evidence.{axis}_upper_closed"])
+    except InvalidEvidenceError as exc:
+        name = _QUERY_ROWS[path].flag if prefix is None else prefix + path
+        raise InvalidEvidenceError(f"{name}: {exc}") from None
+
+
+def _query(prefix: str | None, values: dict) -> tuple[Query, Evidence | None, Evidence | None]:
     """One query, and its evidence for the natural family (x*, Y
     interval[, M interval]) and for the controlled-direct family, which
     also needs the exact mediator value m*."""
@@ -385,12 +400,7 @@ def _query(values: dict) -> tuple[Query, Evidence | None, Evidence | None]:
     x_star = values["evidence.x_star"]
     if x_star is None:
         return q, None, None
-    interval_y, interval_m = (
-        None if values[f"evidence.{axis}_interval"] is None
-        else Interval(*values[f"evidence.{axis}_interval"],
-                      upper_closed=values[f"evidence.{axis}_upper_closed"])
-        for axis in "ym"
-    )
+    interval_y, interval_m = (_interval(values, axis, prefix) for axis in "ym")
     natural = Evidence(x_star=x_star, interval_y=interval_y or Interval.full(),
                        interval_m=interval_m)
     m_star = values["evidence.m_star"]
@@ -484,7 +494,7 @@ def cmd_estimate(args) -> int:
         raise PocError("no input table (use --input or the config document)")
     dataset = load_dataset(s.input, ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols)))
 
-    parsed = [(values, *_query(values)) for values in _queries(s, config)]
+    parsed = [(values, *_query(prefix, values)) for prefix, values in _queries(s, config)]
     for _, q, _, _ in parsed:
         _validate_query(dataset, q)
 
@@ -646,118 +656,86 @@ def _require_one_covariate(count: int) -> None:
         )
 
 
+def _sweep_surfaces(s, config: dict):
+    """The grid of a sweep, and a function from a grid value to the CDF
+    surface it is measured on: a :class:`CdfModel` of the ``--input``
+    table or an :class:`AnalyticCdf` of the model, the one shared surface
+    on a ``y`` sweep, else one per value."""
+    if s.input is not None:
+        roles = ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols))
+        dataset = load_dataset(s.input, roles)
+        if s.grid_over == "y":
+            model = CdfModel(dataset)
+            return _sweep_grid(s.grid, np.unique(dataset.y).tolist()), lambda v: model
+        if s.grid_over != "covariate":
+            raise PocError("empirical sweeps support --grid-over y or covariate")
+        if not roles.c:
+            raise PocError("covariate sweep needs covariate columns (--c-cols)")
+        _require_one_covariate(len(roles.c))
+        grid = s.grid
+        if grid is None:
+            grid = sorted(np.unique(dataset.column(roles.c[0])).tolist())
+        return grid, lambda v: CdfModel(dataset, (v,))
+    scm = _resolve_scm(s, config)
+    if s.grid_over == "y":
+        model = AnalyticCdf(scm)
+        return _sweep_grid(s.grid, model.outcome_levels()), lambda v: model
+    if s.grid_over == "covariate":
+        if scm.covariates is None:
+            raise PocError("the model has no covariates to sweep over")
+        if s.grid is not None:
+            raise PocError("--grid does not apply to a model covariate sweep, "
+                           "which runs every covariate stratum")
+        strata = [c for c, _ in scm.covariate_support()]
+        _require_one_covariate(len(strata[0]))
+        return [c[0] for c in strata], lambda v: AnalyticCdf(scm, (v,))
+    if not isinstance(scm.mediator, LogisticNode):
+        raise PocError("mediator-intercept sweep needs a logistic mediator node")
+    if s.grid is None:
+        raise PocError("parameter sweep needs --grid with explicit values")
+    return s.grid, lambda v: AnalyticCdf(
+        dataclasses.replace(scm, mediator=LogisticNode(v, scm.mediator.coefs)))
+
+
 def cmd_sweep(args) -> int:
     s, config = _resolve(args)
     if s.x_base is None or s.x_alt is None:
         raise PocError("sweep needs --x-base and --x-alt")
     if s.grid_over != "y" and s.y is None:
         raise PocError(f"a {s.grid_over} sweep needs --y")
-    rows = []
-    warnings_list = []
-
-    def measure(model, y_value):
-        q = Query(x_base=s.x_base, x_alt=s.x_alt, y_threshold=y_value, m_fixed=s.m_fixed)
-        a, b, r, low, high = identify._margin_inputs(model, "natural", q)
-        nd, ni, _, _ = identify._clipped(a, b, r, low, high)
-        triple = identify._make_triple(nd, ni, identify.CASE_UNCONDITIONAL)
-        out = {
-            "t_pns": triple.t_pns,
-            "nd_pns": triple.nd_pns,
-            "ni_pns": triple.ni_pns,
-            "cdf_base": a,
-            "cdf_alt": b,
-            "crossworld": r,
-        }
-        if s.m_fixed is not None:
-            out["cd_pns"] = identify.cd_pns(model, q)
-        return out
-
-    if s.input is not None:
-        roles = ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols))
-        dataset = load_dataset(s.input, roles)
-        if s.grid_over == "y":
-            grid = _sweep_grid(s.grid, np.unique(dataset.y).tolist())
-            model = CdfModel(dataset)
-            points = [(v, lambda v=v: measure(model, v)) for v in grid]
-        elif s.grid_over == "covariate":
-            if not roles.c:
-                raise PocError("covariate sweep needs covariate columns (--c-cols)")
-            _require_one_covariate(len(roles.c))
-            grid = (
-                s.grid
-                if s.grid is not None
-                else sorted(np.unique(dataset.column(roles.c[0])).tolist())
-            )
-            points = [
-                (v, lambda v=v: measure(CdfModel(dataset, (v,)), s.y))
-                for v in grid
-            ]
-        else:
-            raise PocError("empirical sweeps support --grid-over y or covariate")
-    else:
-        scm = _resolve_scm(s, config)
-        if s.grid_over == "y":
-            model = AnalyticCdf(scm)
-            grid = _sweep_grid(s.grid, model.outcome_levels())
-            points = [(v, lambda v=v: measure(model, v)) for v in grid]
-        elif s.grid_over == "covariate":
-            if scm.covariates is None:
-                raise PocError("the model has no covariates to sweep over")
-            if s.grid is not None:
-                raise PocError("--grid does not apply to a model covariate sweep, "
-                               "which runs every covariate stratum")
-            strata = [c for c, _ in scm.covariate_support()]
-            _require_one_covariate(len(strata[0]))
-            points = [
-                (c[0], lambda c=c: measure(AnalyticCdf(scm, c), s.y))
-                for c in strata
-            ]
-        elif s.grid_over == "mediator-intercept":
-            if not isinstance(scm.mediator, LogisticNode):
-                raise PocError("mediator-intercept sweep needs a logistic mediator node")
-            if s.grid is None:
-                raise PocError("parameter sweep needs --grid with explicit values")
-
-            def model_at(v):
-                shifted = ScmSpec(
-                    treatment=scm.treatment,
-                    mediator=LogisticNode(v, scm.mediator.coefs),
-                    outcome=scm.outcome,
-                    covariates=scm.covariates,
-                )
-                return AnalyticCdf(shifted)
-
-            points = [(v, lambda v=v: measure(model_at(v), s.y)) for v in s.grid]
-
+    if s.grid_over == "y" and s.y is not None:
+        raise PocError("--y does not apply to a y sweep, whose grid gives the outcome thresholds")
+    grid, surface = _sweep_surfaces(s, config)
+    lines, warned = ["grid,quantity,value,status"], []
     series: dict[str, list[float]] = {"t_pns": [], "nd_pns": [], "ni_pns": []}
-    xs = []
-    for value, compute in points:
-        xs.append(value)
+    for value in grid:
+        q = Query(x_base=s.x_base, x_alt=s.x_alt, m_fixed=s.m_fixed,
+                  y_threshold=value if s.grid_over == "y" else s.y)
         try:
-            quantities = compute()
-            status = "ok"
+            model = surface(value)
+            a, b, r, low, high = identify._margin_inputs(model, "natural", q)
+            nd, ni, _, _ = identify._clipped(a, b, r, low, high)
+            triple = identify._make_triple(nd, ni, identify.CASE_UNCONDITIONAL)
+            quantities = {"t_pns": triple.t_pns, "nd_pns": triple.nd_pns,
+                          "ni_pns": triple.ni_pns, "cdf_base": a, "cdf_alt": b,
+                          "crossworld": r}
+            if s.m_fixed is not None:
+                quantities["cd_pns"] = identify.cd_pns(model, q)
         except PositivityError as exc:
             quantities = {}
-            status = f"positivity: {exc}"
-            warnings_list.append(f"grid {value}: {exc}")
+            lines.append(f"{value!r},-,nan,positivity: {exc}")
+            warned.append(f"warning: grid {value}: {exc}")
+        lines.extend(f"{value!r},{key},{val!r},ok" for key, val in quantities.items())
         for key in series:
             series[key].append(quantities.get(key, float("nan")))
-        if quantities:
-            for key, val in quantities.items():
-                rows.append((value, key, val, "ok"))
-        else:
-            rows.append((value, "-", float("nan"), status))
 
-    for message in warnings_list:
-        print(f"warning: {message}", file=sys.stderr)
+    for message in warned:
+        print(message, file=sys.stderr)
     if s.svg is not None and not any(v == v for values in series.values() for v in values):
         raise PocError(f"--svg {s.svg}: no grid point has a value to plot")
-    lines = ["grid,quantity,value,status"]
-    for value, key, val, status in rows:
-        lines.append(f"{value!r},{key},{val!r},{status}")
     _write("--out", s.out, "\n".join(lines) + "\n")
     if s.svg is not None:
-        _write("--svg", s.svg, render_line_chart(xs, series, x_label=s.grid_over))
+        _write("--svg", s.svg, render_line_chart(grid, series, x_label=s.grid_over))
     return EXIT_OK
 
 
@@ -772,8 +750,24 @@ _ARGPARSE = {"integer": {"type": int}, "number": {"type": float},
              "boolean": {"action": "store_true"}}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses text with a :class:`PocError`, not an
+    exit; ``add_subparsers`` makes each command's parser one too."""
+
+    def error(self, message):
+        raise PocError(message)
+
+
+def _out_given(argv) -> str | None:
+    """The ``--out`` of a command line that the parser refused, read alone
+    (None for ``--out`` with no value)."""
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--out", nargs="?")
+    return probe.parse_known_args(argv)[0].out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pocmed",
         description="direct and indirect probabilities of causation with mediation",
     )
@@ -791,19 +785,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PocError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if getattr(args, "out", None):
+        out = _out_given(argv) if args is None else args.out
+        if out:
             payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             try:
-                with open(args.out, "w", encoding="utf-8") as fh:
+                with open(out, "w", encoding="utf-8") as fh:
                     fh.write(render_json(payload))
             except OSError as write_exc:
-                print(f"error: the error block could not be written to {args.out!r}: "
+                print(f"error: the error block could not be written to {out!r}: "
                       f"{write_exc.strerror or write_exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, KeyError) as exc:

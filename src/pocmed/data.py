@@ -292,12 +292,6 @@ class Dataset:
     def column_names(self) -> tuple[str, ...]:
         return tuple(self._columns)
 
-    def x_support(self) -> np.ndarray:
-        return np.unique(self.x)
-
-    def m_support(self) -> np.ndarray:
-        return np.unique(self.m)
-
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset / resample; preserves schema and column order."""
         cols = {name: arr[indices] for name, arr in self._columns.items()}

@@ -33,15 +33,15 @@ in one memo for its lifetime.
 at the first outcome or compound crossing instead.  A covariate stratum
 whose steps all ascend, as in every model the suites draw, takes a closed
 form: each of its sub-level regions is a prefix of its stripe, so only
-compound regions can cross.  Any other stratum drops, before pairing,
-every region that is empty or whole on every stripe: one of its set
-differences with any region is exactly zero, so it can never cross.
-Either way every report is the one exact interval subtraction gives.
+compound regions can cross.  Any other stratum measures every pair of
+its regions by exact interval subtraction.  Either way every report is
+the one exact interval subtraction gives.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -100,9 +100,6 @@ class LogisticNode:
             t += c * cols[j]
         hit = u < 1.0 / (1.0 + np.exp(-t))
         return hit.astype(np.float64), (self._BITS, hit.view(np.uint8))
-
-    def value_levels(self) -> tuple[float, ...]:
-        return (0.0, 1.0)
 
 
 def _match(levels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -206,10 +203,6 @@ class TableNode:
             out[rows] = codes[np.searchsorted(cuts, u[rows], side="right")]
         return bits.view(np.float64)[out], (bits, out)
 
-    def value_levels(self) -> tuple[float, ...]:
-        levels = sorted({v for _, values in self._table.values() for v in values})
-        return tuple(levels)
-
 
 class FunctionNode:
     """Opaque node ``value = fn(u, *parents)``; usable on the Monte Carlo
@@ -227,9 +220,6 @@ class FunctionNode:
         """``fn`` of each row's uniform and parent values, with no coding."""
         values = [self.fn(ui, *row) for ui, *row in zip(u, *cols)]
         return np.asarray(values, dtype=np.float64), None
-
-    def value_levels(self) -> tuple[float, ...]:
-        raise UnsupportedSpecError("function nodes do not declare value levels")
 
 
 def bernoulli_cell(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -929,66 +919,20 @@ class MonotonicityReport:
         return self.outcome_ok and self.compound_ok
 
 
-#: A stripe's sub-level region when it holds nothing or the whole unit
-#: interval (:func:`_step_regions` merges adjacent pieces).
-_TRIVIAL = ((), ((0.0, 1.0),))
-
-
 def _crossings(regions: Sequence[Sequence], weights: Sequence[float]):
     """Every pair ``i < j`` of ``regions``, in row-major order, whose two
     set differences both exceed ``_TOL``, as ``(i, j, d1, d2)``.
 
     A region is one sorted disjoint interval list per stripe of weight
-    ``weights[s]``.  A region that is empty on every stripe, or the whole
-    unit interval on every stripe, is dropped first: subtracting any
-    region from it (if empty), or it from any region (if whole), leaves
-    nothing, and interval subtraction measures that as exactly 0.0 on
-    every stripe, so no pair with it can cross and dropping it changes no
-    report.  A region empty on some stripes and whole on others is kept.
-    The pairs of the regions kept are estimated by
-    :func:`_candidate_pairs` and measured again by exact interval
-    subtraction, which alone decides and reports them; a single stripe of
-    weight ``1.0`` leaves that measure unchanged."""
-    kept = [
-        r for r, region in enumerate(regions)
-        if region[0] not in _TRIVIAL or region.count(region[0]) != len(region)
-    ]
-    if len(kept) < 2:
-        return
-    rows, cols = _candidate_pairs([regions[r] for r in kept], weights)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        i, j = kept[i], kept[j]
+    ``weights[s]``; each set difference is measured by exact interval
+    subtraction, summed over the stripes."""
+    for i, j in itertools.combinations(range(len(regions)), 2):
         d1 = d2 = 0.0
         for w, iv1, iv2 in zip(weights, regions[i], regions[j]):
             d1 += w * _interval_subtract_measure(iv1, iv2)
             d2 += w * _interval_subtract_measure(iv2, iv1)
         if d1 > _TOL and d2 > _TOL:
             yield i, j, d1, d2
-
-
-def _candidate_pairs(regions: Sequence[Sequence], weights: Sequence[float]):
-    """The pairs ``i < j`` of ``regions``, in row-major order, that may
-    cross, as two index arrays.
-
-    All set differences are estimated at once: the unit interval is cut at
-    every region end, a 0/1 cover matrix (one row per region) marks the
-    pieces each region covers, and ``d[i, j] = |i| - |i & j|`` is one
-    matrix product.  The estimate differs from the exact subtraction by
-    rounding only, a few ulps per piece (~1e-15 for a few dozen pieces),
-    so a pair whose estimate stays below ``_TOL / 2`` (or below a margin
-    widened by that rounding bound, for very many pieces) cannot cross."""
-    points = sorted({p for region in regions for ivs in region for iv in ivs for p in iv})
-    index = {p: k for k, p in enumerate(points)}
-    n_pieces = len(points) - 1
-    cover = np.zeros((len(regions), len(weights) * n_pieces))
-    for r, region in enumerate(regions):
-        for s, ivs in enumerate(region):
-            for lo, hi in ivs:
-                cover[r, s * n_pieces + index[lo] : s * n_pieces + index[hi]] = 1.0
-    mass = cover * np.outer(weights, np.diff(points)).ravel()
-    d = mass.sum(axis=1)[:, None] - mass @ cover.T
-    rounding = 4 * np.finfo(np.float64).eps * cover.shape[1]
-    return np.nonzero(np.triu(np.minimum(d, d.T) > min(_TOL / 2, _TOL - rounding), 1))
 
 
 def _ascends(values) -> bool:
@@ -1013,7 +957,7 @@ def _prefix_crossings(ends: np.ndarray, weights: Sequence[float]):
     ``max(e1 - e2, 0.0)``, so ``d[i, j]`` is that difference times the
     stripe's weight, summed from ``0.0`` in stripe order, as
     :func:`_crossings` sums it; the pairs are read off all of ``d`` at
-    once, and none is pruned or measured again."""
+    once."""
     d = np.zeros((len(ends), len(ends)))
     for s, w in enumerate(weights):
         d += w * np.maximum(ends[:, s, None] - ends[:, s], 0.0)
@@ -1096,11 +1040,9 @@ def check_monotonicity(scm: ScmSpec) -> MonotonicityReport:
 
     In a stratum whose steps all ascend only compound pairs can cross, and
     their set differences are read from the prefix ends (see
-    :func:`_crossing_events`).  Elsewhere regions that are empty or whole
-    on every stripe are dropped and the other pairs pruned by a vectorised
-    estimate of both set differences; every reported crossing is measured
-    by exact interval subtraction (see :func:`_crossings`).  The report is
-    the same bit for bit either way."""
+    :func:`_crossing_events`).  Elsewhere every pair is measured by exact
+    interval subtraction (see :func:`_crossings`).  The report is the same
+    bit for bit either way."""
     found = {"outcome": [], "compound": [], "mediator": []}
     for kind, violation in _crossing_events(scm):
         found[kind].append(violation)

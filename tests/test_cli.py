@@ -660,11 +660,21 @@ def test_malformed_stratum_exits_2(sim_csv, capsys, stratum, bad):
     ],
 )
 def test_unread_flags_are_usage_errors(capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, *flag])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    # argparse's usage text and SystemExit before, with no typed error
+    code, stdout, err = _run(capsys, *argv, *flag)
+    assert code == 2 and stdout == ""
+    assert err == f"error: PocError: unrecognized arguments: {' '.join(flag)}\n"
+
+
+def test_refused_flag_text_writes_the_error_block(tmp_path, monkeypatch, capsys):
+    # argparse's usage text and SystemExit before, and no error block
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = _run(capsys, "estimate", "--input", "d.csv", "--seed", "1.5",
+                             "--out", "e.json", *_QUERY)
+    message = "argument --seed: invalid int value: '1.5'"
+    assert code == 2 and stdout == "" and err == f"error: PocError: {message}\n"
+    assert json.loads(Path("e.json").read_text()) == {
+        "error": {"type": "PocError", "message": message}}
 
 
 def test_verify_quick_passes_and_is_deterministic(capsys):
@@ -816,6 +826,19 @@ def test_model_covariate_sweep_runs_every_stratum(tmp_path, capsys):
     code, stdout, err = _run(capsys, *argv, "--grid", "1")
     assert code == 2 and stdout == ""
     assert err.startswith("error: PocError: --grid does not apply to a model covariate sweep")
+
+
+@pytest.mark.parametrize("source", [["--preset", "logistic-bernoulli"],
+                                    ["--input", "missing.csv"]])
+def test_y_sweep_refuses_y(tmp_path, monkeypatch, capsys, source):
+    # read and then ignored before; refused before any table or model is read
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = _run(capsys, "sweep", *source, "--x-base", "0", "--x-alt", "1",
+                             "--y", "5", "--out", "out.json")
+    message = "--y does not apply to a y sweep, whose grid gives the outcome thresholds"
+    assert code == 2 and stdout == "" and err == f"error: PocError: {message}\n"
+    assert json.loads(Path("out.json").read_text()) == {
+        "error": {"type": "PocError", "message": message}}
 
 
 _ONE_COVARIATE = ("error: PocError: a covariate sweep needs exactly one covariate column, "

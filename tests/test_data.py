@@ -30,7 +30,7 @@ def test_load_small_table():
     text = "x,m,y\n0,0,1.5\n0,1,2.0\n1,0,0.5\n1,1,3.25\n"
     data = pm.load_dataset(text, ROLES)
     assert data.n == 4
-    assert set(data.x_support()) == {0.0, 1.0}
+    assert set(np.unique(data.x)) == {0.0, 1.0}
     assert data.y[3] == 3.25
 
 
@@ -127,7 +127,7 @@ def test_job_training_shaped_table():
     roles = pm.ColumnRoles("treat", "job_seek", "depress2")
     data = pm.load_dataset("\n".join(lines) + "\n", roles)
     assert data.n == 899
-    assert set(data.x_support()) == {0.0, 1.0}
+    assert set(np.unique(data.x)) == {0.0, 1.0}
 
 
 def test_round_trip():

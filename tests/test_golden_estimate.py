@@ -11,9 +11,11 @@ before the count-table bootstrap replaced it; the ``simulate`` and ``sweep``
 copies with the per-row CSV loader, writer and table-node sampler, before
 their bulk numpy versions replaced them; the ``verify`` and suite copies
 with the pairwise monotonicity scan and the uncached analytic CDFs, before
-the exact oracle's fast path replaced them.  To record them again after an
-intended change of output, run ``PYTHONPATH=src python
-tests/test_golden_estimate.py`` and say so in ``CHANGES.md``.
+the exact oracle's fast path replaced them; ``sweep_strata_empirical`` with
+one hand-written branch per kind of sweep, before one loop replaced them.
+To record them again after an intended change of output, run
+``PYTHONPATH=src python tests/test_golden_estimate.py`` and say so in
+``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -148,6 +150,15 @@ IO_CASES = {
         ["sweep", "--config", "strata_scm.json", "--x-base", "0", "--x-alt", "1",
          "--grid-over", "covariate", "--y", "1", "--m-fixed", "1"],
         [],
+    ),
+    # an empirical covariate sweep over a stratum with rows, one whose
+    # treated arm is empty and one with no rows, with its chart
+    "sweep_strata_empirical": (
+        ["strata_gap.csv"],
+        [],
+        ["sweep", "--input", "strata_gap.csv", "--c-cols", "c", "--grid-over", "covariate",
+         "--grid", "0,1,2", "--x-base", "0", "--x-alt", "1", "--y", "1", "--svg", "sweep.svg"],
+        ["sweep.svg"],
     ),
     # a sweep of the preset's mediator intercept
     "sweep_preset_intercept": (

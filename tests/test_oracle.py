@@ -596,51 +596,20 @@ def _random_oracle_scm(seed):
     return _random_constant_cell_scm(rng)
 
 
-def _fill(region) -> str:
-    """``"empty"`` or ``"whole"`` for a region that is so on every stripe,
-    ``"some whole"`` for one that is whole on some stripes only, else
-    ``"part"``."""
-    fills = {"empty" if not ivs else "whole" if ivs == ((0.0, 1.0),) else "part"
-             for ivs in region}
-    if len(fills) == 1 and fills != {"part"}:
-        return fills.pop()
-    return "some whole" if "whole" in fills else "part"
-
-
-def test_monotonicity_matches_pairwise_reference(monkeypatch):
+def test_monotonicity_matches_pairwise_reference():
     reached = dict.fromkeys(("outcome", "compound", "mediator"), 0)
-    fills = set()  # of the constant-cell models' regions
-    models = [(None, _crossing_scm())]
-    models += [(seed % _ORACLE_KINDS, _random_oracle_scm(seed)) for seed in range(600)]
-    for seed, (kind, scm) in enumerate(models):
-        handed, rows = [], []
-        with monkeypatch.context() as mp:
-            for name, log in (("_crossings", handed), ("_candidate_pairs", rows)):
-
-                def spy(regions, weights, _real=getattr(oracle, name), _log=log):
-                    _log.append(regions)
-                    return _real(regions, weights)
-
-                mp.setattr(oracle, name, spy)
-            got = pm.check_monotonicity(scm)
+    models = [_crossing_scm()] + [_random_oracle_scm(seed) for seed in range(600)]
+    for seed, scm in enumerate(models):
+        got = pm.check_monotonicity(scm)
         want = _oracle_reference.check_monotonicity(scm)
         assert got == want and repr(got) == repr(want), seed
-        # the pair estimate sees every region but those empty or whole on
-        # every stripe, whenever two or more are left
-        kept = [[r for r in regions if _fill(r) not in ("empty", "whole")] for regions in handed]
-        assert [k for k in kept if len(k) > 1] == rows, seed
-        if kind == _ORACLE_KINDS - 1:
-            fills.update(_fill(r) for regions in handed for r in regions)
         # the suites' first-crossing gates read the same regions
         assert verification._gate(scm) == got.ok, seed
         assert verification._gate(scm, lex=True) == (got.ok and got.mediator_ok), seed
         for part in reached:
             reached[part] += len(getattr(got, f"{part}_violations"))
-    # every kind of crossing was reported, so the exact recompute was reached
+    # every kind of crossing was reported, so the interval path was reached
     assert all(reached.values()), reached
-    # the constant-cell models handed over regions that are pruned and
-    # regions whole on some stripes only, which are kept
-    assert fills == {"empty", "whole", "some whole", "part"}, fills
 
 
 def _steps_ascend(scm, c):
@@ -721,6 +690,13 @@ def test_prefix_closed_form_matches_interval_path(monkeypatch):
                              "descending logistic": 140}, closed_strata
 
 
+def _value_levels(node) -> list[float]:
+    """Every value a logistic or table node can take, sorted."""
+    if isinstance(node, pm.LogisticNode):
+        return [0.0, 1.0]
+    return sorted({v for _, values in node._table.values() for v in values})
+
+
 def _signed_zero_scm():
     """Mediator equal to the treatment, outcome ``0.0`` when the mediator
     equals the treatment and ``-0.0`` otherwise: the natural effects of two
@@ -768,7 +744,7 @@ def _truth_cases(scm, rng):
     xs = list(scm.treatment_levels(c))
     ms = list(scm.mediator_levels(c))
     fn = isinstance(scm.outcome, pm.FunctionNode)
-    ys = [0.0, 1.0] if fn else sorted(scm.outcome.value_levels())
+    ys = [0.0, 1.0] if fn else _value_levels(scm.outcome)
     grid = ys + [v + 0.5 for v in ys] + [ys[0] - 1.0]
 
     def pick(levels):
@@ -873,7 +849,7 @@ def test_truths_match_reference():
     for seed, scm in enumerate(models):
         rng = np.random.default_rng(seed)
         whole = isinstance(scm.outcome, pm.FunctionNode) or all(
-            float(v).is_integer() for v in scm.outcome.value_levels()
+            float(v).is_integer() for v in _value_levels(scm.outcome)
         )
         cases = list(_truth_cases(scm, rng))
         _assert_partitions_reused(scm, cases, seed)
@@ -1086,10 +1062,8 @@ def test_equivalence_suite_work_counts(monkeypatch):
     step masses (each ``AnalyticCdf`` answer worked out once).  Without
     the partition cache and the memo they read 145 and 1689.  Every one
     of the gate's 65 strata has ascending steps and takes the prefix
-    closed form, so it makes no exact interval subtraction and no cover
-    matrix (306 subtractions and 1188 cover rows on the interval path,
-    1970 and 2498 before the gate stopped at the first crossing and
-    dropped regions empty or whole on every stripe).  The exact
+    closed form, so it makes no exact interval subtraction (159390 on the
+    interval path, which measures every pair of regions).  The exact
     partitions build 375 counterfactual columns (1440 before each entry
     memoised its columns)."""
     counts = dict.fromkeys(
@@ -1103,10 +1077,6 @@ def test_equivalence_suite_work_counts(monkeypatch):
 
         monkeypatch.setattr(oracle, name, spy)
 
-    def candidate_pairs(regions, weights, _real=oracle._candidate_pairs):
-        counts["cover rows"] += len(regions)
-        return _real(regions, weights)
-
     def columns(build, _real=oracle._Columns):
         def counted(*args):
             counts["columns"] += 1
@@ -1115,16 +1085,15 @@ def test_equivalence_suite_work_counts(monkeypatch):
         return _real(counted)
 
     # the suite's truths are all exact, so every column is a partition's
-    monkeypatch.setattr(oracle, "_candidate_pairs", candidate_pairs)
     monkeypatch.setattr(oracle, "_Columns", columns)
-    # the gate's subtractions, closed-form strata and cover rows, then the
-    # same on the interval path
-    for gate in ((0, 65, 0), (306, 0, 1188)):
-        counts.update(dict.fromkeys(counts | {"cover rows": 0, "columns": 0}, 0))
+    # the gate's subtractions and closed-form strata, then the same on the
+    # interval path
+    for gate in ((0, 65), (159390, 0)):
+        counts.update(dict.fromkeys(counts | {"columns": 0}, 0))
         monkeypatch.setattr(oracle, "_PARTITIONS", {})
         result = verification.equivalence_suite(n_scms=20, seed=0)
         assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
         assert counts == {"_partition": 46, "_step_mass": 552,
                           "_interval_subtract_measure": gate[0], "_prefix_crossings": gate[1],
-                          "cover rows": gate[2], "columns": 375}
+                          "columns": 375}
         monkeypatch.setattr(oracle, "_ascends", lambda values: False)
