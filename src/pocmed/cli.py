@@ -41,15 +41,13 @@ from .bootstrap import BootstrapConfig, bootstrap_ci, estimator_target
 from .chart import render_line_chart
 from .data import (
     ColumnRoles,
-    Dataset,
     Evidence,
     Interval,
     Query,
     _decode,
     load_dataset,
-    stratum_mask,
 )
-from .ecdf import CdfModel
+from .ecdf import CdfModel, RowCounts
 from .errors import ConfigError, InvalidEvidenceError, ParseError, PocError, PositivityError
 from .identify import MediatorMonotonicityWarning
 from .oracle import (
@@ -103,8 +101,9 @@ _FINITE = ("must be a finite number", math.isfinite)
 SETTINGS = (
     Setting("--config", None, "path", "estimate simulate sweep", "JSON config", rule=_NONEMPTY),
     Setting("--out", None, "path", "estimate simulate verify sweep", "output path", rule=_NONEMPTY),
-    Setting("--seed", "seed", "integer", "estimate", "64-bit seed", 0),
-    Setting("--seed", None, "integer", "simulate verify", "64-bit seed", 0, _COUNT),
+    Setting("--seed", "seed", "integer", "estimate", "seed: any integer", 0,
+            ("may be any integer", lambda v: True)),
+    Setting("--seed", None, "integer", "simulate verify", "seed: any integer >= 0", 0, _COUNT),
     Setting("--format", None, "choice", "estimate", "report format", "table",
             ("must be json or table", ("json", "table"))),
     Setting("--input", "input", "path", "estimate", "CSV input path", rule=_NONEMPTY),
@@ -409,14 +408,9 @@ def _query(prefix: str | None, values: dict) -> tuple[Query, Evidence | None, Ev
     return q, natural, cd
 
 
-def _validate_query(dataset: Dataset, q: Query) -> None:
-    mask = stratum_mask(dataset, q.c_stratum)
-    support = set(np.unique(dataset.x if mask is None else dataset.x[mask]))
-    for level, name in ((q.x_base, "x_base"), (q.x_alt, "x_alt")):
-        if level not in support:
-            raise PositivityError(
-                f"{name} level {level!r} not present in the treatment support"
-            )
+def _families(settings, q: Query) -> list[str]:
+    """The requested families that apply to ``q``: ``cd`` needs ``m_fixed``."""
+    return [family for family in settings.families if family != "cd" or q.m_fixed is not None]
 
 
 def _echo_query(values: dict) -> dict:
@@ -436,10 +430,10 @@ def _echo_query(values: dict) -> dict:
     return echo
 
 
-def _estimate_block(settings, dataset, models, qi, values, q, natural_e, cd_e):
-    """The report block of query ``qi``.  Without a bootstrap the query reads
-    the :class:`CdfModel` of its stratum from ``models``, built on first use
-    and shared by the later queries of the same stratum."""
+def _estimate_block(settings, source, qi, values, q, natural_e, cd_e):
+    """The report block of query ``qi``: bootstrapped from ``source``, the
+    dataset, or without a bootstrap read from ``source``, the
+    :class:`CdfModel` of the query's stratum."""
     boot_cfg = None
     if settings.replicates >= 2:
         boot_cfg = BootstrapConfig(replicates=settings.replicates, level=settings.level,
@@ -451,17 +445,14 @@ def _estimate_block(settings, dataset, models, qi, values, q, natural_e, cd_e):
         family: estimator_target(kind, q, evidence=evidence,
                                  mediator_monotone=settings.assume_mediator_monotone)
         for family, (kind, evidence) in estimands.items()
-        if family in settings.families and (family != "cd" or q.m_fixed is not None)
+        if family in _families(settings, q)
     }
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MediatorMonotonicityWarning)
         if boot_cfg is not None:
-            results = bootstrap_ci(dataset, targets, boot_cfg)
+            results = bootstrap_ci(source, targets, boot_cfg)
         else:
-            model = models.get(q.c_stratum)
-            if model is None:
-                model = models[q.c_stratum] = CdfModel(dataset, q.c_stratum)
-            results = {family: target(model) for family, target in targets.items()}
+            results = {family: target(source) for family, target in targets.items()}
     for w in caught:
         message = str(w.message)
         if message not in block["warnings"]:
@@ -494,14 +485,28 @@ def cmd_estimate(args) -> int:
         raise PocError("no input table (use --input or the config document)")
     dataset = load_dataset(s.input, ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols)))
 
-    parsed = [(values, *_query(prefix, values)) for prefix, values in _queries(s, config)]
-    for _, q, _, _ in parsed:
-        _validate_query(dataset, q)
+    parsed = [(prefix, values, *_query(prefix, values)) for prefix, values in _queries(s, config)]
+    # each stratum's count table holds its treatment support, and without a
+    # bootstrap its CdfModel is shared by the queries of that stratum
+    tables = {}
+    for prefix, _, q, _, _ in parsed:
+        table = tables.get(q.c_stratum)
+        if table is None:
+            table = tables[q.c_stratum] = RowCounts(dataset, q.c_stratum).table()
+        for level, name in ((q.x_base, "x_base"), (q.x_alt, "x_alt")):
+            if level not in table.x:
+                raise PositivityError(
+                    f"{name} level {level!r} not present in the treatment support"
+                )
+        if not _families(s, q):
+            who, key = ("the query of the flags", "--m-fixed") if prefix is None else (
+                prefix[:-1], "m_fixed")
+            raise PocError(f"no requested family applies to {who}: cd needs {key}")
 
     report = new_report(str(s.input), dataset.n, s.seed)
-    models = {}
-    report["queries"] = [_estimate_block(s, dataset, models, qi, *query)
-                         for qi, query in enumerate(parsed)]
+    models = {c: CdfModel(table, c) for c, table in tables.items()} if s.replicates == 0 else {}
+    report["queries"] = [_estimate_block(s, models.get(q.c_stratum, dataset), qi, values, q, *e)
+                         for qi, (_, values, q, *e) in enumerate(parsed)]
     text = render_json(report) if s.out is not None or s.format == "json" else None
     if s.out is not None:
         _write("--out", s.out, text)

@@ -392,12 +392,12 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     Text is UTF-8; one leading byte-order mark (``\\ufeff``, as spreadsheet
     programs write it) is dropped, so it never becomes part of the first
     column name.  Quoted cells and headers are not unquoted.
-    Non-role columns are ignored.  Errors: a byte that is not UTF-8 raises
-    :class:`ParseError` naming its offset, and so does a row with more or
-    fewer cells than the header, or a role cell that is not a finite
-    number, naming the line; a missing role column raises
-    :class:`SchemaError`; and a header-only table raises
-    :class:`EmptyDataError`.
+    Non-role columns are ignored, and their names may repeat.  Errors: a
+    byte that is not UTF-8 raises :class:`ParseError` naming its offset,
+    and so does a row with more or fewer cells than the header, or a role
+    cell that is not a finite number, naming the line; a role column that
+    is missing, or named more than once, raises :class:`SchemaError`; and
+    a header-only table raises :class:`EmptyDataError`.
 
     Two readers give the same values, those of Python's ``float``:
 
@@ -420,6 +420,9 @@ def load_dataset(source, roles: ColumnRoles) -> Dataset:
     missing = [c for c in roles.all_columns if c not in header]
     if missing:
         raise SchemaError(f"missing role columns {missing!r} in header {header!r}")
+    repeated = [c for c in roles.all_columns if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"role columns {repeated!r} appear more than once in header {header!r}")
     names = roles.all_columns
     index = [header.index(c) for c in names]
     columns = _parse_c(text, len(header_line), path, len(header), index)
@@ -525,23 +528,6 @@ def stratum_values(
     return values
 
 
-def stratum_mask(
-    dataset: Dataset, c_stratum: Sequence[float] | None
-) -> np.ndarray | None:
-    """Boolean mask of the rows in the covariate stratum, or ``None`` for no
-    stratum.  An empty stratum violates the positivity requirement and
-    raises :class:`PositivityError`."""
-    values = stratum_values(dataset, c_stratum)
-    if values is None:
-        return None
-    mask = np.ones(dataset.n, dtype=bool)
-    for col, v in zip(dataset.roles.c, values):
-        mask &= dataset.column(col) == v
-    if not mask.any():
-        raise PositivityError(f"no rows in covariate stratum {values!r}")
-    return mask
-
-
 def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     """Exact-match covariate conditioning.
 
@@ -549,7 +535,12 @@ def stratify(dataset: Dataset, c_stratum: Sequence[float] | None) -> Dataset:
     An empty stratum violates the positivity requirement and raises
     :class:`PositivityError`.
     """
-    mask = stratum_mask(dataset, c_stratum)
-    if mask is None:
+    values = stratum_values(dataset, c_stratum)
+    if values is None:
         return dataset
+    mask = np.ones(dataset.n, dtype=bool)
+    for col, v in zip(dataset.roles.c, values):
+        mask &= dataset.column(col) == v
+    if not mask.any():
+        raise PositivityError(f"no rows in covariate stratum {values!r}")
     return dataset.take(np.flatnonzero(mask))

@@ -283,6 +283,73 @@ def test_quoted_header_is_not_unquoted(tmp_path, capsys):
     assert err == "error: SchemaError: missing role columns ['x'] in header ['\"x\"', 'm', 'y']\n"
 
 
+@pytest.mark.parametrize("header, row, flags, repeated", [
+    # estimated from the first x before
+    ("x,m,y,x", "1,1,0,0", [], ["x"]),
+    # "no rows in covariate stratum (2.0,)" before, as the first c was read
+    ("x,m,y,c,c", "1,1,0,0,2", ["--c-cols", "c", "--stratum", "2"], ["c"]),
+])
+def test_repeated_role_column_exits_2(tmp_path, capsys, header, row, flags, repeated):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n{row}\n{row.replace('1,1,0', '0,0,1')}\n")
+    out = tmp_path / "err.json"
+    code, stdout, err = _run(capsys, "estimate", "--input", str(path), *_QUERY, *flags,
+                             "--replicates", "0", "--out", str(out))
+    message = (f"role columns {repeated!r} appear more than once in header "
+               f"{header.split(',')!r}")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: SchemaError: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": "SchemaError", "message": message}}
+
+
+#: x, m, y and c, where stratum 0 holds both treatment arms and stratum 1
+#: only x = 0
+_STRATA_TABLE = "x,m,y,c\n0,0,0,0\n0,1,1,0\n1,0,1,0\n1,1,0,0\n0,0,1,1\n0,1,0,1\n"
+
+
+@pytest.mark.parametrize("replicates", ["0", "2"])
+@pytest.mark.parametrize("stratum, error, message", [
+    ([1, 2], "SchemaError", "stratum (1.0, 2.0) does not match covariate columns ('c',)"),
+    ([7], "PositivityError", "no rows in covariate stratum (7.0,)"),
+    ([1], "PositivityError", "x_alt level 1.0 not present in the treatment support"),
+])
+def test_estimate_stratum_errors_exit_2(tmp_path, capsys, monkeypatch, replicates, stratum,
+                                        error, message):
+    # the second query's stratum is refused before the first is estimated
+    (tmp_path / "t.csv").write_text(_STRATA_TABLE)
+    queries = [{"x_base": 0, "x_alt": 1, "y": 1, "stratum": [0]},
+               {"x_base": 0, "x_alt": 1, "y": 1, "stratum": stratum}]
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"input": str(tmp_path / "t.csv"), "schema": {"c": ["c"]}, "queries": queries}))
+    estimated = []
+    monkeypatch.setattr(cli, "_estimate_block", lambda *a: estimated.append(a))
+    out = tmp_path / "err.json"
+    code, stdout, err = _run(capsys, "estimate", "--config", str(tmp_path / "run.json"),
+                             "--replicates", replicates, "--out", str(out))
+    assert (code, stdout, estimated) == (2, "", [])
+    assert err == f"error: {error}: {message}\n"
+    assert json.loads(out.read_text()) == {"error": {"type": error, "message": message}}
+
+
+@pytest.mark.parametrize("source, message", [
+    (["--x-base", "0", "--x-alt", "1", "--y", "1"],
+     "no requested family applies to the query of the flags: cd needs --m-fixed"),
+    (["--config", "run.json"], "no requested family applies to queries[1]: cd needs m_fixed"),
+])
+def test_query_without_a_family_exits_2(sim_csv, tmp_path, monkeypatch, capsys, source,
+                                        message):
+    # exit 0 with "families": {} and no warning before
+    monkeypatch.chdir(tmp_path)
+    queries = [{"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 1}, {"x_base": 0, "x_alt": 1, "y": 1}]
+    (tmp_path / "run.json").write_text(json.dumps({"queries": queries, "families": ["cd"]}))
+    code, stdout, err = _run(capsys, "estimate", "--input", sim_csv, *source, "--families", "cd",
+                             "--replicates", "0", "--out", "err.json")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: PocError: {message}\n"
+    assert json.loads((tmp_path / "err.json").read_text()) == {
+        "error": {"type": "PocError", "message": message}}
+
+
 _LOGISTIC_SCM = {
     "treatment": {"logistic": {"intercept": 0.0}},
     "mediator": {"logistic": {"intercept": 1.0, "coefs": [0.5]}},

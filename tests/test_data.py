@@ -247,14 +247,22 @@ def _outcome(fn):
 
 def _per_cell_outcome(text):
     """What the per-cell reader makes of ``text``: a Dataset, or the error
-    type and message."""
+    type and message.  A header that names a role column twice is refused
+    before any row is read."""
     lines = text.splitlines()
     header = [h.strip() for h in lines[0].split(",")]
-    index = [header.index(c) for c in ROLES.all_columns]
     names = ROLES.all_columns
-    return _outcome(lambda: pm.Dataset(
-        dict(zip(names, data_module._parse_per_cell(lines, len(header), index, names))), ROLES
-    ))
+
+    def read():
+        repeated = [c for c in names if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(
+                f"role columns {repeated!r} appear more than once in header {header!r}")
+        index = [header.index(c) for c in names]
+        columns = data_module._parse_per_cell(lines, len(header), index, names)
+        return pm.Dataset(dict(zip(names, columns)), ROLES)
+
+    return _outcome(read)
 
 
 def _assert_same_outcome(got, want, text):
