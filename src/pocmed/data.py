@@ -74,9 +74,10 @@ class Interval:
         return cls(NEG_INF, POS_INF, upper_closed=False)
 
     def contains(self, value: float) -> bool:
-        if self.upper_closed:
-            return self.lower <= value <= self.upper
-        return self.lower <= value < self.upper
+        """Whether ``value`` lies in the interval: a plain bool for a float,
+        and row-wise, a boolean array, for an array."""
+        below_upper = value <= self.upper if self.upper_closed else value < self.upper
+        return (self.lower <= value) & below_upper
 
 
 def _finite(value, name: str) -> float:

@@ -17,11 +17,11 @@ weight; the Monte Carlo path samples the noise sources, one row of weight
 1.0 per draw, through each node's ``draw``, the one way a node samples
 (:func:`sample_observational` calls it too).  Every truth is then a
 weighted sum of indicators on that table, the same code for both paths.
-The exact partition is kept in a small cache (:data:`_PARTITIONS`) under
-the inputs that decide it, so the truths of one query and its evidence
-variants build it once; each entry also memoises, read-only, every
-counterfactual column built on it, so those truths build each column
-once, and the memo goes with its entry.
+The exact partition is kept in the ``functools.lru_cache`` of
+:func:`_partition` under the inputs that decide it, so the truths of one
+query and its evidence variants build it once; each entry also memoises,
+read-only, every counterfactual column built on it, so those truths build
+each column once, and the memo goes with its entry.
 Observational conditional CDFs implied by a model are exposed through
 :class:`AnalyticCdf`, which duck-types the empirical estimator surface so
 identification formulas can be evaluated at infinite-sample truth; each
@@ -41,6 +41,7 @@ the one exact interval subtraction gives.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -94,11 +95,14 @@ class LogisticNode:
 
     def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
         """Values and ``(bits, codes)`` coding for parent columns ``cols``;
-        the codes are the ``u < p`` comparison (``codings`` is not read)."""
-        t = np.full(u.shape, self.intercept)
+        the codes are the ``u < p`` comparison (``codings`` is not read).
+        ``p`` is :meth:`prob_one`'s, bit for bit: the predictor is summed
+        in its order and each distinct one goes through :func:`sigmoid`."""
+        s = np.zeros(u.shape)
         for j, c in enumerate(self.coefs):
-            t += c * cols[j]
-        hit = u < 1.0 / (1.0 + np.exp(-t))
+            s = s + c * cols[j]
+        t, row = np.unique(self.intercept + s, return_inverse=True)
+        hit = u < np.array([sigmoid(v) for v in t.tolist()])[row]
         return hit.astype(np.float64), (self._BITS, hit.view(np.uint8))
 
 
@@ -431,20 +435,6 @@ class AnalyticCdf:
             answer = self._remember(key, _step_cdf(step, y, strict))
         return answer
 
-    @staticmethod
-    def _mixture(terms: list[tuple[float, float]]) -> float:
-        """Normalized pmf-weighted mixture of cell CDFs; exact 0.0 / 1.0 at
-        the empty and full boundaries regardless of weight rounding."""
-        if not terms:
-            return 0.0
-        if all(c == 1.0 for _, c in terms):
-            return 1.0
-        if all(c == 0.0 for _, c in terms):
-            return 0.0
-        num = math.fsum(p * c for p, c in terms)
-        den = math.fsum(p for p, _ in terms)
-        return num / den
-
     def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
         return self.joint_cdf_ym_given_x(y, POS_INF, x, strict)
 
@@ -456,14 +446,11 @@ class AnalyticCdf:
         if answer is not None:
             return answer
         support = self.mediator_support(x)
-        included = [
-            (self.mediator_pmf(level, x), self.cdf_y_given_xm(y, x, level, strict_y))
+        num = math.fsum(
+            self.mediator_pmf(level, x) * self.cdf_y_given_xm(y, x, level, strict_y)
             for level in support
             if (level < m if strict_m else level <= m)
-        ]
-        if len(included) == len(support):
-            return self._remember(key, self._mixture(included))
-        num = math.fsum(p * c for p, c in included)
+        )
         den = math.fsum(self.mediator_pmf(level, x) for level in support)
         return self._remember(key, num / den)
 
@@ -471,11 +458,12 @@ class AnalyticCdf:
         key = ("crossworld", float(y), float(x_base), float(x_alt))
         answer = self._answers.get(key)
         if answer is None:
-            terms = [
-                (self.mediator_pmf(m, x_alt), self.cdf_y_given_xm(y, x_base, m))
-                for m in self.mediator_support(x_alt)
-            ]
-            answer = self._remember(key, self._mixture(terms))
+            support = self.mediator_support(x_alt)
+            num = math.fsum(
+                self.mediator_pmf(m, x_alt) * self.cdf_y_given_xm(y, x_base, m) for m in support
+            )
+            den = math.fsum(self.mediator_pmf(m, x_alt) for m in support)
+            answer = self._remember(key, num / den)
         return answer
 
     def outcome_levels(self) -> tuple[float, ...]:
@@ -513,11 +501,11 @@ def _strata(scm: ScmSpec, q: Query):
     return scm.covariate_support()
 
 
-def _stripes(scm: ScmSpec, c: tuple, x_levels: Sequence[float]) -> list:
+def _stripes(mediator, c: tuple, x_levels: Sequence[float]) -> list:
     """Stripes of the mediator-noise axis in stratum ``c`` on which the
-    mediator under every one of ``x_levels`` is constant, as
+    ``mediator`` node under every one of ``x_levels`` is constant, as
     ``(width, {x: mediator value})`` pairs in increasing-``u`` order."""
-    med_steps = {x: scm.mediator.step((x, *c)) for x in x_levels}
+    med_steps = {x: mediator.step((x, *c)) for x in x_levels}
     m_cuts = sorted({cut for cuts, _ in med_steps.values() for cut in cuts})
     m_edges = (0.0, *m_cuts, 1.0)
     stripes = []
@@ -531,24 +519,20 @@ def _stripes(scm: ScmSpec, c: tuple, x_levels: Sequence[float]) -> list:
     return stripes
 
 
-#: Exact partitions built by :func:`_partition`, least recently used first,
-#: at most :data:`_PARTITION_LIMIT` of them.
-_PARTITIONS: dict = {}
-_PARTITION_LIMIT = 8
-
-
-def _partition(scm: ScmSpec, strata, x_levels: tuple, xm_pairs: tuple):
+@functools.lru_cache(maxsize=8)
+def _partition(mediator, outcome, strata, x_levels: tuple, xm_pairs: tuple):
     """Rectangle weights of the (u_M, u_Y) unit squares of ``strata`` and
-    their stripes, as :func:`_square_cells` describes them."""
+    the ``column`` maker over them, as :func:`_square_cells` describes
+    them; the last 8 are kept."""
     weights, stripes = [], []
     for c, w_c in strata:
         steps = {}
-        for w_m, by_x in _stripes(scm, c, x_levels):
+        for w_m, by_x in _stripes(mediator, c, x_levels):
             pairs = {(x1, by_x[x2]) for x1 in x_levels for x2 in x_levels}
             pairs.update(xm_pairs)
             for pair in pairs:
                 if pair not in steps:
-                    steps[pair] = scm.outcome.step((*pair, *c))
+                    steps[pair] = outcome.step((*pair, *c))
             y_cuts = sorted({cut for pair in pairs for cut in steps[pair][0]})
             y_edges = (0.0, *y_cuts, 1.0)
             mids = []
@@ -558,7 +542,7 @@ def _partition(scm: ScmSpec, strata, x_levels: tuple, xm_pairs: tuple):
                 mids.append(0.5 * (lo + hi))
     weights = np.array(weights)
     weights.flags.writeable = False
-    return weights, stripes
+    return weights, _column_maker(stripes)
 
 
 def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
@@ -572,15 +556,16 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
     maker of :func:`_columns`.
 
     The partition is decided by the mediator and outcome nodes, the
-    strata, the treatment levels and the fixed (x, m) cells, so it is
-    kept in :data:`_PARTITIONS` under those (the nodes by identity, never
-    the model by equality: list-valued covariates are unhashable).  An
-    entry holds its nodes, so their ids cannot be reused while it lives.
-    It also memoises every counterfactual column built on it under the
-    column's key, so the truths of one query and its evidence variants
-    build each column once.  That memo holds at most the mediator under
-    each treatment level and the outcome under each pair of levels or
-    fixed cell, and it is dropped with its entry."""
+    strata, the treatment levels and the fixed (x, m) cells, so
+    :func:`_partition`'s ``lru_cache`` keeps it under those, never under
+    the model (list-valued covariates are unhashable).  No node class
+    defines ``__eq__``, so the nodes are keyed by identity, and an entry
+    holds its nodes, so their ids cannot be reused while it lives.  Its
+    column maker memoises every counterfactual column built on it under
+    the column's key, so the truths of one query and its evidence
+    variants build each column once.  That memo holds at most the
+    mediator under each treatment level and the outcome under each pair
+    of levels or fixed cell, and it is dropped with its entry."""
     x_levels = [q.x_base, q.x_alt] + ([e.x_star] if e is not None else [])
     x_levels = tuple(dict.fromkeys(float(x) for x in x_levels))
     xm_pairs = []
@@ -588,16 +573,7 @@ def _square_cells(scm: ScmSpec, q: Query, e: Evidence | None):
         xm_pairs += [(q.x_base, q.m_fixed), (q.x_alt, q.m_fixed)]
     if e is not None and e.kind == KIND_POINT_MEDIATOR:
         xm_pairs.append((e.x_star, e.m_star))
-    strata, xm_pairs = _strata(scm, q), tuple(xm_pairs)
-    key = (id(scm.mediator), id(scm.outcome), strata, x_levels, xm_pairs)
-    entry = _PARTITIONS.pop(key, None)
-    if entry is None:
-        if len(_PARTITIONS) >= _PARTITION_LIMIT:
-            del _PARTITIONS[next(iter(_PARTITIONS))]
-        weights, stripes = _partition(scm, strata, x_levels, xm_pairs)
-        entry = (scm.mediator, scm.outcome, weights, _column_maker(stripes))
-    _PARTITIONS[key] = entry
-    return entry[2], entry[3]
+    return _partition(scm.mediator, scm.outcome, _strata(scm, q), x_levels, tuple(xm_pairs))
 
 
 def _column_maker(stripes: list):
@@ -706,12 +682,6 @@ def _sum(v: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(v)[-1]) if v.size else 0.0
 
 
-def _inside(iv, v: np.ndarray) -> np.ndarray:
-    """Row-wise ``iv.contains``."""
-    below_upper = v <= iv.upper if iv.upper_closed else v < iv.upper
-    return (iv.lower <= v) & below_upper
-
-
 def _flips(q: Query, cols: dict) -> dict:
     """Total, natural direct and natural indirect flip events (and the
     controlled-direct one when ``m_fixed`` is set)."""
@@ -800,12 +770,12 @@ def truth_with_evidence(
         raise InvalidEvidenceError("point-mediator evidence requires m_fixed")
     w, _, cols = _table(scm, q, e, method, n, seed)
     if e.kind == KIND_POINT_MEDIATOR:
-        ev = (cols["m_star"] == e.m_star) & _inside(e.interval_y, cols["y_star_cell"])
+        ev = (cols["m_star"] == e.m_star) & e.interval_y.contains(cols["y_star_cell"])
         names = ["cd_pns"]
     else:
-        ev = _inside(e.interval_y, cols["y_star"])
+        ev = e.interval_y.contains(cols["y_star"])
         if e.kind == KIND_INTERVAL_MEDIATOR:
-            ev &= _inside(e.interval_m, cols["m_star"])
+            ev &= e.interval_m.contains(cols["m_star"])
         names = ["t_pns", "nd_pns", "ni_pns"]
     den = _sum(w[ev])
     if den == 0.0:
@@ -1009,7 +979,7 @@ def _crossing_events(scm: ScmSpec, mediator: bool = True):
                 yield "outcome", (c, tagged[i], tagged[j], d1, d2)
 
         # compound regions on the square, expressed on shared stripes
-        stripes = _stripes(scm, c, x_levels)
+        stripes = _stripes(scm.mediator, c, x_levels)
         ctagged = [((x1, x2), y) for x1 in x_levels for x2 in x_levels for y in y_grid]
         regions = [
             [cell_regions[(x_out, med[x_med])][y] for _w2, med in stripes]

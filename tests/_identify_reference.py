@@ -12,6 +12,7 @@ current code must agree with them bit for bit, error messages included.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from pocmed.data import Evidence, Interval, Query, KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR, NEG_INF, POS_INF
@@ -28,7 +29,22 @@ from pocmed.oracle import AnalyticCdf
 
 
 class ReferenceAnalyticCdf(AnalyticCdf):
-    """:class:`AnalyticCdf` with its former marginal CDF."""
+    """:class:`AnalyticCdf` with its former marginal CDF and the mixture
+    rule that CDF read, special cases included."""
+
+    @staticmethod
+    def _mixture(terms: list[tuple[float, float]]) -> float:
+        """Normalized pmf-weighted mixture of cell CDFs; exact 0.0 / 1.0 at
+        the empty and full boundaries regardless of weight rounding."""
+        if not terms:
+            return 0.0
+        if all(c == 1.0 for _, c in terms):
+            return 1.0
+        if all(c == 0.0 for _, c in terms):
+            return 0.0
+        num = math.fsum(p * c for p, c in terms)
+        den = math.fsum(p for p, _ in terms)
+        return num / den
 
     def cdf_y_given_x(self, y: float, x: float, strict: bool = True) -> float:
         terms = [

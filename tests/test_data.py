@@ -540,6 +540,27 @@ def test_interval_validation():
         pm.Interval.point(float("inf"))
 
 
+def test_interval_contains_rows_as_scalars():
+    """On an array ``contains`` answers, row by row, what it answers for each
+    value alone, which for a float is a plain bool: open and closed upper
+    ends, infinite ends, both zeros and NaN."""
+    inf = math.inf
+    values = np.array([-inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, inf, math.nan])
+    for lo, hi, closed in itertools.product((-inf, -0.0, 0.0, 1.0), (-0.0, 0.0, 1.0, inf),
+                                            (False, True)):
+        if lo > hi or (lo == hi and not closed) or math.isinf(lo) and lo == hi:
+            continue
+        iv = pm.Interval(lo, hi, upper_closed=closed)
+        want = [iv.contains(v) for v in values.tolist()]
+        assert all(type(w) is bool for w in want) and not want[-1], iv
+        got = iv.contains(values)
+        assert got.dtype == bool and got.tolist() == want, iv
+    assert pm.Interval(0.0, 1.0).contains(values).tolist() == [
+        False, False, True, True, True, False, False, False, False]
+    assert pm.Interval(-0.0, 1.0, upper_closed=True).contains(values).tolist() == [
+        False, False, True, True, True, True, False, False, False]
+
+
 def test_evidence_kinds():
     iy = pm.Interval(0.0, 2.0)
     assert pm.Evidence(x_star=1, interval_y=iy).kind == "outcome-only"

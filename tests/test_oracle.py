@@ -1,9 +1,11 @@
 """Ground-truth engine: sampling, exact measure, diagnostics."""
 
+import bisect
 import functools
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -638,13 +640,19 @@ def test_prefix_closed_form_matches_interval_path(monkeypatch):
     that the interval path builds, each a prefix of its stripe."""
     models = [(None, _crossing_scm())]
     models += [(seed % _ORACLE_KINDS, _random_oracle_scm(seed)) for seed in range(600)]
+    lex_shapes = set()
     for seed in range(200):
         rng = np.random.default_rng(seed)
         levels = rng.integers(2, 4, size=3).tolist()
         models.append(("threshold", verification.random_threshold_scm(
             rng, *levels, coherent=bool(seed % 2))))
         stripes, inner = rng.integers(2, 4, size=2).tolist()
-        models.append(("lex", verification.random_lex_scm(rng, 2, stripes, inner)))
+        # every 8th seed draws a lex model too: the forced interval path
+        # is slow on them, and 25 still cover every shape
+        if seed % 8 == 0:
+            lex_shapes.add((stripes, inner))
+            models.append(("lex", verification.random_lex_scm(rng, 2, stripes, inner)))
+    assert lex_shapes == set(itertools.product((2, 3), repeat=2))
 
     def reports(scm, name, log):
         """The report and both gates, with what ``check_monotonicity``
@@ -686,7 +694,7 @@ def test_prefix_closed_form_matches_interval_path(monkeypatch):
             closed_strata["descending logistic"] += ascending.count(False)
     # every threshold and lex stratum took the closed form; logistic strata
     # took it only where no cell has a cut, and most did not
-    assert closed_strata == {"threshold": 400, "lex": 300, "logistic": 7,
+    assert closed_strata == {"threshold": 400, "lex": 125, "logistic": 7,
                              "descending logistic": 140}, closed_strata
 
 
@@ -808,16 +816,16 @@ def _assert_partitions_reused(scm, cases, seed):
     ]
     answers = []
     for order in (calls, calls[::-1]):
-        oracle._PARTITIONS.clear()
+        oracle._partition.cache_clear()
         answers.append([])
         for call in order:
             answers[-1].append(repr(_report_or_error(call)))
-            assert len(oracle._PARTITIONS) <= oracle._PARTITION_LIMIT, seed
+            assert oracle._partition.cache_info().currsize <= 8, seed
     assert answers[0] == answers[1][::-1], seed
 
 
-def test_partition_columns_are_read_only_and_die_with_their_entry(monkeypatch, preset):
-    monkeypatch.setattr(oracle, "_PARTITIONS", {})
+def test_partition_columns_are_read_only_and_die_with_their_entry(preset):
+    oracle._partition.cache_clear()
     q = pm.Query(0, 1, 1.0, m_fixed=1.0)
     e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
     truths = [
@@ -828,15 +836,20 @@ def test_partition_columns_are_read_only_and_die_with_their_entry(monkeypatch, p
     # from an empty cache; the three truths read one partition
     fresh = [repr(truth()) for truth in truths]
     _, column = oracle._square_cells(preset, q, e)
+    info = oracle._partition.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
     col = column("arm", 0.0, 1.0)
     assert col is column("arm", 0.0, 1.0) and not col.flags.writeable
     with pytest.raises(ValueError):
         col[0] = 7.0
-    keys = set(oracle._PARTITIONS)
-    for k in range(oracle._PARTITION_LIMIT):
+    alive = weakref.ref(col)
+    del col, column
+    # 8 newer partitions evict it, and its columns die with it
+    for k in range(8):
         pm.truth_pns(preset, pm.Query(0, 1, 1.0, m_fixed=2.0 + k))
-    assert len(keys) == 1 and not keys & set(oracle._PARTITIONS)
+    assert oracle._partition.cache_info().misses == 9 and alive() is None
     assert [repr(truth()) for truth in truths] == fresh
+    assert oracle._partition.cache_info().misses == 10
 
 
 def test_truths_match_reference():
@@ -970,6 +983,55 @@ def test_analytic_cdf_memo_gives_the_same_answers_after_it_starts_over(monkeypat
     assert sorted(vars(pm.AnalyticCdf(pm.logistic_bernoulli_preset()))) == ["_answers", "c", "scm"]
 
 
+def test_logistic_draw_cuts_where_step_cuts():
+    """``draw`` gives each row the value that ``step`` assigns its uniform,
+    also at the cut ``p`` itself and at the float just below it: both read
+    one ``sigmoid`` of the predictor summed in one order."""
+    node = pm.LogisticNode(-1.071338746322222, (0.7231901098189695,))
+    (p,), _ = node.step((1.0,))
+    u = np.array([p, np.nextafter(p, 0.0)])
+    assert node.draw([np.ones(2)], [None], u)[0].tolist() == [0.0, 1.0]
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        k = int(rng.integers(1, 4))
+        node = pm.LogisticNode(rng.uniform(-3, 3), rng.uniform(-3, 3, size=k).tolist())
+        rows = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=(6, k)).tolist()
+        parents, u, want = [], [], []
+        for row in rows:
+            cuts, values = node.step(row)
+            for v in [w for p in cuts for w in (p, np.nextafter(p, 0.0))] + [0.0, 0.5]:
+                parents.append(row)
+                u.append(v)
+                want.append(values[bisect.bisect_right(cuts, v)])
+        cols = list(np.array(parents).T)
+        got, (bits, codes) = node.draw(cols, [None] * k, np.array(u))
+        assert got.tolist() == want, trial
+        assert bits.view(np.float64)[codes].tolist() == want, trial
+
+
+def test_mixtures_of_constant_cell_cdfs_are_exact():
+    """When every cell CDF reads 0.0, or every one reads 1.0, the marginal,
+    joint and cross-world CDFs read exactly 0.0 or 1.0 under any mediator
+    weights: the fsum of ``p * 1.0`` is the fsum of ``p``, whatever it
+    rounds to."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        med = {}
+        for x in (0.0, 1.0):
+            k = int(rng.integers(2, 9))
+            cuts = tuple(sorted(set(rng.uniform(0.01, 0.99, size=k - 1).tolist())))
+            med[(x,)] = (cuts, tuple(float(v) for v in range(len(cuts) + 1)))
+        out = {(x, float(m)): ((float(rng.uniform(0.01, 0.99)),), (2.0, 3.0))
+               for x in (0.0, 1.0) for m in range(8)}
+        model = pm.AnalyticCdf(pm.ScmSpec(
+            pm.TableNode({(): ((0.5,), (0.0, 1.0))}), pm.TableNode(med), pm.TableNode(out)))
+        for y, want in ((2.0, 0.0), (1.0, 0.0), (4.0, 1.0), (3.5, 1.0)):
+            for x, x_alt in itertools.product((0.0, 1.0), repeat=2):
+                got = (model.cdf_y_given_x(y, x), model.joint_cdf_ym_given_x(y, INF, x),
+                       model.crossworld_cdf(y, x, x_alt))
+                assert got == (want,) * 3, (seed, y, x, x_alt)
+
+
 def test_logistic_node_rejects_non_finite_parameters():
     for intercept, coefs in ((math.nan, (0.5,)), (0.0, (math.inf,)), (-math.inf, ())):
         with pytest.raises(UnsupportedSpecError, match="finite"):
@@ -1057,8 +1119,9 @@ def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
 
 
 def test_equivalence_suite_work_counts(monkeypatch):
-    """The suite's oracle work as counts, not times: 46 exact partitions
-    for 145 truths (one per distinct set of arms and fixed cells) and 552
+    """The suite's oracle work as counts, not times: 46 exact partitions,
+    the misses of ``oracle._partition``'s cache, for 145 truths (one per
+    distinct set of arms and fixed cells; the other 99 are hits) and 552
     step masses (each ``AnalyticCdf`` answer worked out once).  Without
     the partition cache and the memo they read 145 and 1689.  Every one
     of the gate's 65 strata has ascending steps and takes the prefix
@@ -1066,9 +1129,7 @@ def test_equivalence_suite_work_counts(monkeypatch):
     interval path, which measures every pair of regions).  The exact
     partitions build 375 counterfactual columns (1440 before each entry
     memoised its columns)."""
-    counts = dict.fromkeys(
-        ("_partition", "_step_mass", "_interval_subtract_measure", "_prefix_crossings"), 0
-    )
+    counts = dict.fromkeys(("_step_mass", "_interval_subtract_measure", "_prefix_crossings"), 0)
     for name in counts:
 
         def spy(*args, _real=getattr(oracle, name), _name=name):
@@ -1090,9 +1151,12 @@ def test_equivalence_suite_work_counts(monkeypatch):
     # interval path
     for gate in ((0, 65), (159390, 0)):
         counts.update(dict.fromkeys(counts | {"columns": 0}, 0))
-        monkeypatch.setattr(oracle, "_PARTITIONS", {})
+        oracle._partition.cache_clear()
         result = verification.equivalence_suite(n_scms=20, seed=0)
         assert (result["accepted"], result["rejected"], result["n_checks"]) == (20, 40, 375)
+        # each partition built is a cache miss
+        counts["_partition"] = oracle._partition.cache_info().misses
+        assert oracle._partition.cache_info().hits == 99
         assert counts == {"_partition": 46, "_step_mass": 552,
                           "_interval_subtract_measure": gate[0], "_prefix_crossings": gate[1],
                           "columns": 375}
