@@ -31,13 +31,24 @@ The quantile rule is numpy's "linear" method: for sorted replicate values
 ``v[f + 1] - (1 - g) * (v[f + 1] - v[f])`` for ``g >= 0.5``, fixed so that
 independent ports agree bit-for-bit.
 
-Replicates are deterministic functions of ``(seed, replicate index)``
-through spawned child streams, so results do not depend on evaluation
-order or worker scheduling.
+Replicates are deterministic functions of ``(seed, replicate index)``:
+replicate ``r`` draws from ``SeedSequence(seed, spawn_key=(r,))``, the
+``r``-th stream of ``SeedSequence(seed).spawn(B)``, so results do not
+depend on evaluation order, chunking or the process that draws them.
+
+A bootstrap that draws at least ``_FORK_DRAWS`` (2**21) row indices,
+replicates times rows, uses a second process where ``os.fork`` exists: a
+forked child (``pocmed._fork``) evaluates replicates ``B // 2`` to
+``B - 1`` while this process evaluates the rest, and sends back its
+quantity columns, which are joined in replicate order.  Every output is
+byte-identical to the one-process run.  A child never forks again, so a
+bootstrap inside ``verify``'s child runs in that process alone, and at
+most one child runs at a time.  There is no switch for this.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -46,13 +57,20 @@ import numpy as np
 from .data import Dataset, Evidence, Query
 from .ecdf import CdfModel, RowCounts
 from .errors import BootstrapFailureError, InvalidEvidenceError
-from . import identify
+from . import _fork, identify
 from .data import KIND_INTERVAL_MEDIATOR, KIND_POINT_MEDIATOR
 
 
 #: Entries of the replicate-by-tuple count matrix held at once (int64, so
 #: 2 MiB); with many distinct tuples the replicates are counted in chunks.
 _CHUNK_COUNTS = 1 << 18
+
+#: Row indices drawn (replicates times rows) from which the upper half of
+#: the replicates is drawn in a forked child.  In a 45 MiB process on a
+#: 2-core machine, the fork, the copy-on-write faults it brings and the
+#: wait cost about 4-6 ms against about 9 ns per row index, and the split
+#: broke even between 2**20 and 1.5 * 2**20 draws; this leaves a margin.
+_FORK_DRAWS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -110,6 +128,29 @@ def _family(estimand: Estimand, inputs) -> tuple[dict[str, np.ndarray], np.ndarr
     prefix = "pns" if kind == "natural" else kind
     return {f"t_{prefix}": t, f"nd_{prefix}": nd, f"ni_{prefix}": ni,
             "prop_nd": prop_nd, "prop_ni": prop_ni}, case_b
+
+
+def _replicate_columns(counter: RowCounts, estimands: dict[str, Estimand], seed: int,
+                       lo: int, hi: int) -> dict[str, list[dict[str, np.ndarray]]]:
+    """The :func:`_family` columns of replicates ``lo`` to ``hi - 1`` for
+    each named estimand, one dict per chunk of replicates, in replicate
+    order.  Replicate ``r`` draws from the stream
+    ``SeedSequence(seed, spawn_key=(r,))``, which is
+    ``SeedSequence(seed).spawn(B)[r]``."""
+    n = counter.n
+    chunks: dict[str, list[dict[str, np.ndarray]]] = {name: [] for name in estimands}
+    chunk = max(1, min(hi - lo, _CHUNK_COUNTS // counter.size))
+    counts = np.empty((chunk, counter.size), dtype=np.int64)
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        for i, r in enumerate(range(start, stop)):
+            stream = np.random.SeedSequence(seed, spawn_key=(r,))
+            counts[i] = counter.bincount(np.random.default_rng(stream).integers(0, n, n))
+        surface = counter.matrix(counts[: stop - start])
+        for name, estimand in estimands.items():
+            chunks[name].append(_family(estimand, identify._margin_inputs(surface, *estimand))[0])
+        del surface  # before the next chunk's matrix is built
+    return chunks
 
 
 def _first_row(estimand: Estimand, inputs) -> FamilyResult:
@@ -173,17 +214,20 @@ def estimator_target(
 
 
 def bootstrap_ci(
-    dataset: Dataset,
+    dataset: Dataset | RowCounts,
     target: Callable[[CdfModel], Mapping] | Mapping[str, Callable],
     cfg: BootstrapConfig,
 ) -> FamilyResult | dict[str, FamilyResult]:
     """Percentile bootstrap for every quantity produced by ``target``.
 
-    ``target`` is one callable, or a mapping of named callables evaluated
-    on the same resamples, which returns one result per name.  Each must
-    carry the ``estimand`` attribute of :func:`estimator_target` (such a
-    target, or a wrapper made with ``functools.wraps``), or
-    :class:`TypeError` is raised before anything runs.
+    ``dataset`` is a :class:`Dataset`, or a :class:`RowCounts` of one
+    coded for the targets' stratum (else :class:`ValueError`), which saves
+    coding its rows again.  ``target`` is one callable, or a mapping of
+    named callables evaluated on the same resamples, which returns one
+    result per name.  Each must carry the ``estimand`` attribute of
+    :func:`estimator_target` (such a target, or a wrapper made with
+    ``functools.wraps``), or :class:`TypeError` is raised before anything
+    runs.
 
     Each callable is treated as if it were bootstrapped on its own, in
     mapping order: it must run successfully on a :class:`CdfModel` of the
@@ -206,7 +250,13 @@ def bootstrap_ci(
     if len(strata) > 1:
         raise ValueError("estimator targets bootstrapped together must share a stratum")
     c_stratum = strata.pop() if strata else ()
-    counter = RowCounts(dataset, c_stratum)
+    if isinstance(dataset, RowCounts):
+        counter = dataset
+        if counter.stratum != (c_stratum or None):
+            raise ValueError(f"row counts of stratum {counter.stratum!r} cannot bootstrap "
+                             f"targets of stratum {c_stratum or None!r}")
+    else:
+        counter = RowCounts(dataset, c_stratum)
     full = CdfModel(counter.table(), c_stratum or None)
 
     # Until ``failure``, the names whose per-target run would have got this
@@ -231,20 +281,19 @@ def bootstrap_ci(
     if failure is not None and not names:
         raise failure
 
-    n = dataset.n
-    chunks: dict[str, list[dict[str, np.ndarray]]] = {name: [] for name in names}
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
-    chunk = max(1, min(cfg.replicates, _CHUNK_COUNTS // counter.size))
-    counts = np.empty((chunk, counter.size), dtype=np.int64)
-    for lo in range(0, cfg.replicates, chunk):
-        block = children[lo : lo + chunk]
-        for i, child in enumerate(block):
-            counts[i] = counter.bincount(np.random.default_rng(child).integers(0, n, n))
-        surface = counter.matrix(counts[: len(block)])
+    estimands = {name: targets[name].estimand for name in names}
+    draw = functools.partial(_replicate_columns, counter, estimands, cfg.seed)
+    if cfg.replicates * counter.n < _FORK_DRAWS or _fork.in_child:
+        chunks = draw(0, cfg.replicates)
+    else:
+        # a forked child draws the upper half of the replicates, this
+        # process the lower half
+        half = cfg.replicates // 2
+        with _fork.beside(lambda: draw(half, cfg.replicates)) as join:
+            chunks = draw(0, half)
+            child = join()
         for name in names:
-            estimand = targets[name].estimand
-            chunks[name].append(_family(estimand, identify._margin_inputs(surface, *estimand))[0])
-        del surface  # before the next chunk's matrix is built
+            chunks[name] += child[name]
 
     alpha = (1.0 - cfg.level) / 2.0
     out: dict[str, FamilyResult] = {}

@@ -23,20 +23,16 @@ Identical inputs and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
-import os
-import pickle
-import signal
 import sys
 import warnings
 from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, identify
+from . import __version__, _fork, identify
 from .bootstrap import BootstrapConfig, bootstrap_ci, estimator_target
 from .chart import render_line_chart
 from .data import (
@@ -432,8 +428,8 @@ def _echo_query(values: dict) -> dict:
 
 def _estimate_block(settings, source, qi, values, q, natural_e, cd_e):
     """The report block of query ``qi``: bootstrapped from ``source``, the
-    dataset, or without a bootstrap read from ``source``, the
-    :class:`CdfModel` of the query's stratum."""
+    :class:`RowCounts` of the query's stratum, or without a bootstrap read
+    from ``source``, the :class:`CdfModel` of that stratum."""
     boot_cfg = None
     if settings.replicates >= 2:
         boot_cfg = BootstrapConfig(replicates=settings.replicates, level=settings.level,
@@ -486,13 +482,15 @@ def cmd_estimate(args) -> int:
     dataset = load_dataset(s.input, ColumnRoles(s.x_col, s.m_col, s.y_col, tuple(s.c_cols)))
 
     parsed = [(prefix, values, *_query(prefix, values)) for prefix, values in _queries(s, config)]
-    # each stratum's count table holds its treatment support, and without a
-    # bootstrap its CdfModel is shared by the queries of that stratum
-    tables = {}
+    # each stratum's rows are coded once: the count table holds its treatment
+    # support, and the queries of that stratum share its RowCounts for the
+    # bootstrap, or without one the CdfModel of its table
+    counters, tables = {}, {}
     for prefix, _, q, _, _ in parsed:
         table = tables.get(q.c_stratum)
         if table is None:
-            table = tables[q.c_stratum] = RowCounts(dataset, q.c_stratum).table()
+            counters[q.c_stratum] = RowCounts(dataset, q.c_stratum)
+            table = tables[q.c_stratum] = counters[q.c_stratum].table()
         for level, name in ((q.x_base, "x_base"), (q.x_alt, "x_alt")):
             if level not in table.x:
                 raise PositivityError(
@@ -504,8 +502,8 @@ def cmd_estimate(args) -> int:
             raise PocError(f"no requested family applies to {who}: cd needs {key}")
 
     report = new_report(str(s.input), dataset.n, s.seed)
-    models = {c: CdfModel(table, c) for c, table in tables.items()} if s.replicates == 0 else {}
-    report["queries"] = [_estimate_block(s, models.get(q.c_stratum, dataset), qi, values, q, *e)
+    sources = counters if s.replicates else {c: CdfModel(table, c) for c, table in tables.items()}
+    report["queries"] = [_estimate_block(s, sources[q.c_stratum], qi, values, q, *e)
                          for qi, (_, values, q, *e) in enumerate(parsed)]
     text = render_json(report) if s.out is not None or s.format == "json" else None
     if s.out is not None:
@@ -546,70 +544,6 @@ def _release(held):
     return result
 
 
-def _child(read_fd: int, write_fd: int, part) -> None:
-    """The forked child: send ``(True, part())``, or ``(False, exc)`` for
-    what it raised, down ``write_fd``, then leave through ``os._exit``, so
-    that no buffer or atexit hook of the parent runs twice."""
-    status = 1
-    try:
-        os.close(read_fd)
-        try:
-            outcome = True, part()
-        except BaseException as exc:  # sent to the parent, which raises it
-            outcome = False, exc
-        data = pickle.dumps(outcome)  # if this raises, the parent reads no result
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _beside(part):
-    """Run ``part()`` in a forked child while the ``with`` block runs, and
-    yield ``join``: it waits for the child and returns what ``part``
-    returned, or raises what it raised.  Leaving the block reaps the
-    child, and kills it first unless it was joined.  Where ``os.fork``
-    does not exist, ``join`` runs ``part`` in-process."""
-    if not hasattr(os, "fork"):
-        yield part
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _child(read_fd, write_fd, part)
-    os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    joined = False
-
-    def join():
-        nonlocal joined
-        data = pipe.read()
-        joined = True
-        if not data:
-            raise ChildProcessError("the child process ended without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield join
-    finally:
-        try:
-            if not joined:
-                os.kill(pid, signal.SIGKILL)
-            pipe.close()
-        finally:
-            os.waitpid(pid, 0)
-
-
 def cmd_verify(args) -> int:
     s, _ = _resolve(args)
     sizes = (100, 1000) if s.quick else (100, 1000, 10000)
@@ -622,7 +556,7 @@ def cmd_verify(args) -> int:
 
     # the parts are separately seeded, so running two at once changes no
     # figure; their warnings and errors are released in the serial order
-    with _beside(beside) as join:
+    with _fork.beside(beside) as join:
         rows = verification.exact_truth_rows()
         equivalence = _held(verification.equivalence_suite, n_scms=s.scms, seed=s.seed)
         estimation, decomposition = join()

@@ -73,6 +73,16 @@ class RowCounts:
         self._keys = keys
 
     @property
+    def n(self) -> int:
+        """The number of rows coded, inside the stratum or not."""
+        return self._ids.size
+
+    @property
+    def stratum(self) -> tuple[float, ...] | None:
+        """The covariate stratum as floats, or ``None`` for every row."""
+        return self._stratum
+
+    @property
     def size(self) -> int:
         """The number of distinct tuples, the length of :meth:`bincount`."""
         return self._size

@@ -83,11 +83,14 @@ class LogisticNode:
                 f"{self.intercept!r} and coefs {list(self.coefs)!r}"
             )
 
-    def prob_one(self, parents: Sequence[float]) -> float:
-        if len(parents) != len(self.coefs):
+    def _require_parents(self, count: int) -> None:
+        if count != len(self.coefs):
             raise UnsupportedSpecError(
-                f"logistic node expects {len(self.coefs)} parents, got {len(parents)}"
+                f"logistic node expects {len(self.coefs)} parents, got {count}"
             )
+
+    def prob_one(self, parents: Sequence[float]) -> float:
+        self._require_parents(len(parents))
         return sigmoid(self.intercept + sum(c * p for c, p in zip(self.coefs, parents)))
 
     def step(self, parents: Sequence[float]):
@@ -98,6 +101,7 @@ class LogisticNode:
         the codes are the ``u < p`` comparison (``codings`` is not read).
         ``p`` is :meth:`prob_one`'s, bit for bit: the predictor is summed
         in its order and each distinct one goes through :func:`sigmoid`."""
+        self._require_parents(len(cols))
         s = np.zeros(u.shape)
         for j, c in enumerate(self.coefs):
             s = s + c * cols[j]

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import pocmed as pm
-from pocmed import cli, identify, verification
+from pocmed import bootstrap, cli, identify, verification
 from pocmed.cli import main
+from pocmed.ecdf import RowCounts
 from pocmed.errors import PocError
 
 
@@ -221,19 +222,32 @@ def test_estimate_config_document(sim_csv, tmp_path, capsys):
     assert report["queries"][1]["query"]["evidence"]["x_star"] == 0.0
 
 
-def test_estimate_builds_one_model_per_stratum(tmp_path, capsys, monkeypatch):
-    # without a bootstrap, queries of one stratum share one CdfModel; each
-    # block still equals the block of the query run on its own
+#: queries of two strata, two each, over the table of ``_strata_config``
+_TWO_STRATA_QUERIES = [
+    {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 0},
+    {"x_base": 0, "x_alt": 1, "y": 1, "stratum": [1]},
+    {"x_base": 1, "x_alt": 0, "y": 1, "evidence": {"x_star": 1, "y_interval": [1, 2]}},
+    {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 1, "stratum": [1.0]},
+]
+
+
+def _strata_config(tmp_path, queries, replicates) -> str:
+    """A config document over a 400-row table with one binary covariate."""
     rng = np.random.default_rng(4)
     rows = rng.integers(0, 2, size=(400, 4))
     path = tmp_path / "strata.csv"
     path.write_text("x,m,y,c\n" + "".join(f"{a},{b},{c},{d}\n" for a, b, c, d in rows))
-    queries = [
-        {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 0},
-        {"x_base": 0, "x_alt": 1, "y": 1, "stratum": [1]},
-        {"x_base": 1, "x_alt": 0, "y": 1, "evidence": {"x_star": 1, "y_interval": [1, 2]}},
-        {"x_base": 0, "x_alt": 1, "y": 1, "m_fixed": 1, "stratum": [1.0]},
-    ]
+    config = {"input": str(path), "schema": {"c": ["c"]}, "queries": queries,
+              "families": ["pns", "cd", "pn", "ps"], "bootstrap": {"replicates": replicates}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return str(cfg)
+
+
+def test_estimate_builds_one_model_per_stratum(tmp_path, capsys, monkeypatch):
+    # without a bootstrap, queries of one stratum share one CdfModel; each
+    # block still equals the block of the query run on its own
+    queries = _TWO_STRATA_QUERIES
     built = []
 
     class CountingModel(pm.CdfModel):
@@ -244,17 +258,31 @@ def test_estimate_builds_one_model_per_stratum(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pocmed.cli.CdfModel", CountingModel)
 
     def blocks(qs):
-        config = {"input": str(path), "schema": {"c": ["c"]}, "queries": qs,
-                  "families": ["pns", "cd", "pn", "ps"], "bootstrap": {"replicates": 0}}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, stdout, _ = _run(capsys, "estimate", "--config", str(cfg), "--format", "json")
+        cfg = _strata_config(tmp_path, qs, 0)
+        code, stdout, _ = _run(capsys, "estimate", "--config", cfg, "--format", "json")
         assert code == 0
         return [json.dumps(b, sort_keys=True) for b in json.loads(stdout)["queries"]]
 
     together = blocks(queries)
     assert built == [None, (1.0,)]
     assert together == [blocks([q])[0] for q in queries]
+
+
+def test_estimate_codes_each_stratum_once(tmp_path, capsys, monkeypatch):
+    # with a bootstrap, bootstrap_ci reads the RowCounts that cmd_estimate
+    # coded for the query's stratum instead of coding the rows again
+    built = []
+    init = RowCounts.__init__
+
+    def counting(self, dataset, c_stratum=None):
+        built.append(c_stratum)
+        init(self, dataset, c_stratum)
+
+    monkeypatch.setattr(RowCounts, "__init__", counting)
+    cfg = _strata_config(tmp_path, _TWO_STRATA_QUERIES, 20)
+    code, stdout, _ = _run(capsys, "estimate", "--config", cfg, "--format", "json")
+    assert code == 0 and len(json.loads(stdout)["queries"]) == 4
+    assert built == [None, (1.0,)]
 
 
 def test_estimate_reads_byte_order_mark(tmp_path, capsys):
@@ -1024,6 +1052,47 @@ def test_verify_child_that_dies_is_an_error(capsys, monkeypatch):
     _assert_no_child_left()
     assert (code, stdout) == (2, "")
     assert stderr == "error: ChildProcessError: the child process ended without a result\n"
+
+
+@needs_fork
+def test_bootstrap_child_that_dies_is_an_error(sim_csv, capsys, monkeypatch):
+    # with the size rule forced, the child draws the upper replicates
+    real = bootstrap._replicate_columns
+
+    def upper_dies(counter, estimands, seed, lo, hi):
+        return os._exit(3) if lo else real(counter, estimands, seed, lo, hi)
+
+    monkeypatch.setattr(bootstrap, "_FORK_DRAWS", 0)
+    monkeypatch.setattr(bootstrap, "_replicate_columns", upper_dies)
+    code, stdout, stderr = _run(capsys, "estimate", "--input", sim_csv, "--x-base", "0",
+                                "--x-alt", "1", "--y", "1", "--replicates", "20")
+    _assert_no_child_left()
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: ChildProcessError: the child process ended without a result\n"
+
+
+@needs_fork
+def test_bootstraps_in_the_verify_child_do_not_fork(tmp_path, capsys, monkeypatch):
+    """The estimation rows' bootstraps run in verify's child, which forks
+    no further even where the size rule asks for it: one fork in all, the
+    one of verify.  Each call of ``os.fork``, in either process, appends a
+    byte to a file."""
+    log = os.open(tmp_path / "forks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real = os.fork
+
+    def logged():
+        os.write(log, b"f")
+        return real()
+
+    monkeypatch.setattr(bootstrap, "_FORK_DRAWS", 0)
+    monkeypatch.setattr(os, "fork", logged)
+    try:
+        code, stdout, _ = _run(capsys, *_SMALL_VERIFY)
+    finally:
+        os.close(log)
+    _assert_no_child_left()
+    assert code == 0 and "FAIL" not in stdout
+    assert (tmp_path / "forks").read_bytes() == b"f"
 
 
 @needs_fork

@@ -12,6 +12,7 @@ three evidence shapes.
 import functools
 import itertools
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 import shutil
@@ -215,6 +216,58 @@ def test_chunked_replicates_match_one_chunk(monkeypatch):
             assert _exact(chunked) == _exact(whole), (kind, seed)
     assert {"chunk of 30", "chunk of 4", "chunk of 2",
             "degenerate replicate", "undefined share"} <= seen, seen
+
+
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+def test_row_counts_of_the_stratum_stand_for_the_dataset():
+    """``bootstrap_ci`` of the :class:`RowCounts` coded for the targets'
+    stratum has the bits of ``bootstrap_ci`` of the dataset, errors
+    included; row counts of another stratum are refused."""
+    for seed in range(12):
+        data, targets, cfg = _CASES["random"](seed)
+        stratum = targets["pns"].estimand.query.c_stratum
+        counter = RowCounts(data, stratum)
+        assert _exact(_outcome(lambda: pm.bootstrap_ci(counter, targets, cfg))) == _exact(
+            _outcome(lambda: pm.bootstrap_ci(data, targets, cfg))), seed
+        other = RowCounts(data, None if stratum else (0.0,))
+        with pytest.raises(ValueError, match="^row counts of stratum .* cannot bootstrap"):
+            pm.bootstrap_ci(other, targets, cfg)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.filterwarnings("ignore::pocmed.MediatorMonotonicityWarning")
+@pytest.mark.parametrize("kind, seed, replicates", [
+    *((kind, seed, None) for kind, seeds in _SEEDS.items() for seed in seeds),
+    *(("random", seed, b) for seed in range(3) for b in (2, 3, 251)),
+])
+def test_forked_replicates_match_the_serial_run(monkeypatch, kind, seed, replicates):
+    """With the size rule forced (``_FORK_DRAWS = 0``), a forked child
+    draws the upper half of the replicates: the outcome has the bits of the
+    serial run, of both halves run here (no ``os.fork``), of chunks of 2
+    replicates on each side, and of the row-resampling reference, over
+    every random and wide case (degenerate replicates, undefined shares,
+    strata) and at B = 2, 3 and 251."""
+    data, targets, cfg = _CASES[kind](seed)
+    if replicates is not None:
+        cfg = pm.BootstrapConfig(replicates, cfg.level, cfg.seed)
+    assert cfg.replicates * data.n < bootstrap._FORK_DRAWS
+    serial = _exact(_outcome(lambda: pm.bootstrap_ci(data, targets, cfg)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(bootstrap, "_FORK_DRAWS", 0)
+    forked = _exact(_outcome(lambda: pm.bootstrap_ci(data, targets, cfg)))
+    _assert_matches_reference(data, targets, cfg)
+    stratum = tuple(targets["pns"].estimand.query.c_stratum or ())
+    monkeypatch.setattr(bootstrap, "_CHUNK_COUNTS", 2 * RowCounts(data, stratum).size)
+    chunked = _exact(_outcome(lambda: pm.bootstrap_ci(data, targets, cfg)))
+    monkeypatch.delattr(os, "fork")
+    here = _exact(_outcome(lambda: pm.bootstrap_ci(data, targets, cfg)))
+    assert forked == chunked == here == serial
+    if serial.startswith("{"):
+        # one fork each: the forked and chunked runs, and the reference
+        # check's run of all targets and of each alone
+        assert len(forks) == 2 + 1 + len(targets)
 
 
 def _degenerate(cis) -> int:

@@ -7,7 +7,9 @@ compares its exit code, standard output, standard error and every file it
 writes with the recorded copies under ``tests/fixtures/golden/<case>/``.
 
 The ``estimate`` copies were captured with the row-resampling bootstrap,
-before the count-table bootstrap replaced it; the ``simulate`` and ``sweep``
+before the count-table bootstrap replaced it, and ``forked_replicates``
+with the count-table bootstrap in one process, before a forked child drew
+half of the replicates; the ``simulate`` and ``sweep``
 copies with the per-row CSV loader, writer and table-node sampler, before
 their bulk numpy versions replaced them; the ``verify`` and suite copies
 with the pairwise monotonicity scan and the uncached analytic CDFs, before
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from pocmed import cli, verification
+from pocmed import bootstrap, cli, verification
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
@@ -45,6 +47,17 @@ CASES = {
         ["estimate", "--input", "data.csv", "--x-base", "0", "--x-alt", "1", "--y", "1",
          "--m-fixed", "1", "--families", "pns,cd,pn,ps", "--replicates", "1000",
          "--seed", "3", "--out", "report.json"],
+        ["report.json"],
+    ),
+    # the boot-binary-10k benchmark's estimate: 250 replicates of 10000 rows,
+    # so the upper half of them is drawn in a forked child
+    "forked_replicates": (
+        [],
+        [["simulate", "--preset", "logistic-bernoulli", "--n", "10000", "--seed", "0",
+          "--out", "data.csv"]],
+        ["estimate", "--input", "data.csv", "--x-base", "0", "--x-alt", "1", "--y", "1",
+         "--m-fixed", "1", "--families", "pns,cd,pn,ps", "--replicates", "250",
+         "--seed", "0", "--format", "json", "--out", "report.json"],
         ["report.json"],
     ),
     # README: outcome-only evidence, default replicates and families
@@ -230,6 +243,14 @@ def test_estimate_matches_golden(name, tmp_path):
     for file, text in artefacts.items():
         expected = (GOLDEN / name / file).read_text(encoding="utf-8")
         assert text == expected, f"{name}/{file} differs from the golden copy"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_estimate_golden_with_forked_replicates(name, tmp_path, monkeypatch):
+    """With the size rule forced, a forked child draws the upper half of
+    every bootstrap's replicates; the bytes stay the same."""
+    monkeypatch.setattr(bootstrap, "_FORK_DRAWS", 0)
+    test_estimate_matches_golden(name, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(IO_CASES))

@@ -73,8 +73,8 @@ def test_covariate_weights_must_be_finite_and_non_negative(preset, base_query, m
             call()
 
 
-def test_covariate_weight_zero_leaves_a_stratum_out(preset):
-    scm = pm.ScmSpec(preset.treatment, pm.LogisticNode(1.0, (0.5, 0.0)),
+def test_covariate_weight_zero_leaves_a_stratum_out():
+    scm = pm.ScmSpec(pm.LogisticNode(0.0, (0.0,)), pm.LogisticNode(1.0, (0.5, 0.0)),
                      pm.LogisticNode(1.0, (0.5, 0.5, 0.0)),
                      covariates=(((0.0,), 0.0), ((1.0,), 2.0)))
     assert scm.covariate_support() == (((0.0,), 0.0), ((1.0,), 1.0))
@@ -1007,6 +1007,22 @@ def test_logistic_draw_cuts_where_step_cuts():
         got, (bits, codes) = node.draw(cols, [None] * k, np.array(u))
         assert got.tolist() == want, trial
         assert bits.view(np.float64)[codes].tolist() == want, trial
+
+
+def test_logistic_draw_refuses_the_wrong_number_of_parents():
+    """``draw`` refuses parent columns that ``step`` would refuse, with its
+    error; so does sampling a model whose treatment has too few coefs."""
+    for coefs, cols in [((), 1), ((0.5,), 2), ((0.5, 0.5), 1)]:
+        node = pm.LogisticNode(0.0, coefs)
+        message = f"^logistic node expects {len(coefs)} parents, got {cols}$"
+        with pytest.raises(UnsupportedSpecError, match=message):
+            node.step((1.0,) * cols)
+        with pytest.raises(UnsupportedSpecError, match=message):
+            node.draw([np.array([1.0])] * cols, [None] * cols, np.array([0.3]))
+    scm = pm.ScmSpec(pm.LogisticNode(0.0), pm.LogisticNode(1.0, (0.5, 0.0)),
+                     pm.LogisticNode(1.0, (0.5, 0.5, 0.0)), covariates=(((1.0,), 1.0),))
+    with pytest.raises(UnsupportedSpecError, match="^logistic node expects 0 parents, got 1$"):
+        pm.sample_observational(scm, 5, seed=0)
 
 
 def test_mixtures_of_constant_cell_cdfs_are_exact():
