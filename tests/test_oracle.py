@@ -1009,6 +1009,111 @@ def test_logistic_draw_cuts_where_step_cuts():
         assert bits.view(np.float64)[codes].tolist() == want, trial
 
 
+def _constant(value, n):
+    """A column of ``n`` copies of ``value`` and its ``(bits, codes)`` coding."""
+    return np.full(n, value), (np.array([value]).view(np.int64), np.zeros(n, dtype=np.uint8))
+
+
+def _draw_constant(node, parents, u):
+    """``node.draw`` at uniforms ``u`` with every parent column constant and
+    coded: each of ``parents`` is a value, or a ``(values, coding)`` pair
+    of columns already drawn."""
+    cols = [p if isinstance(p, tuple) else _constant(p, u.size) for p in parents]
+    return node.draw([col for col, _ in cols], [coding for _, coding in cols], u)
+
+
+def _piece_points(edges):
+    """Per piece of ``edges``: its lower end, its midpoint and the float
+    just below its upper end."""
+    return np.array([(lo, 0.5 * (lo + hi), np.nextafter(hi, 0.0))
+                     for lo, hi in zip(edges, edges[1:])])
+
+
+def _assert_bits(got, want, key):
+    assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64)), key
+
+
+def _assert_draws_partition(scm, c, w_c):
+    """Every rectangle of the exact partition of stratum ``c``, for every
+    treatment level and every (treatment, mediator) cell, gets its
+    ``column`` values from ``node.draw`` at its corner and inner points.
+    Returns the kinds of node drawn."""
+    x_levels = scm.treatment_levels(c)
+    xm_pairs = tuple(itertools.product(x_levels, scm.mediator_levels(c)))
+    weights, column = oracle._partition(scm.mediator, scm.outcome, ((c, w_c),),
+                                        x_levels, xm_pairs)
+    m_cuts = sorted({cut for x in x_levels for cut in scm.mediator.step((x, *c))[0]})
+    m_edges = (0.0, *m_cuts, 1.0)
+    first = 0
+    for (lo_m, hi_m), u_m in zip(zip(m_edges, m_edges[1:]), _piece_points(m_edges)):
+        med = {x: _draw_constant(scm.mediator, (x, *c), u_m) for x in x_levels}
+        pairs = {(x1, med[x2][0][1]) for x1 in x_levels for x2 in x_levels} | set(xm_pairs)
+        y_cuts = sorted({cut for pair in pairs for cut in scm.outcome.step((*pair, *c))[0]})
+        y_edges = (0.0, *y_cuts, 1.0)
+        rects = slice(first, first + len(y_edges) - 1)
+        first = rects.stop
+        _assert_bits(weights[rects], [w_c * ((hi_m - lo_m) * (hi - lo))
+                                      for lo, hi in zip(y_edges, y_edges[1:])], (c, lo_m))
+        u_y = _piece_points(y_edges).ravel()
+        for x, (m, _) in med.items():
+            # the mediator is one value on the stripe, at each of its points
+            for v in column("med", x)[rects]:
+                _assert_bits(m, [v] * 3, ("med", x, c, lo_m))
+        for x, a in itertools.product(x_levels, repeat=2):
+            # the outcome under x with arm a's drawn mediator, at every pair
+            # of a mediator-noise point and an outcome-noise point
+            m, (bits, codes) = med[a]
+            parent = (np.repeat(m, u_y.size), (bits, np.repeat(codes, u_y.size)))
+            y, _ = _draw_constant(scm.outcome, (x, parent, *c), np.tile(u_y, 3))
+            want = np.tile(np.repeat(column("arm", x, a)[rects], 3), 3)
+            _assert_bits(y, want, ("arm", x, a, c, lo_m))
+        for x, m in xm_pairs:
+            y, _ = _draw_constant(scm.outcome, (x, m, *c), u_y)
+            _assert_bits(y, np.repeat(column("at", x, m)[rects], 3), ("at", x, m, c, lo_m))
+    assert first == weights.size
+    return {type(node).__name__ for node in (scm.mediator, scm.outcome)}
+
+
+def _assert_covariate_draws(scm, monkeypatch):
+    """``_draw_exogenous`` picks each covariate point, and codes it, at the
+    corner and inner points of its cumulative-weight interval (the last
+    one ends at 1.0); a point of weight zero has no interval."""
+    support = scm.covariate_support()
+    ends = list(itertools.accumulate(w for _, w in support))
+    ends[-1] = 1.0
+    u, want = [], []
+    for k, (lo, hi) in enumerate(zip([0.0, *ends], ends)):
+        if lo < hi:
+            u += _piece_points((lo, hi))[0].tolist()
+            want += [support[k][0]] * 3
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_uniform_matrix",
+                   lambda seed, n, cols: np.column_stack([u] + [np.full(n, 0.5)] * 3))
+        points, codings, *_ = oracle._draw_exogenous(scm, len(u), 0)
+    _assert_bits(points, want, support)
+    for j, (bits, codes) in enumerate(codings):
+        _assert_bits(bits.view(np.float64)[codes], points[:, j], support)
+
+
+def test_draw_takes_the_partition_values_on_every_rectangle(monkeypatch):
+    """What ``simulate`` samples is what the exact oracle integrates.  Each
+    node's ``draw``, with constant parent columns and their codings, gives
+    every rectangle of ``_partition`` its mediator, arm and fixed-cell
+    outcome values, bit for bit, at uniforms on the rectangle's lower
+    ends, midpoints and the floats just below its upper ends; and every
+    covariate point is drawn at uniforms inside its weight interval."""
+    models = [pm.logistic_bernoulli_preset(), _crossing_scm(), _signed_zero_scm()]
+    models += [_random_oracle_scm(seed) for seed in range(150)]
+    kinds, covariates = set(), 0
+    for seed, scm in enumerate(models):
+        for c, w_c in scm.covariate_support():
+            kinds |= _assert_draws_partition(scm, c, w_c)
+        if scm.covariates is not None:
+            _assert_covariate_draws(scm, monkeypatch)
+            covariates += 1
+    assert kinds == {"LogisticNode", "TableNode"} and covariates > 20, (kinds, covariates)
+
+
 def test_logistic_draw_refuses_the_wrong_number_of_parents():
     """``draw`` refuses parent columns that ``step`` would refuse, with its
     error; so does sampling a model whose treatment has too few coefs."""
