@@ -33,7 +33,6 @@ from .identify import (
 )
 from .oracle import (
     AnalyticCdf,
-    FunctionNode,
     LogisticNode,
     MonotonicityReport,
     ScmSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "Dataset",
     "Evidence",
     "EvidenceTerms",
-    "FunctionNode",
     "Interval",
     "LogisticNode",
     "MediatorMonotonicityWarning",

@@ -8,15 +8,14 @@ Discrete nodes are encoded as step functions of their uniform source
 draw is shared by a node across all interventions, so counterfactual
 quantities are well defined and exactly computable.
 
-Both ways of computing a truth fill one table of counterfactual columns
+Every truth is computed exactly, from one table of counterfactual columns
 (the mediator and outcome under each intervention) with one weight per
-row.  The exact path partitions the (mediator-noise, outcome-noise) unit
-square of each covariate stratum into rectangles on which every column is
-constant, one row per rectangle weighted by its area times the stratum
-weight; the Monte Carlo path samples the noise sources, one row of weight
-1.0 per draw, through each node's ``draw``, the one way a node samples
-(:func:`sample_observational` calls it too).  Every truth is then a
-weighted sum of indicators on that table, the same code for both paths.
+row.  The (mediator-noise, outcome-noise) unit square of each covariate
+stratum is partitioned into rectangles on which every column is constant,
+one row per rectangle weighted by its area times the stratum weight, and
+a truth is a weighted sum of indicators on that table.  Sampling
+(:func:`sample_observational`) goes through each node's ``draw``, which
+gives every uniform in a rectangle that rectangle's value.
 The exact partition is kept in the ``functools.lru_cache`` of
 :func:`_partition` under the inputs that decide it, so the truths of one
 query and its evidence variants build it once; each entry also memoises,
@@ -46,7 +45,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -212,24 +211,6 @@ class TableNode:
         return bits.view(np.float64)[out], (bits, out)
 
 
-class FunctionNode:
-    """Opaque node ``value = fn(u, *parents)``; usable on the Monte Carlo
-    path only (no threshold structure to partition)."""
-
-    def __init__(self, fn: Callable[..., float]):
-        self.fn = fn
-
-    def step(self, parents: Sequence[float]):
-        raise UnsupportedSpecError(
-            "exact computation requires threshold (step-function) nodes"
-        )
-
-    def draw(self, cols: Sequence[np.ndarray], codings: Sequence, u: np.ndarray):
-        """``fn`` of each row's uniform and parent values, with no coding."""
-        values = [self.fn(ui, *row) for ui, *row in zip(u, *cols)]
-        return np.asarray(values, dtype=np.float64), None
-
-
 def bernoulli_cell(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Table cell for a binary node with success probability ``p`` under the
     shared-uniform coupling (value 1 iff u < p)."""
@@ -301,8 +282,9 @@ def logistic_bernoulli_preset() -> ScmSpec:
 
 def _uniform_matrix(seed: int, n: int, cols: int) -> np.ndarray:
     """Uniform draws in fixed-size chunks with per-chunk child streams, so
-    the result depends only on (seed, position), not on how the index range
-    might be split across workers."""
+    each draw depends only on (seed, position).  The chunk layout stays as
+    it is because every sampled table, golden and benchmark digest depends
+    on this stream."""
     ss = np.random.SeedSequence(seed)
     n_chunks = max(1, -(-n // _MC_CHUNK))
     children = ss.spawn(n_chunks)
@@ -336,8 +318,7 @@ def _draw_exogenous(scm: ScmSpec, n: int, seed: int):
 def sample_observational(scm: ScmSpec, n: int, seed: int) -> Dataset:
     """Draw ``n`` iid observational rows; deterministic given ``seed``.
 
-    Each column is drawn with its ``(bits, codes)`` coding where its node
-    gives one (covariates, table and logistic nodes; see
+    Each column is drawn with its ``(bits, codes)`` coding (see
     :meth:`TableNode.draw`), and a table node reads its parents' codings
     instead of searching their columns.  The :class:`Dataset` keeps the
     codings, so :meth:`Dataset.to_csv` sorts none of those columns."""
@@ -351,8 +332,7 @@ def sample_observational(scm: ScmSpec, n: int, seed: int) -> Dataset:
     c_names = tuple(f"c{i+1}" for i in range(c_matrix.shape[1]))
     columns = {"x": x, "m": m, "y": y, **dict(zip(c_names, c_cols))}
     codings = {"x": x_coding, "m": m_coding, "y": y_coding, **dict(zip(c_names, c_codings))}
-    return Dataset(columns, ColumnRoles("x", "m", "y", c_names),
-                   codings={k: v for k, v in codings.items() if v is not None})
+    return Dataset(columns, ColumnRoles("x", "m", "y", c_names), codings=codings)
 
 
 # -- analytic observational CDFs ---------------------------------------------
@@ -396,7 +376,7 @@ class AnalyticCdf:
     :data:`_ANSWER_LIMIT` answers and starts over when full."""
 
     def __init__(self, scm: ScmSpec, c_stratum: Sequence[float] | None = None):
-        c = tuple(float(v) for v in (c_stratum or ()))
+        c = () if c_stratum is None else tuple(float(v) for v in c_stratum)
         if scm.covariates is not None and not c:
             raise UnsupportedSpecError(
                 "analytic CDFs condition on a covariate stratum; pass c_stratum"
@@ -487,16 +467,9 @@ class AnalyticCdf:
 
 @dataclass(frozen=True)
 class TruthReport:
-    """Ground-truth values with their computation method.
-
-    Exact values carry zero standard error; Monte Carlo values carry the
-    binomial standard error sqrt(p (1 - p) / n).
-    """
+    """Exact ground-truth values, by quantity name."""
 
     values: dict
-    method: str
-    n: int | None
-    se: dict
 
 
 def _strata(scm: ScmSpec, q: Query):
@@ -598,31 +571,12 @@ def _column_maker(stripes: list):
     return _Columns(build)
 
 
-def _mc_draws(scm: ScmSpec, q: Query, n: int, seed: int):
-    """``n`` draws of the noise, shared by every intervention (marginal over
-    covariates unless the query fixes a stratum): weights of 1.0 and the
-    ``column`` maker of :func:`_columns`."""
-    c_matrix, _, _, u_m, u_y = _draw_exogenous(scm, n, seed)
-    if q.c_stratum is not None:
-        c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
-
-    def build(column, kind, x, other=None):
-        cols = [np.full(n, float(x))]
-        if kind != "med":
-            cols.append(column("med", other) if kind == "arm" else np.full(n, float(other)))
-        cols += list(c_matrix.T)
-        node, u = (scm.mediator, u_m) if kind == "med" else (scm.outcome, u_y)
-        return node.draw(cols, [None] * len(cols), u)[0]
-
-    return np.ones(n), _Columns(build)
-
-
 class _Columns:
-    """A column maker, ``column(*key)``: ``build(column, *key)`` with its
-    columns remembered under their keys and made read-only, so a column
-    asked for again is the same array.  ``build`` is handed the maker at
-    each call, so it can build a column from another and no reference
-    cycle keeps the memo alive."""
+    """A partition's column maker, ``column(*key)``: ``build(column,
+    *key)`` with its columns remembered under their keys and made
+    read-only, so a column asked for again is the same array.  ``build``
+    is handed the maker at each call, so it can build a column from
+    another and no reference cycle keeps the memo alive."""
 
     def __init__(self, build):
         self._build = build
@@ -641,9 +595,9 @@ def _columns(q: Query, e: Evidence | None, column) -> dict:
     asked of ``column`` by what it is: ``column("med", x)`` is the mediator
     under treatment ``x``, ``column("arm", x, a)`` the outcome under ``x``
     with the mediator of arm ``a``, and ``column("at", x, m)`` the outcome
-    under ``x`` with the mediator held at ``m``.  ``column`` builds each
-    key once (:class:`_Columns`): once per Monte Carlo table, and once per
-    exact partition for every truth that reads that partition."""
+    under ``x`` with the mediator held at ``m``, one value per rectangle.
+    ``column`` builds each key once per partition (:class:`_Columns`), for
+    every truth that reads that partition."""
     cols = {
         "m_base": column("med", q.x_base),
         "m_alt": column("med", q.x_alt),
@@ -663,26 +617,18 @@ def _columns(q: Query, e: Evidence | None, column) -> dict:
     return cols
 
 
-def _table(scm: ScmSpec, q: Query, e: Evidence | None, method: str, n: int, seed: int):
-    """Row weights, their total and the counterfactual columns of ``q`` and
-    ``e``: one row per rectangle of the exact partition (total 1.0), or per
-    Monte Carlo draw (total ``n``)."""
-    if method == "exact":
-        (w, column), total = _square_cells(scm, q, e), 1.0
-    elif method == "mc":
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
-        (w, column), total = _mc_draws(scm, q, n, seed), float(n)
-    else:
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-    return w, total, _columns(q, e, column)
+def _table(scm: ScmSpec, q: Query, e: Evidence | None):
+    """Rectangle weights of the exact partition (they sum to 1.0) and the
+    counterfactual columns of ``q`` and ``e``, one row per rectangle."""
+    w, column = _square_cells(scm, q, e)
+    return w, _columns(q, e, column)
 
 
 def _sum(v: np.ndarray) -> float:
     """Left-to-right sum of ``v``: the bits of a running ``+=`` from 0.0
     (``0.0 +`` turns a sum of ``-0.0`` terms into 0.0, as that running sum
-    does).  Over weights of 1.0 it is the integer count that ``np.mean``
-    divides."""
+    does).  The rectangle weights sum to 1.0, so the summed weights of an
+    event are its probability."""
     return 0.0 + float(np.cumsum(v)[-1]) if v.size else 0.0
 
 
@@ -701,24 +647,12 @@ def _flips(q: Query, cols: dict) -> dict:
     return ind
 
 
-def _report(values: dict, method: str, n: int | None) -> TruthReport:
-    """Exact values, or Monte Carlo ones from ``n`` draws with their
-    binomial standard errors."""
-    if method == "exact":
-        return TruthReport(values, "exact", None, dict.fromkeys(values, 0.0))
-    se = {k: math.sqrt(max(p * (1 - p), 0.0) / n) for k, p in values.items()}
-    return TruthReport(values, "mc", n, se)
-
-
-def truth_pns(
-    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
-) -> TruthReport:
+def truth_pns(scm: ScmSpec, q: Query) -> TruthReport:
     """Definitional total/direct/indirect flip probabilities (and the
     controlled-direct one when ``m_fixed`` is set), computed from the
     counterfactual events on shared noise."""
-    w, total, cols = _table(scm, q, None, method, n, seed)
-    values = {k: _sum(w[flip]) / total for k, flip in _flips(q, cols).items()}
-    return _report(values, method, n)
+    w, cols = _table(scm, q, None)
+    return TruthReport({k: _sum(w[flip]) for k, flip in _flips(q, cols).items()})
 
 
 def _limit_indicators(q: Query, e: Evidence, w: np.ndarray, cols: dict) -> dict:
@@ -752,9 +686,6 @@ def truth_with_evidence(
     scm: ScmSpec,
     q: Query,
     e: Evidence,
-    method: str = "exact",
-    n: int = 100_000,
-    seed: int = 0,
     degenerate: str = "error",
 ) -> TruthReport:
     """Definitional conditional flip probabilities given a factual evidence
@@ -772,7 +703,7 @@ def truth_with_evidence(
         )
     if e.kind == KIND_POINT_MEDIATOR and q.m_fixed is None:
         raise InvalidEvidenceError("point-mediator evidence requires m_fixed")
-    w, _, cols = _table(scm, q, e, method, n, seed)
+    w, cols = _table(scm, q, e)
     if e.kind == KIND_POINT_MEDIATOR:
         ev = (cols["m_star"] == e.m_star) & e.interval_y.contains(cols["y_star_cell"])
         names = ["cd_pns"]
@@ -783,23 +714,18 @@ def truth_with_evidence(
         names = ["t_pns", "nd_pns", "ni_pns"]
     den = _sum(w[ev])
     if den == 0.0:
-        if method == "mc":
-            raise ConditioningError("no Monte Carlo draws satisfy the evidence event")
         if degenerate == "threshold-limit":
-            return _report(_limit_indicators(q, e, w, cols), method, None)
+            return TruthReport(_limit_indicators(q, e, w, cols))
         raise ConditioningError("evidence event has zero probability")
     flips = _flips(q, cols)
-    values = {k: _sum(w[flips[k] & ev]) / den for k in names}
-    return _report(values, method, int(den))
+    return TruthReport({k: _sum(w[flips[k] & ev]) / den for k in names})
 
 
-def truth_effects(
-    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
-) -> TruthReport:
+def truth_effects(scm: ScmSpec, q: Query) -> TruthReport:
     """Mean-scale diagnostics: total, controlled-direct (when ``m_fixed``
     is set), natural direct, and natural indirect effects.  The total
     effect decomposes as te(x', x) = nde(x', x) - nie(x, x')."""
-    w, total, cols = _table(scm, q, None, method, n, seed)
+    w, cols = _table(scm, q, None)
     contrasts = {
         "te": ("y_alt", "y_base"),
         "nde": ("y_nde", "y_base"),
@@ -808,14 +734,7 @@ def truth_effects(
     if q.m_fixed is not None:
         contrasts["cde"] = ("y_alt_m", "y_base_m")
     sums = {k: _sum(w * cols[k]) for pair in contrasts.values() for k in pair}
-    values = {k: (sums[a] - sums[b]) / total for k, (a, b) in contrasts.items()}
-    if method == "exact":
-        return TruthReport(values, "exact", None, {})
-    se = {
-        k: float(np.std(cols[a] - cols[b]) / math.sqrt(n))
-        for k, (a, b) in contrasts.items()
-    }
-    return TruthReport(values, "mc", n, se)
+    return TruthReport({k: sums[a] - sums[b] for k, (a, b) in contrasts.items()})
 
 
 # -- monotone-coupling diagnostics --------------------------------------------

@@ -1,9 +1,11 @@
 """Report assembly and rendering.
 
-Reports are plain dictionaries with a stable, versioned schema, rendered
-either as deterministic JSON (machine) or as an aligned text table with
-percent formatting (human).  Re-running with identical inputs and seed
-produces byte-identical output: no timestamps, sorted keys, repr floats.
+Reports are plain dictionaries, rendered either as deterministic JSON
+(machine) or as an aligned text table with percent formatting (human).
+README's "Report format" lists every key of the ``estimate`` JSON; its
+``version`` is the package version, not a separate schema version.
+Re-running with identical inputs and seed produces byte-identical output:
+no timestamps, sorted keys, repr floats.
 """
 
 from __future__ import annotations

@@ -5,31 +5,21 @@ monotonicity scan.
 regions by exact interval subtraction; the pruned scan must return ``==``
 reports.  :func:`truth_pns`, :func:`truth_with_evidence` and
 :func:`truth_effects` evaluate every counterfactual event once per
-rectangle of :func:`_square_rects` (exact) or once per Monte Carlo draw of
-:func:`_mc_counterfactuals`, each truth written out for each method; the
+rectangle of :func:`_square_rects`, each truth written out on its own; the
 one counterfactual table that replaced them must return reports of equal
 ``repr``, or the same error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from pocmed.data import Evidence, Query, KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATOR, NEG_INF
-from pocmed.errors import ConditioningError, InvalidEvidenceError, UnsupportedSpecError
-from pocmed.oracle import (
-    MonotonicityReport,
-    ScmSpec,
-    TruthReport,
-    _draw_exogenous,
-    _step_cdf,
-)
-
-from _sampling_reference import drawn_values
+from pocmed.errors import ConditioningError, InvalidEvidenceError
+from pocmed.oracle import MonotonicityReport, ScmSpec, TruthReport, _step_cdf
 
 
 @dataclass(frozen=True)
@@ -137,74 +127,22 @@ def _evidence_flag(rect: _Rect, e: Evidence) -> bool:
     return e.interval_y.contains(factual_y)
 
 
-def truth_pns(
-    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
-) -> TruthReport:
+def truth_pns(scm: ScmSpec, q: Query) -> TruthReport:
     """Definitional total/direct/indirect flip probabilities (and the
     controlled-direct one when ``m_fixed`` is set), computed from the
     counterfactual events on shared noise."""
     names = ["t_pns", "nd_pns", "ni_pns"] + (["cd_pns"] if q.m_fixed is not None else [])
-    if method == "exact":
-        totals = dict.fromkeys(names, 0.0)
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
-            for rect in rects:
-                flags = _counterfactual_flags(rect, q)
-                if q.m_fixed is not None:
-                    flags["cd_pns"] = _cd_flag(rect, q)
-                for name in names:
-                    if flags[name]:
-                        totals[name] += w_c * rect.weight
-        return TruthReport(totals, "exact", None, {k: 0.0 for k in totals})
-    if method != "mc":
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-    cols = _mc_counterfactuals(scm, q, None, n, seed)
-    y = q.y_threshold
-    flip = (cols["y_base"] < y) & (y <= cols["y_alt"])
-    ind = {
-        "t_pns": flip,
-        "nd_pns": flip & (cols["y_cross"] < y),
-        "ni_pns": flip & (y <= cols["y_cross"]),
-    }
-    if q.m_fixed is not None:
-        ind["cd_pns"] = (cols["y_base_m"] < y) & (y <= cols["y_alt_m"])
-    values = {k: float(np.mean(v)) for k, v in ind.items()}
-    se = {k: math.sqrt(max(p * (1 - p), 0.0) / n) for k, p in values.items()}
-    return TruthReport(values, "mc", n, se)
-
-
-def _mc_counterfactuals(scm, q, e, n, seed):
-    """Vector counterfactual draws on shared noise (marginal over covariates
-    unless the query fixes a stratum)."""
-    c_matrix, _, _, u_m, u_y = _draw_exogenous(scm, n, seed)
-    if q.c_stratum is not None:
-        c_matrix = np.tile(np.asarray(q.c_stratum, dtype=np.float64), (n, 1))
-    def med(x):
-        xs = np.full(n, float(x))
-        return drawn_values(scm.mediator, np.column_stack([xs, c_matrix]), u_m)
-    def outc(x, m_col):
-        xs = np.full(n, float(x))
-        return drawn_values(scm.outcome, np.column_stack([xs, m_col, c_matrix]), u_y)
-    m_base, m_alt = med(q.x_base), med(q.x_alt)
-    cols = {
-        "m_base": m_base,
-        "m_alt": m_alt,
-        "y_base": outc(q.x_base, m_base),
-        "y_alt": outc(q.x_alt, m_alt),
-        "y_cross": outc(q.x_base, m_alt),
-        "y_nde": outc(q.x_alt, m_base),
-    }
-    if q.m_fixed is not None:
-        fixed = np.full(n, q.m_fixed)
-        cols["y_base_m"] = outc(q.x_base, fixed)
-        cols["y_alt_m"] = outc(q.x_alt, fixed)
-    if e is not None:
-        m_star = med(e.x_star)
-        cols["m_star"] = m_star
-        cols["y_star"] = outc(e.x_star, m_star)
-        if e.kind == KIND_POINT_MEDIATOR:
-            cols["y_star_cell"] = outc(e.x_star, np.full(n, e.m_star))
-    return cols
+    totals = dict.fromkeys(names, 0.0)
+    for c, w_c in _strata(scm, q):
+        rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
+        for rect in rects:
+            flags = _counterfactual_flags(rect, q)
+            if q.m_fixed is not None:
+                flags["cd_pns"] = _cd_flag(rect, q)
+            for name in names:
+                if flags[name]:
+                    totals[name] += w_c * rect.weight
+    return TruthReport(totals)
 
 
 def _limit_indicators(scm: ScmSpec, q: Query, e: Evidence) -> dict:
@@ -269,9 +207,6 @@ def truth_with_evidence(
     scm: ScmSpec,
     q: Query,
     e: Evidence,
-    method: str = "exact",
-    n: int = 100_000,
-    seed: int = 0,
     degenerate: str = "error",
 ) -> TruthReport:
     """Definitional conditional flip probabilities given a factual evidence
@@ -289,98 +224,46 @@ def truth_with_evidence(
         if e.kind == KIND_POINT_MEDIATOR
         else ["t_pns", "nd_pns", "ni_pns"]
     )
-    if method == "exact":
-        num = dict.fromkeys(names, 0.0)
-        den = 0.0
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, e), _xm_pairs_for(q, e))
-            for rect in rects:
-                if not _evidence_flag(rect, e):
-                    continue
-                w = w_c * rect.weight
-                den += w
-                if e.kind == KIND_POINT_MEDIATOR:
-                    flags = {"cd_pns": _cd_flag(rect, q)}
-                else:
-                    flags = _counterfactual_flags(rect, q)
-                for name in names:
-                    if flags[name]:
-                        num[name] += w
-        if den == 0.0:
-            if degenerate == "threshold-limit":
-                values = _limit_indicators(scm, q, e)
-                return TruthReport(values, "exact", None, {k: 0.0 for k in values})
-            raise ConditioningError("evidence event has zero probability")
-        values = {k: v / den for k, v in num.items()}
-        return TruthReport(values, "exact", None, {k: 0.0 for k in values})
-    if method != "mc":
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-    cols = _mc_counterfactuals(scm, q, e, n, seed)
-    if e.kind == KIND_POINT_MEDIATOR:
-        ev = (cols["m_star"] == e.m_star) & np.fromiter(
-            (e.interval_y.contains(v) for v in cols["y_star_cell"]), bool, n
-        )
-    else:
-        ev = np.fromiter((e.interval_y.contains(v) for v in cols["y_star"]), bool, n)
-        if e.kind == KIND_INTERVAL_MEDIATOR:
-            ev &= np.fromiter(
-                (e.interval_m.contains(v) for v in cols["m_star"]), bool, n
-            )
-    k = int(np.count_nonzero(ev))
-    if k == 0:
-        raise ConditioningError("no Monte Carlo draws satisfy the evidence event")
-    y = q.y_threshold
-    if e.kind == KIND_POINT_MEDIATOR:
-        ind = {"cd_pns": (cols["y_base_m"] < y) & (y <= cols["y_alt_m"])}
-    else:
-        flip = (cols["y_base"] < y) & (y <= cols["y_alt"])
-        ind = {
-            "t_pns": flip,
-            "nd_pns": flip & (cols["y_cross"] < y),
-            "ni_pns": flip & (y <= cols["y_cross"]),
-        }
-    values = {name: float(np.mean(v[ev])) for name, v in ind.items()}
-    se = {name: math.sqrt(max(p * (1 - p), 0.0) / k) for name, p in values.items()}
-    return TruthReport(values, "mc", k, se)
+    num = dict.fromkeys(names, 0.0)
+    den = 0.0
+    for c, w_c in _strata(scm, q):
+        rects = _square_rects(scm, c, _x_levels_for(q, e), _xm_pairs_for(q, e))
+        for rect in rects:
+            if not _evidence_flag(rect, e):
+                continue
+            w = w_c * rect.weight
+            den += w
+            if e.kind == KIND_POINT_MEDIATOR:
+                flags = {"cd_pns": _cd_flag(rect, q)}
+            else:
+                flags = _counterfactual_flags(rect, q)
+            for name in names:
+                if flags[name]:
+                    num[name] += w
+    if den == 0.0:
+        if degenerate == "threshold-limit":
+            return TruthReport(_limit_indicators(scm, q, e))
+        raise ConditioningError("evidence event has zero probability")
+    return TruthReport({k: v / den for k, v in num.items()})
 
 
-def truth_effects(
-    scm: ScmSpec, q: Query, method: str = "exact", n: int = 100_000, seed: int = 0
-) -> TruthReport:
+def truth_effects(scm: ScmSpec, q: Query) -> TruthReport:
     """Mean-scale diagnostics: total, controlled-direct (when ``m_fixed``
     is set), natural direct, and natural indirect effects.  The total
     effect decomposes as te(x', x) = nde(x', x) - nie(x, x')."""
-    if method == "exact":
-        means = {"y_base": 0.0, "y_alt": 0.0, "y_nde": 0.0, "y_cross": 0.0,
-                 "y_base_m": 0.0, "y_alt_m": 0.0}
-        for c, w_c in _strata(scm, q):
-            rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
-            for rect in rects:
-                w = w_c * rect.weight
-                means["y_base"] += w * rect.out[(q.x_base, rect.med[q.x_base])]
-                means["y_alt"] += w * rect.out[(q.x_alt, rect.med[q.x_alt])]
-                means["y_nde"] += w * rect.out[(q.x_alt, rect.med[q.x_base])]
-                means["y_cross"] += w * rect.out[(q.x_base, rect.med[q.x_alt])]
-                if q.m_fixed is not None:
-                    means["y_base_m"] += w * rect.out[(q.x_base, q.m_fixed)]
-                    means["y_alt_m"] += w * rect.out[(q.x_alt, q.m_fixed)]
-        n_used = None
-        se = {}
-    elif method == "mc":
-        cols = _mc_counterfactuals(scm, q, None, n, seed)
-        diffs = {
-            "te": cols["y_alt"] - cols["y_base"],
-            "nde": cols["y_nde"] - cols["y_base"],
-            "nie": cols["y_cross"] - cols["y_base"],
-        }
-        if q.m_fixed is not None:
-            diffs["cde"] = cols["y_alt_m"] - cols["y_base_m"]
-        values = {k: float(np.mean(v)) for k, v in diffs.items()}
-        se = {k: float(np.std(v) / math.sqrt(n)) for k, v in diffs.items()}
-        return TruthReport(values, "mc", n, se)
-    else:
-        raise UnsupportedSpecError(f"unknown method {method!r}")
-
+    means = {"y_base": 0.0, "y_alt": 0.0, "y_nde": 0.0, "y_cross": 0.0,
+             "y_base_m": 0.0, "y_alt_m": 0.0}
+    for c, w_c in _strata(scm, q):
+        rects = _square_rects(scm, c, _x_levels_for(q, None), _xm_pairs_for(q, None))
+        for rect in rects:
+            w = w_c * rect.weight
+            means["y_base"] += w * rect.out[(q.x_base, rect.med[q.x_base])]
+            means["y_alt"] += w * rect.out[(q.x_alt, rect.med[q.x_alt])]
+            means["y_nde"] += w * rect.out[(q.x_alt, rect.med[q.x_base])]
+            means["y_cross"] += w * rect.out[(q.x_base, rect.med[q.x_alt])]
+            if q.m_fixed is not None:
+                means["y_base_m"] += w * rect.out[(q.x_base, q.m_fixed)]
+                means["y_alt_m"] += w * rect.out[(q.x_alt, q.m_fixed)]
     values = {
         "te": means["y_alt"] - means["y_base"],
         "nde": means["y_nde"] - means["y_base"],
@@ -388,7 +271,7 @@ def truth_effects(
     }
     if q.m_fixed is not None:
         values["cde"] = means["y_alt_m"] - means["y_base_m"]
-    return TruthReport(values, "exact", n_used, se)
+    return TruthReport(values)
 
 
 def _step_regions(step, thresholds) -> dict[float, tuple[tuple[float, float], ...]]:

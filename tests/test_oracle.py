@@ -188,15 +188,13 @@ _SAMPLE_LEVELS = (-0.0, 0.0, 1.0, 2.5, -3.0)
 
 
 def _random_sampling_node(rng, parent_levels):
-    """A table, logistic or function node over parents whose values lie in
+    """A table or logistic node over parents whose values lie in
     ``parent_levels`` (one tuple per parent), and the values it can take.
     A table node may also key a parent value no row carries (7.0), spell a
     key's zero as ``-0.0`` where the parent draws ``0.0``, or lack a key."""
     kind = int(rng.integers(4))
     if kind == 1:
         return pm.LogisticNode(rng.normal(), rng.normal(size=len(parent_levels))), (0.0, 1.0)
-    if kind == 2:
-        return pm.FunctionNode(lambda u, *p: 2.0 if u < 0.4 else -0.0), (-0.0, 2.0)
     level_sets = [list(dict.fromkeys(levels)) for levels in parent_levels]
     for lv in level_sets:
         if rng.random() < 0.3:
@@ -216,7 +214,7 @@ def _random_sampling_node(rng, parent_levels):
 
 
 def _random_sampling_scm(rng):
-    """A model of random table, logistic and function nodes over 0 to 2
+    """A model of random table and logistic nodes over 0 to 2
     covariates, whose support may hold ``-0.0`` beside ``0.0`` and a point
     of weight zero."""
     d = int(rng.integers(0, 3))
@@ -247,16 +245,17 @@ def _assert_same_sample(scm, n, seed):
         assert got == want, seed
         return "error"
     assert got.column_names == want.column_names and got.roles == want.roles
+    # every node codes its column
+    assert list(got._codings) == list(got.roles.all_columns), seed
     for name in got.column_names:
         col = got.column(name)
         assert np.array_equal(col.view(np.int64), want.column(name).view(np.int64)), seed
-        if name in got._codings:
-            bits, codes = got._codings[name]
-            assert codes.dtype == np.min_scalar_type(bits.size)
-            assert np.array_equal(bits.view(np.float64)[codes].view(np.int64), col.view(np.int64))
+        bits, codes = got._codings[name]
+        assert codes.dtype == np.min_scalar_type(bits.size)
+        assert np.array_equal(bits.view(np.float64)[codes].view(np.int64), col.view(np.int64))
     rebuilt = pm.Dataset({c: got.column(c) for c in got.column_names}, got.roles)
     assert got.to_csv() == rebuilt.to_csv(), seed
-    return "function" if len(got._codings) < len(got.column_names) else "coded"
+    return "coded"
 
 
 def test_sampling_matches_float_reference():
@@ -268,8 +267,8 @@ def test_sampling_matches_float_reference():
         if scm.covariates is not None and any(w == 0 for _, w in scm.covariates):
             # a support point of weight zero leaves levels that no row carries
             reached.add("zero weight")
-    assert reached >= {"error", "function", "coded", "zero weight"}
-    # past one chunk of uniforms, with table, logistic and function nodes
+    assert reached >= {"error", "coded", "zero weight"}
+    # past one chunk of uniforms, with table and logistic nodes
     big = oracle._MC_CHUNK + 7
     scm = pm.ScmSpec(
         treatment=pm.TableNode({(c,): ((0.3,), (-0.0, 0.0 + c)) for c in (0.0, 1.0)}),
@@ -279,7 +278,6 @@ def test_sampling_matches_float_reference():
         covariates=(((-0.0,), 0.4), ((1.0,), 0.6)),
     )
     assert _assert_same_sample(scm, big, 3) == "coded"
-    assert _assert_same_sample(_function_scm(), big, 4) == "function"
 
 
 def test_sampled_table_is_written_from_its_codes(monkeypatch):
@@ -310,7 +308,6 @@ def test_sampling_moments(preset):
 
 def test_exact_truths(preset, base_query):
     rep = pm.truth_pns(preset, base_query)
-    assert rep.method == "exact" and rep.se["t_pns"] == 0.0
     assert rep.values["t_pns"] == pytest.approx(T_PNS, abs=1e-12)
     assert rep.values["nd_pns"] == pytest.approx(ND_PNS, abs=1e-12)
     assert rep.values["ni_pns"] == pytest.approx(NI_PNS, abs=1e-12)
@@ -323,42 +320,6 @@ def test_exact_truths(preset, base_query):
 def test_exact_truths_same_arms(preset):
     rep = pm.truth_pns(preset, pm.Query(1, 1, 1.0, m_fixed=1.0))
     assert all(v == 0.0 for v in rep.values.values())
-
-
-def test_exact_seed_invariant(preset, base_query):
-    a = pm.truth_pns(preset, base_query, method="exact", seed=1)
-    b = pm.truth_pns(preset, base_query, method="exact", seed=999)
-    assert a.values == b.values
-
-
-@pytest.mark.parametrize("n", [0, -3])
-def test_mc_truths_reject_empty_samples(preset, base_query, n):
-    e = pm.Evidence(x_star=1.0, interval_y=pm.Interval(1.0, INF))
-    for truth in (
-        lambda: pm.truth_pns(preset, base_query, method="mc", n=n),
-        lambda: pm.truth_with_evidence(preset, base_query, e, method="mc", n=n),
-        lambda: pm.truth_effects(preset, base_query, method="mc", n=n),
-    ):
-        with pytest.raises(ValueError, match="sample size must be at least 1"):
-            truth()
-
-
-def test_mc_close_to_exact(preset, base_query):
-    rep = pm.truth_pns(preset, base_query, method="mc", n=1_000_000, seed=4)
-    assert rep.method == "mc" and rep.n == 1_000_000
-    for key in ("t_pns", "nd_pns", "ni_pns"):
-        exact = {"t_pns": T_PNS, "nd_pns": ND_PNS, "ni_pns": NI_PNS}[key]
-        assert abs(rep.values[key] - exact) <= 4 * rep.se[key]
-
-
-def test_mc_statistical_convergence(preset, base_query):
-    # over 100 seeds, at least 99 land within 4 standard errors
-    hits = 0
-    for seed in range(100):
-        rep = pm.truth_pns(preset, base_query, method="mc", n=100_000, seed=seed)
-        if abs(rep.values["t_pns"] - T_PNS) <= 4 * max(rep.se["t_pns"], 1e-12):
-            hits += 1
-    assert hits >= 99
 
 
 def test_truth_with_full_interval_matches_unconditional(preset, base_query):
@@ -395,12 +356,6 @@ def test_truth_with_evidence_rejects_unknown_degenerate(preset, base_query):
             pm.truth_with_evidence(preset, base_query, e, degenerate=degenerate)
 
 
-def test_truth_mc_with_evidence(preset, base_query):
-    e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
-    rep = pm.truth_with_evidence(preset, base_query, e, method="mc", n=400_000, seed=3)
-    assert abs(rep.values["t_pns"] - T_PN) <= 4 * rep.se["t_pns"]
-
-
 def test_effects_decomposition(preset):
     # total effect = direct(x', x) - indirect(x, x') on the exact path
     q = pm.Query(0, 1, 1.0, m_fixed=1.0)
@@ -410,8 +365,6 @@ def test_effects_decomposition(preset):
         fwd.values["nde"] - rev.values["nie"], abs=1e-12
     )
     assert "cde" in fwd.values
-    mc = pm.truth_effects(preset, q, method="mc", n=200_000, seed=8)
-    assert mc.values["te"] == pytest.approx(fwd.values["te"], abs=0.01)
 
 
 def test_analytic_cdf_queries(preset):
@@ -437,18 +390,6 @@ def test_analytic_degenerate_mediator():
     assert an.crossworld_cdf(1.0, 0, 1) == an.cdf_y_given_xm(1.0, 0, 3.0)
 
 
-def test_function_node_mc_only():
-    scm = pm.ScmSpec(
-        treatment=pm.LogisticNode(0.0),
-        mediator=pm.LogisticNode(1.0, (0.5,)),
-        outcome=pm.FunctionNode(lambda u, x, m: float(u < 0.3 + 0.1 * x + 0.2 * m)),
-    )
-    with pytest.raises(UnsupportedSpecError):
-        pm.truth_pns(scm, pm.Query(0, 1, 1.0))
-    rep = pm.truth_pns(scm, pm.Query(0, 1, 1.0), method="mc", n=50_000, seed=1)
-    assert 0.0 <= rep.values["t_pns"] <= 1.0
-
-
 def test_covariate_mixture(preset):
     # marginal truths are covariate-weighted mixtures of stratified truths
     cov = pm.ScmSpec(
@@ -472,6 +413,36 @@ def test_covariate_mixture(preset):
     triple = pm.natural_pns(an, q)
     stratum_truth = pm.truth_pns(cov, pm.Query(0, 1, 1.0, c_stratum=(1.0,)))
     assert triple.t_pns == pytest.approx(stratum_truth.values["t_pns"], abs=1e-9)
+
+
+def test_analytic_cdf_takes_a_stratum_array():
+    """A stratum given as a numpy array, as ``CdfModel``, ``stratify`` and
+    ``Query`` take it, reads what the tuple reads; an array of more than
+    one value used to raise numpy's "truth value ... is ambiguous"."""
+    scm = pm.ScmSpec(
+        treatment=pm.LogisticNode(0.0, (0.2, 0.1)),
+        mediator=pm.LogisticNode(1.0, (0.5, -0.3, 0.2)),
+        outcome=pm.LogisticNode(1.0, (0.5, 0.5, 0.4, -0.1)),
+        covariates=(((0.0, 1.0), 0.4), ((1.0, 0.0), 0.6)),
+    )
+    q = pm.Query(0, 1, 1.0, m_fixed=1.0)
+    for c in ((0.0, 1.0), (1.0, 0.0)):
+        want = pm.AnalyticCdf(scm, c)
+        got = pm.AnalyticCdf(scm, np.array(c))
+        assert got.c == want.c == c
+        assert repr(pm.natural_pns(got, q)) == repr(pm.natural_pns(want, q))
+        assert repr(pm.cd_pns(got, q)) == repr(pm.cd_pns(want, q))
+
+
+def test_truths_take_no_sampling_keywords(preset, base_query):
+    """Every truth is exact: ``method``, ``n`` and ``seed`` are no keywords."""
+    e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
+    for kw in ({"method": "exact"}, {"n": 10}, {"seed": 1}):
+        for truth, args in ((pm.truth_pns, ()), (pm.truth_effects, ()),
+                            (pm.truth_with_evidence, (e,))):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                truth(preset, base_query, *args, **kw)
+    assert list(vars(pm.truth_pns(preset, base_query))) == ["values"]
 
 
 def test_monotonicity_preset_clean(preset):
@@ -735,14 +706,6 @@ def _non_dyadic_scm(rng):
     )
 
 
-def _function_scm():
-    return pm.ScmSpec(
-        treatment=pm.LogisticNode(0.0),
-        mediator=pm.LogisticNode(1.0, (0.5,)),
-        outcome=pm.FunctionNode(lambda u, x, m: float(u < 0.3 + 0.1 * x + 0.2 * m)),
-    )
-
-
 def _truth_cases(scm, rng):
     """Queries and evidence over the model's levels and the gaps between
     them, some in a covariate stratum, some with a mediator value or an
@@ -751,8 +714,7 @@ def _truth_cases(scm, rng):
     c = support[rng.integers(len(support))][0]
     xs = list(scm.treatment_levels(c))
     ms = list(scm.mediator_levels(c))
-    fn = isinstance(scm.outcome, pm.FunctionNode)
-    ys = [0.0, 1.0] if fn else _value_levels(scm.outcome)
+    ys = _value_levels(scm.outcome)
     grid = ys + [v + 0.5 for v in ys] + [ys[0] - 1.0]
 
     def pick(levels):
@@ -785,20 +747,6 @@ def _report_or_error(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def _assert_same_effects(got, want, whole, key) -> bool:
-    """MC effects on whole-number outcomes are ``==``; otherwise the mean of
-    per-draw differences is a difference of sums, equal up to rounding.
-    Returns whether any value differs."""
-    if isinstance(want, str) or whole:
-        assert got == want, key
-        return False
-    assert (got.method, got.n, got.se) == (want.method, want.n, want.se), key
-    assert got.values.keys() == want.values.keys(), key
-    for k, v in want.values.items():
-        assert abs(got.values[k] - v) <= 1e-12, key
-    return got.values != want.values
 
 
 def _assert_partitions_reused(scm, cases, seed):
@@ -853,48 +801,34 @@ def test_partition_columns_are_read_only_and_die_with_their_entry(preset):
 
 
 def test_truths_match_reference():
-    """Every truth, exact and Monte Carlo, against the per-rectangle and
-    per-method reference the counterfactual table replaced."""
+    """Every truth against the per-rectangle reference the counterfactual
+    table replaced."""
     reached = set()
-    models = [_crossing_scm(), _signed_zero_scm(), _function_scm()]
+    models = [_crossing_scm(), _signed_zero_scm()]
     models += [_non_dyadic_scm(np.random.default_rng(seed)) for seed in range(10)]
     models += [_random_oracle_scm(seed) for seed in range(150)]
     for seed, scm in enumerate(models):
         rng = np.random.default_rng(seed)
-        whole = isinstance(scm.outcome, pm.FunctionNode) or all(
-            float(v).is_integer() for v in _value_levels(scm.outcome)
-        )
         cases = list(_truth_cases(scm, rng))
         _assert_partitions_reused(scm, cases, seed)
         for q, e in cases:
-            for method in ("exact", "mc"):
-                kw = dict(method=method, n=400, seed=seed)
-                for name in ("truth_pns", "truth_effects"):
-                    got = _report_or_error(getattr(pm, name), scm, q, **kw)
-                    want = _report_or_error(getattr(_oracle_reference, name), scm, q, **kw)
-                    key = (seed, name, method, q)
-                    if name == "truth_effects" and method == "mc":
-                        if _assert_same_effects(got, want, whole, key):
-                            reached.add("rounded effects")
-                    else:
-                        assert repr(got) == repr(want), key
-                got = {}
-                for degenerate in ("error", "threshold-limit"):
-                    got[degenerate], want = (
-                        _report_or_error(
-                            impl.truth_with_evidence, scm, q, e, degenerate=degenerate, **kw
-                        )
-                        for impl in (pm, _oracle_reference)
-                    )
-                    assert repr(got[degenerate]) == repr(want), (seed, method, degenerate, q, e)
-                if method == "exact" and isinstance(got["threshold-limit"], oracle.TruthReport):
-                    zero = got["error"] == "ConditioningError: evidence event has zero probability"
-                    reached.add((e.kind, "limit" if zero else "mass"))
-    # every evidence kind was reached with positive and with zero mass, and
-    # some Monte Carlo effect moved by rounding
+            for name in ("truth_pns", "truth_effects"):
+                got = _report_or_error(getattr(pm, name), scm, q)
+                want = _report_or_error(getattr(_oracle_reference, name), scm, q)
+                assert repr(got) == repr(want), (seed, name, q)
+            got = {}
+            for degenerate in ("error", "threshold-limit"):
+                got[degenerate], want = (
+                    _report_or_error(impl.truth_with_evidence, scm, q, e, degenerate=degenerate)
+                    for impl in (pm, _oracle_reference)
+                )
+                assert repr(got[degenerate]) == repr(want), (seed, degenerate, q, e)
+            if isinstance(got["threshold-limit"], oracle.TruthReport):
+                zero = got["error"] == "ConditioningError: evidence event has zero probability"
+                reached.add((e.kind, "limit" if zero else "mass"))
+    # every evidence kind was reached with positive and with zero mass
     kinds = (KIND_OUTCOME, KIND_POINT_MEDIATOR, KIND_INTERVAL_MEDIATOR)
-    branches = {(kind, branch) for kind in kinds for branch in ("mass", "limit")}
-    assert reached == branches | {"rounded effects"}, reached
+    assert reached == {(kind, branch) for kind in kinds for branch in ("mass", "limit")}, reached
 
 
 def test_monotonicity_with_many_pieces_matches_pairwise_reference():

@@ -1,5 +1,6 @@
 """The README's library quickstart runs as written, the bootstrap
-contract it states holds, and its settings table is the CLI's."""
+contract it states holds, its settings table is the CLI's, and its report
+format table lists every key of the ``estimate`` JSON."""
 
 import functools
 import json
@@ -10,6 +11,7 @@ import pytest
 
 import pocmed as pm
 from pocmed.cli import SETTINGS
+from test_golden_estimate import CASES, GOLDEN
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -62,3 +64,38 @@ def test_readme_settings_table_is_the_code_table():
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     assert rows == [_cells(row) for row in SETTINGS]
+
+
+def _key_paths(value, path=""):
+    """The path of every key in a JSON value, list items as ``[]`` and the
+    keys under ``families`` and ``quantities`` as ``<f>`` and ``<q>``."""
+    if isinstance(value, list):
+        return set().union(*(_key_paths(item, path + "[]") for item in value))
+    if not isinstance(value, dict):
+        return set()
+    name = {"families": "<f>", "quantities": "<q>"}.get(path.rpartition(".")[2])
+    paths = set()
+    for key, item in value.items():
+        key_path = f"{path}.{name or key}" if path else key
+        paths |= {key_path} | _key_paths(item, key_path)
+    return paths
+
+
+def test_readme_report_format_lists_every_estimate_key():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Key path | Value |")
+    documented = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        documented.append(line.split("|")[1].strip().strip("`"))
+    found, outputs = set(), 0
+    for name, (_, _, argv, written) in CASES.items():
+        json_out = [f for f in written if f.endswith(".json")]
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            json_out.append("stdout.txt")
+        for file in json_out if argv[0] == "estimate" else ():
+            found |= _key_paths(json.loads((GOLDEN / name / file).read_text(encoding="utf-8")))
+            outputs += 1
+    assert outputs == 7
+    assert len(documented) == len(set(documented)) and set(documented) == found
