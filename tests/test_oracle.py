@@ -322,6 +322,59 @@ def test_exact_truths_same_arms(preset):
     assert all(v == 0.0 for v in rep.values.values())
 
 
+def test_exact_seed_invariant(preset, base_query, monkeypatch):
+    """The exact truths draw no uniforms, so no random state moves them."""
+    np.random.seed(1)
+    a = pm.truth_pns(preset, base_query)
+    np.random.seed(999)
+    _no_draws(monkeypatch)
+    b = pm.truth_pns(preset, base_query)
+    assert a.values == b.values
+
+
+def _mc_pns(scm, q, n, seed, e=None):
+    """Monte Carlo flip probabilities of ``q`` and their standard errors,
+    from ``n`` draws of the noise that ``sample_observational`` draws,
+    shared by every intervention; given outcome-interval evidence ``e``,
+    over the draws that meet it."""
+    c_matrix, _, _, u_m, u_y = oracle._draw_exogenous(scm, n, seed)
+
+    def draw(node, u, *parents):
+        cols = [np.full(n, float(p)) if np.isscalar(p) else p for p in parents]
+        cols += list(c_matrix.T)
+        return node.draw(cols, [None] * len(cols), u)[0]
+
+    def arm(x, a):
+        return draw(scm.outcome, u_y, x, draw(scm.mediator, u_m, a))
+
+    y = q.y_threshold
+    y_base, y_alt, y_cross = arm(q.x_base, q.x_base), arm(q.x_alt, q.x_alt), arm(q.x_base, q.x_alt)
+    flip = (y_base < y) & (y <= y_alt)
+    events = {"t_pns": flip, "nd_pns": flip & (y_cross < y), "ni_pns": flip & (y <= y_cross)}
+    keep = np.ones(n, dtype=bool) if e is None else e.interval_y.contains(arm(e.x_star, e.x_star))
+    k = int(keep.sum())
+    values = {name: float(event[keep].mean()) for name, event in events.items()}
+    se = {name: math.sqrt(p * (1.0 - p) / k) for name, p in values.items()}
+    return values, se
+
+
+def test_mc_close_to_exact(preset, base_query):
+    """Sampling the model's noise agrees with the exact partition in law."""
+    values, se = _mc_pns(preset, base_query, 1_000_000, 4)
+    for key, exact in {"t_pns": T_PNS, "nd_pns": ND_PNS, "ni_pns": NI_PNS}.items():
+        assert abs(values[key] - exact) <= 4 * se[key], key
+
+
+def test_mc_statistical_convergence(preset, base_query):
+    # over 100 seeds, at least 99 land within 4 standard errors
+    hits = 0
+    for seed in range(100):
+        values, se = _mc_pns(preset, base_query, 100_000, seed)
+        if abs(values["t_pns"] - T_PNS) <= 4 * max(se["t_pns"], 1e-12):
+            hits += 1
+    assert hits >= 99
+
+
 def test_truth_with_full_interval_matches_unconditional(preset, base_query):
     e = pm.Evidence(x_star=1, interval_y=pm.Interval.full())
     with_e = pm.truth_with_evidence(preset, base_query, e)
@@ -354,6 +407,16 @@ def test_truth_with_evidence_rejects_unknown_degenerate(preset, base_query):
     for e, degenerate in ((mass, "typo"), (zero, "threshhold-limit")):
         with pytest.raises(UnsupportedSpecError, match="'error' or 'threshold-limit'"):
             pm.truth_with_evidence(preset, base_query, e, degenerate=degenerate)
+
+
+def test_truth_mc_with_evidence(preset, base_query):
+    """The exact conditional truth is the Monte Carlo flip rate among the
+    draws that meet the evidence."""
+    e = pm.Evidence(x_star=1, interval_y=pm.Interval(1.0, INF))
+    exact = pm.truth_with_evidence(preset, base_query, e)
+    assert exact.values["t_pns"] == pytest.approx(T_PN, abs=1e-12)
+    values, se = _mc_pns(preset, base_query, 400_000, 3, e)
+    assert abs(values["t_pns"] - T_PN) <= 4 * se["t_pns"]
 
 
 def test_effects_decomposition(preset):
