@@ -289,11 +289,11 @@ def bootstrap_ci(
         # a forked child draws the upper half of the replicates, this
         # process the lower half
         half = cfg.replicates // 2
-        with _fork.beside(lambda: draw(half, cfg.replicates)) as join:
+        with _fork.beside(lambda: draw(half, cfg.replicates)) as child:
             chunks = draw(0, half)
-            child = join()
+            upper = child.join()
         for name in names:
-            chunks[name] += child[name]
+            chunks[name] += upper[name]
 
     alpha = (1.0 - cfg.level) / 2.0
     out: dict[str, FamilyResult] = {}

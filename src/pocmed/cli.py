@@ -9,7 +9,9 @@ Commands:
 * ``verify``: self-contained check of the estimator stack against exact
   model truths and recorded reference values; exit 1 on any failed row.
   Where ``os.fork`` exists, a child process computes the estimation rows
-  and the decomposition suite while this one runs the equivalence suite.
+  and the decomposition suite while this one runs the equivalence suite;
+  a child that is done while equivalence models remain unchecked checks
+  the back half of them.
 * ``sweep``: evaluate the measures over a grid (outcome thresholds,
   covariate values, or a mediator threshold parameter) and emit
   plot-ready rows plus an optional SVG chart.
@@ -521,48 +523,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _held(fn, **kwargs):
-    """``fn(**kwargs)`` with the warnings it shows held back: ``(shown,
-    result, error)``, where ``error`` is the exception it raised, if any."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            result, error = fn(**kwargs), None
-        except Exception as exc:  # raised again by _release, in serial order
-            result, error = None, exc
-    shown = [(w.message, w.category, w.filename, w.lineno, w.line) for w in caught]
-    return shown, result, error
-
-
-def _release(held):
-    """Show the warnings of a :func:`_held` outcome, then raise its error
-    or return its result."""
-    shown, result, error = held
-    for message, category, filename, lineno, line in shown:
-        warnings.showwarning(message, category, filename, lineno, line=line)
-    if error is not None:
-        raise error
-    return result
-
-
 def cmd_verify(args) -> int:
     s, _ = _resolve(args)
     sizes = (100, 1000) if s.quick else (100, 1000, 10000)
 
     def beside():
         return (
-            _held(verification.estimation_rows, seed=s.seed, replicates=s.replicates, sizes=sizes),
-            _held(verification.decomposition_suite, n_scms=s.decomposition, seed=s.seed),
+            _fork.held(verification.estimation_rows, seed=s.seed, replicates=s.replicates,
+                       sizes=sizes),
+            _fork.held(verification.decomposition_suite, n_scms=s.decomposition, seed=s.seed),
         )
 
     # the parts are separately seeded, so running two at once changes no
-    # figure; their warnings and errors are released in the serial order
-    with _fork.beside(beside) as join:
+    # figure; their warnings and errors are released in the serial order.
+    # Once its part is done, the child checks the back half of the
+    # equivalence models the parent has not reached, if any are left.
+    with _fork.beside(beside, helps=True) as child:
         rows = verification.exact_truth_rows()
-        equivalence = _held(verification.equivalence_suite, n_scms=s.scms, seed=s.seed)
-        estimation, decomposition = join()
-    rows.extend(_release(estimation))
-    eq = _release(equivalence)
-    rows.extend(verification.suite_rows(eq, _release(decomposition)))
+        equivalence = _fork.held(verification.equivalence_suite, n_scms=s.scms, seed=s.seed,
+                                 _map=child.map)
+        estimation, decomposition = child.join()
+    rows.extend(_fork.release(estimation))
+    eq = _fork.release(equivalence)
+    rows.extend(verification.suite_rows(eq, _fork.release(decomposition)))
     rows.extend(verification.exclusion_notes())
     table = render_verify_table(rows, f"pocmed {__version__} verification (seed {s.seed})")
     sys.stdout.write(table)

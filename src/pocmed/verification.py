@@ -13,7 +13,9 @@ compares it against independently computed references:
   against the exact truths.
 
 The ``verify`` CLI command renders these rows; the acceptance test suite
-asserts them.
+asserts them.  The equivalence suite spends its random stream on a plan of
+picklable per-model tasks before it checks any; the checks draw nothing,
+so ``verify`` may hand a back part of them to its idle child process.
 """
 
 from __future__ import annotations
@@ -192,12 +194,23 @@ def _clip_prob(p: float) -> float:
 
 
 def _sorted_cuts(rng, k: int, lo=0.08, hi=0.92, gap=0.04) -> tuple[float, ...]:
-    """``k`` sorted uniform cuts in ``[lo, hi]``, ``gap`` apart, by rejection;
-    ValueError, before any draw, where none fit (at ``(k - 1) gap == hi - lo`` too)."""
+    """``k`` sorted uniform cuts in ``[lo, hi]``, ``gap`` apart; ValueError,
+    before any draw, where none fit (at ``(k - 1) gap == hi - lo`` too).
+
+    Up to 4 cuts are drawn by rejection.  From 5 on, where few such draws
+    fit, the i-th of ``k`` sorted uniforms over the slack
+    ``hi - lo - (k - 1) gap`` is moved up by ``lo + i gap``, which has the
+    same law; a draw that rounding leaves less than ``gap`` apart is drawn
+    again, as a rejected one is."""
     if k >= 2 and (k - 1) * gap >= hi - lo:
         raise ValueError(f"{k} cuts at least {gap} apart do not fit in [{lo}, {hi}]")
+    slack = hi - lo - (k - 1) * gap
     while True:
-        cuts = sorted(rng.uniform(lo, hi, size=k).tolist())
+        if k < 5:
+            cuts = sorted(rng.uniform(lo, hi, size=k).tolist())
+        else:
+            spread = sorted(rng.uniform(0.0, slack, size=k).tolist())
+            cuts = [lo + u + i * gap for i, u in enumerate(spread)]
         if all(b - a >= gap for a, b in zip(cuts, cuts[1:])):
             return tuple(cuts)
 
@@ -439,86 +452,41 @@ def _check_triple(diffs: list, prefix: str, triple, truth) -> None:
         _check_pair(diffs, prefix + key, getattr(triple, key), truth.values[key])
 
 
-def _equivalence_checks_for(scm: ScmSpec, rng: np.random.Generator) -> list:
-    """All identification-vs-oracle comparisons for one accepted model."""
-    an = AnalyticCdf(scm)
-    diffs: list = []
+@dataclass(frozen=True)
+class _LexTask:
+    """A lexicographic model's planned joint-evidence comparison."""
 
-    q = _random_query(rng, an, with_m=True)
-
-    # controlled-direct and natural quantities, unconditional
-    truth = truth_pns(scm, q)
-    _check_pair(diffs, "cd", identify.cd_pns(an, q), truth.values["cd_pns"])
-    _check_triple(diffs, "", identify.natural_pns(an, q), truth)
-
-    x_levels = an.x_levels()
-    x_star = float(x_levels[rng.integers(len(x_levels))])
-
-    # outcome evidence, nondegenerate branch
-    e_a = Evidence(x_star=x_star, interval_y=_random_outcome_interval(rng, an, x_star))
-    triple_a, terms_a = identify.natural_pns_with_evidence(an, q, e_a)
-    truth_a = truth_with_evidence(scm, q, e_a)
-    _check_triple(diffs, "ev_a_", triple_a, truth_a)
-
-    # outcome evidence, degenerate branch (zero-mass interval)
-    e_b = Evidence(
-        x_star=x_star,
-        interval_y=Interval.point(_gap_point(rng, an.outcome_levels())),
-    )
-    triple_b, terms_b = identify.natural_pns_with_evidence(an, q, e_b)
-    truth_b = truth_with_evidence(scm, q, e_b, degenerate="threshold-limit")
-    _check_triple(diffs, "ev_b_", triple_b, truth_b)
-
-    # point-mediator evidence around the controlled-direct query
-    support = an.mediator_support(x_star)
-    m_star = float(support[rng.integers(len(support))])
-
-    levels = an.outcome_levels()
-    interval = None
-    for _ in range(50):
-        cand = _random_outcome_interval(rng, an, x_star)
-        low, high = identify._evidence_bounds(an, Evidence(x_star, cand, m_star=m_star))
-        if high - low > 1e-6:
-            interval = cand
-            break
-    if interval is not None:
-        e_cd = Evidence(x_star=x_star, m_star=m_star, interval_y=interval)
-        value, _ = identify.cd_pns_with_evidence(an, q, e_cd)
-        truth_cd = truth_with_evidence(scm, q, e_cd)
-        _check_pair(diffs, "cd_ev_a", value, truth_cd.values["cd_pns"])
-
-    e_cd_b = Evidence(
-        x_star=x_star, m_star=m_star, interval_y=Interval.point(_gap_point(rng, levels))
-    )
-    value_b, terms_cd_b = identify.cd_pns_with_evidence(an, q, e_cd_b)
-    truth_cd_b = truth_with_evidence(scm, q, e_cd_b, degenerate="threshold-limit")
-    _check_pair(diffs, "cd_ev_b", value_b, truth_cd_b.values["cd_pns"])
-
-    # necessity / sufficiency families against their factual-event truths
-    pn = identify.pn_family(an, q)
-    truth_pn = truth_with_evidence(
-        scm, q, Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF)),
-        degenerate="threshold-limit",
-    )
-    _check_triple(diffs, "pn_", pn, truth_pn)
-    ps = identify.ps_family(an, q)
-    truth_ps = truth_with_evidence(
-        scm, q, Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold)),
-        degenerate="threshold-limit",
-    )
-    _check_triple(diffs, "ps_", ps, truth_ps)
-
-    return diffs
+    scm: ScmSpec
+    an: AnalyticCdf
+    q: Query
+    e: Evidence
 
 
-def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
-    """Joint mediator-outcome evidence comparisons on a lexicographic model.
+@dataclass(frozen=True)
+class _ModelTask:
+    """An accepted model's planned comparisons: its query, its evidences
+    (``e_cd`` is None where no point-mediator interval with mass was found)
+    and its lexicographic follow-up, with the :class:`AnalyticCdf` that
+    planning read, so that checking them draws nothing."""
+
+    scm: ScmSpec
+    an: AnalyticCdf
+    q: Query
+    e_a: Evidence
+    e_b: Evidence
+    e_cd: Evidence | None
+    e_cd_b: Evidence
+    lex: _LexTask | None
+
+
+def _plan_lex(scm: ScmSpec, rng: np.random.Generator) -> _LexTask | None:
+    """The joint mediator-outcome evidence drawn for a lexicographic model;
+    None where the box is invalid or has no mass.
 
     The evidence box keeps its lower corner aligned (the outcome cut sits
     at the start of the mediator band, or both lower bounds are open), the
     regime under which the joint-evidence identification applies."""
     an = AnalyticCdf(scm)
-    diffs: list = []
     q = _random_query(rng, an)
     x_levels = an.x_levels()
     x_star = float(x_levels[rng.integers(len(x_levels))])
@@ -545,17 +513,114 @@ def _lex_equivalence_checks(scm: ScmSpec, rng: np.random.Generator) -> list:
             interval_m=Interval(m_lo, m_hi),
         )
     except InvalidEvidenceError:
-        return diffs
+        return None
     low, high = identify._evidence_bounds(an, e)
     if high - low <= 1e-6:
-        return diffs
+        return None
+    return _LexTask(scm, an, q, e)
+
+
+def _plan_model(scm: ScmSpec, rng: np.random.Generator, lex: bool) -> _ModelTask:
+    """Every random pick of one accepted model's comparisons, in the
+    stream's order, and with ``lex`` its lexicographic follow-up."""
+    an = AnalyticCdf(scm)
+    q = _random_query(rng, an, with_m=True)
+    x_levels = an.x_levels()
+    x_star = float(x_levels[rng.integers(len(x_levels))])
+    # outcome evidence, nondegenerate and degenerate (zero-mass interval)
+    e_a = Evidence(x_star=x_star, interval_y=_random_outcome_interval(rng, an, x_star))
+    e_b = Evidence(
+        x_star=x_star,
+        interval_y=Interval.point(_gap_point(rng, an.outcome_levels())),
+    )
+
+    # point-mediator evidence around the controlled-direct query
+    support = an.mediator_support(x_star)
+    m_star = float(support[rng.integers(len(support))])
+
+    levels = an.outcome_levels()
+    e_cd = None
+    for _ in range(50):
+        cand = _random_outcome_interval(rng, an, x_star)
+        low, high = identify._evidence_bounds(an, Evidence(x_star, cand, m_star=m_star))
+        if high - low > 1e-6:
+            e_cd = Evidence(x_star=x_star, m_star=m_star, interval_y=cand)
+            break
+    e_cd_b = Evidence(
+        x_star=x_star, m_star=m_star, interval_y=Interval.point(_gap_point(rng, levels))
+    )
+
+    follow = None
+    if lex:
+        lex_scm = random_lex_scm(
+            rng,
+            treatment_levels=2,
+            stripes=int(rng.integers(2, 4)),
+            inner=int(rng.integers(2, 4)),
+        )
+        if _gate(lex_scm, lex=True):
+            follow = _plan_lex(lex_scm, rng)
+    return _ModelTask(scm, an, q, e_a, e_b, e_cd, e_cd_b, follow)
+
+
+def _lex_diffs(task: _LexTask) -> list:
+    """The joint mediator-outcome evidence comparisons of a planned
+    lexicographic model."""
+    diffs: list = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MediatorMonotonicityWarning)
         triple, _ = identify.natural_pns_with_mediator_evidence(
-            an, q, e, mediator_monotone=True
+            task.an, task.q, task.e, mediator_monotone=True
         )
-    truth = truth_with_evidence(scm, q, e)
+    truth = truth_with_evidence(task.scm, task.q, task.e)
     _check_triple(diffs, "lex_", triple, truth)
+    return diffs
+
+
+def _model_diffs(task: _ModelTask) -> list:
+    """All identification-vs-oracle comparisons of one planned model, as
+    ``(name, |identify - oracle|)`` pairs; a pure function of ``task``."""
+    scm, an, q = task.scm, task.an, task.q
+    diffs: list = []
+
+    # controlled-direct and natural quantities, unconditional
+    truth = truth_pns(scm, q)
+    _check_pair(diffs, "cd", identify.cd_pns(an, q), truth.values["cd_pns"])
+    _check_triple(diffs, "", identify.natural_pns(an, q), truth)
+
+    triple_a, _ = identify.natural_pns_with_evidence(an, q, task.e_a)
+    truth_a = truth_with_evidence(scm, q, task.e_a)
+    _check_triple(diffs, "ev_a_", triple_a, truth_a)
+
+    triple_b, _ = identify.natural_pns_with_evidence(an, q, task.e_b)
+    truth_b = truth_with_evidence(scm, q, task.e_b, degenerate="threshold-limit")
+    _check_triple(diffs, "ev_b_", triple_b, truth_b)
+
+    if task.e_cd is not None:
+        value, _ = identify.cd_pns_with_evidence(an, q, task.e_cd)
+        truth_cd = truth_with_evidence(scm, q, task.e_cd)
+        _check_pair(diffs, "cd_ev_a", value, truth_cd.values["cd_pns"])
+
+    value_b, _ = identify.cd_pns_with_evidence(an, q, task.e_cd_b)
+    truth_cd_b = truth_with_evidence(scm, q, task.e_cd_b, degenerate="threshold-limit")
+    _check_pair(diffs, "cd_ev_b", value_b, truth_cd_b.values["cd_pns"])
+
+    # necessity / sufficiency families against their factual-event truths
+    pn = identify.pn_family(an, q)
+    truth_pn = truth_with_evidence(
+        scm, q, Evidence(x_star=q.x_alt, interval_y=Interval(q.y_threshold, POS_INF)),
+        degenerate="threshold-limit",
+    )
+    _check_triple(diffs, "pn_", pn, truth_pn)
+    ps = identify.ps_family(an, q)
+    truth_ps = truth_with_evidence(
+        scm, q, Evidence(x_star=q.x_base, interval_y=Interval(NEG_INF, q.y_threshold)),
+        degenerate="threshold-limit",
+    )
+    _check_triple(diffs, "ps_", ps, truth_ps)
+
+    if task.lex is not None:
+        diffs.extend(_lex_diffs(task.lex))
     return diffs
 
 
@@ -570,20 +635,15 @@ def _gate(scm: ScmSpec, lex: bool = False) -> bool:
 _MAX_ATTEMPTS = 40
 
 
-def equivalence_suite(n_scms: int = 200, seed: int = 0) -> dict:
-    """Accept ``n_scms`` randomized threshold models that pass the
-    monotone-coupling diagnostics and compare every identification
-    operation at analytic CDFs against the definitional oracle; also runs
-    joint-evidence comparisons on lexicographic models (one per four
-    accepted models).  Returns the max absolute difference and counters."""
+def _equivalence_plan(n_scms: int, seed: int) -> tuple[list[_ModelTask], int]:
+    """The equivalence suite's random stream, consumed: a task per
+    accepted model, in order, and the number of models the gate rejected.
+    Every fourth accepted model plans a lexicographic follow-up."""
     rng = np.random.default_rng(seed)
-    accepted = 0
+    tasks: list[_ModelTask] = []
     rejected = 0
-    max_diff = 0.0
-    worst = ("", 0.0)
-    n_checks = 0
     attempts = 0
-    while accepted < n_scms and attempts < n_scms * _MAX_ATTEMPTS:
+    while len(tasks) < n_scms and attempts < n_scms * _MAX_ATTEMPTS:
         attempts += 1
         kx = 2 if rng.random() < 0.6 else 3
         km = 2 if rng.random() < 0.7 else 3
@@ -598,17 +658,17 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0) -> dict:
         if not _gate(scm):
             rejected += 1
             continue
-        accepted += 1
-        diffs = _equivalence_checks_for(scm, rng)
-        if accepted % 4 == 0:
-            lex = random_lex_scm(
-                rng,
-                treatment_levels=2,
-                stripes=int(rng.integers(2, 4)),
-                inner=int(rng.integers(2, 4)),
-            )
-            if _gate(lex, lex=True):
-                diffs.extend(_lex_equivalence_checks(lex, rng))
+        tasks.append(_plan_model(scm, rng, lex=(len(tasks) + 1) % 4 == 0))
+    return tasks, rejected
+
+
+def _equivalence_summary(accepted: int, rejected: int, per_model: list) -> dict:
+    """The suite's dict from each accepted model's diffs, in model order:
+    the first of equal maxima is the worst check."""
+    max_diff = 0.0
+    worst = ("", 0.0)
+    n_checks = 0
+    for diffs in per_model:
         for name, diff in diffs:
             n_checks += 1
             # a NaN difference becomes the worst check and stays so
@@ -622,6 +682,23 @@ def equivalence_suite(n_scms: int = 200, seed: int = 0) -> dict:
         "worst_check": worst[0],
         "n_checks": n_checks,
     }
+
+
+def equivalence_suite(n_scms: int = 200, seed: int = 0, *, _map=None) -> dict:
+    """Accept ``n_scms`` randomized threshold models that pass the
+    monotone-coupling diagnostics and compare every identification
+    operation at analytic CDFs against the definitional oracle; also runs
+    joint-evidence comparisons on lexicographic models (one per four
+    accepted models).  Returns the max absolute difference and counters.
+
+    The random stream is spent on a plan of every model's picks first; the
+    checks are pure functions of their tasks, run by ``_map(fn, tasks)``
+    (in order, here, by default), which must return ``fn``'s results in
+    task order: ``verify`` passes a :meth:`pocmed._fork.Child.map` that
+    may hand a back part of them to its idle child."""
+    tasks, rejected = _equivalence_plan(n_scms, seed)
+    per_model = [_model_diffs(t) for t in tasks] if _map is None else _map(_model_diffs, tasks)
+    return _equivalence_summary(len(tasks), rejected, per_model)
 
 
 def suite_rows(eq: dict, dec: dict) -> list[VerifyRow]:

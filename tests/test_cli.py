@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pocmed as pm
-from pocmed import bootstrap, cli, identify, verification
+from pocmed import _fork, bootstrap, cli, identify, verification
 from pocmed.cli import main
 from pocmed.ecdf import RowCounts
 from pocmed.errors import PocError
@@ -1071,6 +1071,127 @@ def test_bootstrap_child_that_dies_is_an_error(sim_csv, capsys, monkeypatch):
     assert stderr == "error: ChildProcessError: the child process ended without a result\n"
 
 
+def _pid(_):
+    return os.getpid()
+
+
+@needs_fork
+def test_child_error_that_does_not_pickle_is_named():
+    class Local(Exception):
+        pass
+
+    def part():
+        raise Local("boom")
+
+    with _fork.beside(part) as child:
+        with pytest.raises(ChildProcessError,
+                           match=r"raised .*<locals>\.Local: boom, which cannot be pickled"):
+            child.join()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_result_that_does_not_pickle_is_named():
+    with _fork.beside(lambda: lambda: 0) as child:
+        with pytest.raises(ChildProcessError,
+                           match="the child process returned a function, which cannot be pickled"):
+            child.join()
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("items", [0, 1, 2, 9, 10])
+def test_child_that_asks_first_takes_the_back_half(monkeypatch, items):
+    """With the parent's first look waiting for the asking, the child maps
+    the back half of the items (none of one), and its part's result still
+    comes back at the join."""
+    monkeypatch.setattr(_fork, "_WAIT_FOR_ASK", True)
+    with _fork.beside(lambda: "part", helps=True) as child:
+        pids = child.map(_pid, range(items))
+        assert child.join() == "part"
+    _assert_no_child_left()
+    keep = (items + 1) // 2
+    assert pids[:keep] == [os.getpid()] * keep
+    assert len(pids) == items and os.getpid() not in pids[keep:]
+
+
+@needs_fork
+def test_child_that_is_never_asked_sends_its_part():
+    """A parent that finishes its items before the child asks answers
+    none; a map with no items, or none at all, answers none too."""
+    with _fork.beside(lambda: "part", helps=True) as child:
+        assert child.map(abs, []) == []
+        assert child.join() == "part"
+    with _fork.beside(lambda: "part", helps=True) as child:
+        assert child.join() == "part"
+    _assert_no_child_left()
+
+
+def _stub_verify_child(monkeypatch):
+    """The child's own part done at once, and the parent's first look at
+    the child waiting for its asking: the child then checks the back half
+    of the equivalence models, deterministically."""
+    monkeypatch.setattr(verification, "estimation_rows", lambda **kwargs: [])
+    monkeypatch.setattr(verification, "decomposition_suite", lambda **kwargs: {
+        "max_decomposition_error": 0.0, "max_proportion_error": 0.0,
+        "n_triples": 0, "n_case_b": 0})
+    monkeypatch.setattr(_fork, "_WAIT_FOR_ASK", True)
+
+
+#: ``verify`` with 6 equivalence models: models 0-2 are the parent's, 3-5
+#: the child's; models 1 and 4 have queries no other model has
+_HANDOFF_VERIFY = ("verify", "--quick", "--scms", "6", "--decomposition", "0",
+                   "--replicates", "20")
+
+
+@needs_fork
+@pytest.mark.parametrize("model, side", [(1, b"p"), (4, b"c")])
+def test_verify_check_failure_matches_the_serial_run(tmp_path, capsys, monkeypatch, model,
+                                                     side):
+    """A failure planted in one model's check, which the parent or the
+    child runs (a byte in a file says which), is the serial run's."""
+    target = verification._equivalence_plan(6, 0)[0][model].q
+    assert [t.q for t in verification._equivalence_plan(6, 0)[0]].count(target) == 1
+    log = os.open(tmp_path / "sides", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real = identify.cd_pns
+
+    def planted(an, q):
+        if q == target:
+            os.write(log, b"c" if _fork.in_child else b"p")
+            raise PocError(f"planted in model {model}")
+        return real(an, q)
+
+    _stub_verify_child(monkeypatch)
+    monkeypatch.setattr(identify, "cd_pns", planted)
+    try:
+        forked, serial = _forked_and_serial(capsys, monkeypatch, *_HANDOFF_VERIFY)
+    finally:
+        os.close(log)
+    assert forked == serial
+    assert forked[:3] == (2, "", f"error: PocError: planted in model {model}\n")
+    assert (tmp_path / "sides").read_bytes() == side + b"p"
+
+
+@needs_fork
+def test_verify_handoff_larger_than_a_pipe_buffer(tmp_path, capsys, monkeypatch):
+    """150 planned models do not fit in one pipe buffer; the parent writes
+    them between its own checks, and the output is the serial run's."""
+    sizes = []
+    real = _fork.Child._send
+
+    def send(self, block):
+        sizes.append(len(self._unsent))
+        return real(self, block)
+
+    _stub_verify_child(monkeypatch)
+    monkeypatch.setattr(_fork.Child, "_send", send)
+    forked, serial = _forked_and_serial(capsys, monkeypatch, "verify", "--quick", "--scms",
+                                        "300", "--decomposition", "0",
+                                        out=tmp_path / "verify.json")
+    assert forked == serial and forked[0] == 0
+    assert sizes[0] > 1 << 16
+
+
 @needs_fork
 def test_bootstraps_in_the_verify_child_do_not_fork(tmp_path, capsys, monkeypatch):
     """The estimation rows' bootstraps run in verify's child, which forks
@@ -1124,6 +1245,53 @@ for name in ("estimation_rows", "equivalence_suite", "decomposition_suite"):
 sys.exit(cli.main(["verify", "--quick", "--scms", "2", "--decomposition", "3",
                    "--replicates", "20"]))
 """
+
+
+_HANDOFF_WARNING_SCRIPT = """
+import os, sys, warnings
+from pocmed import _fork, cli, identify, verification
+
+if sys.argv[1] == "serial":
+    del os.fork
+_fork._WAIT_FOR_ASK = True
+for name in ("estimation_rows", "decomposition_suite"):
+    def part(_name=name, **kwargs):
+        warnings.warn(f"planted in {_name}", UserWarning)
+        return [] if _name == "estimation_rows" else {
+            "max_decomposition_error": 0.0, "max_proportion_error": 0.0,
+            "n_triples": 0, "n_case_b": 0}
+    setattr(verification, name, part)
+plan = verification._equivalence_plan(6, 0)[0]
+sides = {plan[1].q: "parent", plan[4].q: "child"}
+real = identify.cd_pns
+def planted(an, q):
+    if q in sides:
+        warnings.warn(f"planted in the {sides[q]}'s check", UserWarning)
+    return real(an, q)
+identify.cd_pns = planted
+sys.exit(cli.main(["verify", "--quick", "--scms", "6", "--decomposition", "0",
+                   "--replicates", "20"]))
+"""
+
+
+@needs_fork
+def test_verify_warnings_of_handed_checks_reach_stderr_in_serial_order():
+    """Warnings of checks on each side reach stderr in model order, after
+    the estimation rows' and before the decomposition suite's."""
+    src = str(Path(pm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run([sys.executable, "-c", _HANDOFF_WARNING_SCRIPT, mode], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for mode in ("fork", "serial")
+    ]
+    forked, serial = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert forked == serial
+    err = runs[0].stderr
+    order = [err.find(f"UserWarning: planted in {name}")
+             for name in ("estimation_rows", "the parent's check", "the child's check",
+                          "decomposition_suite")]
+    assert runs[0].returncode == 0 and -1 < order[0] < order[1] < order[2] < order[3]
 
 
 @needs_fork

@@ -4,7 +4,9 @@ import bisect
 import functools
 import itertools
 import math
+import pickle
 import re
+import time
 import weakref
 
 import numpy as np
@@ -16,6 +18,7 @@ from pocmed.data import KIND_INTERVAL_MEDIATOR, KIND_OUTCOME, KIND_POINT_MEDIATO
 from pocmed.errors import ConditioningError, UnsupportedSpecError
 
 from conftest import B_ALT, CROSSWORLD, ND_PNS, NI_PNS, S1, S15, T_PNS, T_PN, NI_PN
+import _equivalence_reference
 import _oracle_reference
 from _sampling_reference import (
     drawn_values,
@@ -1176,13 +1179,11 @@ def test_monotonicity_constant_outcome():
     assert pm.check_monotonicity(scm).ok
 
 
-@pytest.mark.parametrize("levels", [(2, 2, 5), (3, 4, 5)])
+@pytest.mark.parametrize("levels", [(2, 2, 5), (3, 4, 5), (3, 6, 6)])
 @pytest.mark.parametrize("coherent", [True, False])
 def test_random_threshold_models_build_with_many_levels(levels, coherent):
     """With four or more levels a cell's cuts stay strictly increasing: a
-    cut pushed against the top cap leaves room for the cuts after it.
-    (Five levels at most: drawing the base cuts of six outcome levels is
-    slow.)"""
+    cut pushed against the top cap leaves room for the cuts after it."""
     for seed in range(400):
         scm = verification.random_threshold_scm(
             np.random.default_rng(seed), *levels, coherent=coherent
@@ -1234,6 +1235,86 @@ def test_sorted_cuts_that_cannot_fit_raise_before_drawing():
     with pytest.raises(ValueError, match="do not fit"):
         verification.random_threshold_scm(np.random.default_rng(0), 2, 2, 7)
     assert len(verification._sorted_cuts(rng, 5, lo=0.25, hi=0.8, gap=0.12)) == 5
+
+
+def _rejection_cuts(rng, k, lo=0.08, hi=0.92, gap=0.04):
+    """``_sorted_cuts`` as it drew every number of cuts, by rejection."""
+    if k >= 2 and (k - 1) * gap >= hi - lo:
+        raise ValueError(f"{k} cuts at least {gap} apart do not fit in [{lo}, {hi}]")
+    while True:
+        cuts = sorted(rng.uniform(lo, hi, size=k).tolist())
+        if all(b - a >= gap for a, b in zip(cuts, cuts[1:])):
+            return tuple(cuts)
+
+
+@pytest.mark.parametrize("levels", list(itertools.product((2, 5), (2, 3, 4, 5), (2, 3, 4, 5))))
+def test_models_of_two_to_five_levels_draw_as_by_rejection(levels, monkeypatch):
+    """Up to 4 cuts are still drawn by rejection: the models of 2 to 5
+    levels, and the generator's next draw, equal those of the former
+    ``_sorted_cuts``."""
+    for seed in range(20):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = verification.random_threshold_scm(new, *levels, coherent=bool(seed % 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "_sorted_cuts", _rejection_cuts)
+            b = verification.random_threshold_scm(old, *levels, coherent=bool(seed % 2))
+        for node in ("treatment", "mediator", "outcome"):
+            assert getattr(a, node)._table == getattr(b, node)._table, (seed, node)
+        assert new.random() == old.random(), seed
+
+
+def test_six_level_models_build_in_milliseconds():
+    """Five cuts 0.12 apart in [0.25, 0.75] or [0.25, 0.8] fit in few
+    uniform draws; they are drawn over the slack, not by rejection."""
+    start = time.perf_counter()
+    for seed in range(10):
+        verification.random_threshold_scm(np.random.default_rng(seed), 3, 6, 6)
+    assert (time.perf_counter() - start) / 10 < 0.010
+
+
+def test_five_or_more_cuts_keep_the_law_of_rejection():
+    """Each of 5 cuts 0.1 apart in [0, 1] has the mean of the rejection
+    draw, ``(i + 1) slack / 6 + i gap`` with slack 0.6, within four standard
+    errors, and every draw keeps the gap."""
+    rng = np.random.default_rng(0)
+    draws = np.array([verification._sorted_cuts(rng, 5, lo=0.0, hi=1.0, gap=0.1)
+                      for _ in range(4000)])
+    assert (np.diff(draws, axis=1) >= 0.1).all() and (draws >= 0.0).all() and (draws <= 1.0).all()
+    want = [(i + 1) * 0.6 / 6 + i * 0.1 for i in range(5)]
+    error = draws.std(axis=0) / math.sqrt(len(draws))
+    assert (np.abs(draws.mean(axis=0) - want) < 4 * error).all()
+
+
+@pytest.mark.parametrize("n_scms", [20, 100])
+@pytest.mark.parametrize("seed", range(10))
+def test_equivalence_suite_equals_the_serial_reference(n_scms, seed):
+    """Planning every model first and checking after gives the dict of the
+    suite that checked each model as it drew it."""
+    want = _equivalence_reference.equivalence_suite(n_scms, seed)
+    assert repr(verification.equivalence_suite(n_scms, seed)) == repr(want)
+
+
+def test_equivalence_checks_split_anywhere_merge_to_the_suite():
+    """The plan cut at any point, the back part checked on a pickled copy
+    as a child would, before or after the front part: the diffs merged in
+    model order give the suite's dict."""
+    want = repr(verification.equivalence_suite(20, 0))
+    tasks, rejected = verification._equivalence_plan(20, 0)
+
+    def check(part):
+        return [verification._model_diffs(task) for task in part]
+
+    for cut in range(len(tasks) + 1):
+        for back_first in (False, True):
+            oracle._partition.cache_clear()
+            back = pickle.loads(pickle.dumps(tasks[cut:]))
+            if back_first:
+                back_diffs = check(back)
+            front_diffs = check(tasks[:cut])
+            if not back_first:
+                back_diffs = check(back)
+            got = verification._equivalence_summary(20, rejected, front_diffs + back_diffs)
+            assert repr(got) == want, (cut, back_first)
 
 
 def test_equivalence_suite_work_counts(monkeypatch):
