@@ -2,19 +2,19 @@
 another: ``verify``'s two processes and the bootstrap's split replicate
 range both come from :func:`beside`.
 
-A child started with ``helps=True`` asks the parent for work once its own
-part is done: it sends one byte up its result pipe and waits for a slice
-of items or for none.  The parent looks for that byte between the items
-it works through in :meth:`Child.map`, never waiting for it; at the first
-one, it hands the child the back half of the items it has not started and
-keeps the front half.  A parent that finishes first answers none, so the
-child's part alone crosses the pipe, as without ``helps``.  The handed
-items' results, warnings and error come back as :func:`held` keeps them,
-and :func:`release` shows and raises them in the parent.
+Every child asks the parent for work once its own part is done: it sends
+one byte up its result pipe, then reads its task pipe to the end.  The
+parent looks for that byte between the items it works through in
+:meth:`Child.map`, never waiting for it; at the first one, it hands the
+child the back half of the items it has not started, in one blocking
+write, and keeps the front half.  A parent that finishes first, or that
+only joins, closes the task pipe with nothing in it, so the child's part
+alone crosses the result pipe.  The handed items' results, warnings and
+error come back as :func:`held` keeps them, and :func:`release` shows and
+raises them in the parent.
 
-A child never forks again (:data:`in_child`): work that would start a
-second process runs in the one it is in when that is already a child, so
-at most two processes share a run.
+A child never forks again (:data:`in_child`): :func:`beside` in a child
+runs the part in that process, so at most two processes share a run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import warnings
 #: fork, so the parent never sees it.
 in_child = False
 
-#: The byte a helping child sends when its own part is done.
+#: The byte a child sends when its own part is done.  A pickle starts with
+#: the PROTO opcode ``0x80``, so the byte is told apart from a result.
 _ASK = b"?"
 
 #: Whether the parent's looks between its items wait for the child to ask
@@ -64,13 +65,16 @@ def release(outcome):
 
 
 def _dumps(outcome) -> bytes:
-    """A :func:`held` outcome, pickled; where it does not pickle, a
-    ChildProcessError naming the result's type, or the error's type and
-    message, takes their place."""
+    """A :func:`held` outcome, pickled; where it does not pickle, or its
+    error does not load back, a ChildProcessError naming the result's
+    type, or the error's type and message, takes their place."""
+    shown, result, error = outcome
     try:
-        return pickle.dumps(outcome)
+        data = pickle.dumps(outcome)
+        if error is not None:
+            pickle.loads(data)  # fails where the class is not rebuilt from its args
+        return data
     except Exception:  # any value that pickle refuses
-        shown, result, error = outcome
         what = (f"returned a {type(result).__qualname__}" if error is None
                 else f"raised {type(error).__qualname__}: {error}")
         failure = ChildProcessError(f"the child process {what}, which cannot be pickled")
@@ -92,23 +96,22 @@ def _map_handed(handed: bytes) -> list:
     return [fn(item) for item in items]
 
 
-def _child(result_fd: int, task_fd: int | None, part) -> None:
-    """The forked child: send ``part``'s outcome down ``result_fd``, and
-    with a ``task_fd``, first ask for work and add the outcome of the
-    slice that comes; then leave through ``os._exit``, so that no buffer
-    or atexit hook of the parent runs twice."""
+def _child(result_fd: int, task_fd: int, part) -> None:
+    """The forked child: do ``part``, ask for work, and do the slice that
+    comes, if any; send their outcomes down ``result_fd``; then leave
+    through ``os._exit``, so that no buffer or atexit hook of the parent
+    runs twice."""
     global in_child
     in_child = True
     status = 1
     try:
         with os.fdopen(result_fd, "wb") as pipe:
             done = _part_outcome(part)
-            if task_fd is not None:
-                os.write(result_fd, _ASK)
-                with os.fdopen(task_fd, "rb") as tasks:
-                    handed = tasks.read()
-                if handed:
-                    done += _dumps(held(_map_handed, handed))
+            os.write(result_fd, _ASK)
+            with os.fdopen(task_fd, "rb") as tasks:
+                handed = tasks.read()
+            if handed:
+                done += _dumps(held(_map_handed, handed))
             pipe.write(done)
         status = 0
     finally:
@@ -118,71 +121,48 @@ def _child(result_fd: int, task_fd: int | None, part) -> None:
 class Child:
     """The parent's end of a child started by :func:`beside`."""
 
-    def __init__(self, pid: int, result_fd: int, task_fd: int | None):
+    def __init__(self, pid: int, result_fd: int, task_fd: int):
         self.pid = pid
         self._result_fd = result_fd
         self._task_fd = task_fd      # open until the child's asking is answered
-        self._helps = task_fd is not None
-        self._asked = False
-        self._unsent = memoryview(b"")
-        self._handed = False
         self._outcomes = None
-        self._joined = False
 
-    def _answer(self) -> None:
-        """Stop offering work; the child reads the end of its task pipe."""
+    def _answer(self, handed: bytes = b"") -> None:
+        """Write ``handed`` to the task pipe in one blocking write and close
+        it; the child, which reads it to the end after asking, writes
+        nothing until then, so the write cannot deadlock."""
         if self._task_fd is not None:
-            os.close(self._task_fd)
+            with contextlib.suppress(BrokenPipeError), open(self._task_fd, "wb") as tasks:
+                tasks.write(handed)  # a closed pipe: the child ended, as its result says
             self._task_fd = None
-
-    def _send(self, block: bool) -> None:
-        """Write what the pipe takes of the handed slice, all of it if
-        ``block``; answer once it is written, or once the child has ended."""
-        os.set_blocking(self._task_fd, block)
-        try:
-            while self._unsent:
-                self._unsent = self._unsent[os.write(self._task_fd, self._unsent):]
-        except BlockingIOError:
-            return
-        except BrokenPipeError:  # the child ended; reading its result says so
-            self._unsent = memoryview(b"")
-        self._answer()
 
     def _asks(self) -> bool:
         """Whether the child has asked for work, looked up without waiting
         (see :data:`_WAIT_FOR_ASK`); a child that ended is answered."""
         os.set_blocking(self._result_fd, _WAIT_FOR_ASK)
         try:
-            self._asked = os.read(self._result_fd, 1) == _ASK
+            asked = os.read(self._result_fd, 1) == _ASK
         except BlockingIOError:
             return False
         finally:
             os.set_blocking(self._result_fd, True)
-        if not self._asked:
+        if not asked:
             self._answer()
-        return self._asked
+        return asked
 
-    def _finish(self) -> None:
-        """Send the rest of a handed slice, or answer none."""
-        if self._unsent:
-            self._send(block=True)
+    def _read(self, at: int):
+        """Release the outcome of the child's part (``at`` 0) or of the
+        slice it was handed (1), all read once the child has sent them."""
         self._answer()
-
-    def _read(self) -> tuple:
-        """The child's outcomes, read once it has sent them all: its part's,
-        and the handed slice's if there was one."""
-        self._finish()
         if self._outcomes is None:
             with os.fdopen(self._result_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if self._helps and not self._asked:
-                data = data[1:]  # the asking byte, not looked at before
-            stream = io.BytesIO(data)
-            count = 1 + self._handed if data else 0
-            self._outcomes = tuple(pickle.load(stream) for _ in range(count))
-        if not self._outcomes:
+                data = pipe.read().removeprefix(_ASK)  # unless _asks read it
+            stream, self._outcomes = io.BytesIO(data), []
+            while stream.tell() < len(data):
+                self._outcomes.append(pickle.load(stream))
+        if len(self._outcomes) <= at:
             raise ChildProcessError("the child process ended without a result")
-        return self._outcomes
+        return release(self._outcomes[at])
 
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]``, in order.  Before each item,
@@ -191,36 +171,26 @@ class Child:
         instead.  Its results, the warnings it showed and the exception it
         raised come back as if ``fn`` had run here after the front half."""
         items = list(items)
-        results = []
+        results, handed = [], []
         while len(results) < len(items):
-            if self._unsent:
-                self._send(block=False)
-            elif self._task_fd is not None and not self._asked and self._asks():
+            if self._task_fd is not None and self._asks():
                 keep = len(results) + (len(items) - len(results) + 1) // 2
                 items, handed = items[:keep], items[keep:]
-                if handed:
-                    self._handed = True
-                    self._unsent = memoryview(pickle.dumps((fn, handed)))
-                    self._send(block=False)
-                else:
-                    self._answer()
+                self._answer(pickle.dumps((fn, handed)) if handed else b"")
             results.append(fn(items[len(results)]))
-        if not self._handed:
-            self._answer()
-            return results
-        return results + release(self._read()[1])
+        self._answer()
+        return (results + self._read(1)) if handed else results
 
     def join(self):
         """Wait for the child and return what its part returned, or raise
         what it raised."""
-        self._joined = True
-        return release(self._read()[0])
+        return self._read(0)
 
     def close(self) -> None:
-        """Reap the child, killing it first unless it was joined."""
+        """Kill and reap the child.  One that was joined has sent all it
+        will, and until it is reaped its pid cannot be reused."""
         try:
-            if not self._joined:
-                os.kill(self.pid, signal.SIGKILL)
+            os.kill(self.pid, signal.SIGKILL)
             self._answer()
             os.close(self._result_fd)
         finally:
@@ -228,7 +198,7 @@ class Child:
 
 
 class _InProcess:
-    """A :class:`Child`'s methods where ``os.fork`` does not exist: the
+    """A :class:`Child`'s methods in a process that does not fork: the
     part runs at :meth:`join`, and :meth:`map` does all its items."""
 
     def __init__(self, part):
@@ -240,19 +210,18 @@ class _InProcess:
 
 
 @contextlib.contextmanager
-def beside(part, helps: bool = False):
+def beside(part):
     """Run ``part()`` in a forked child while the ``with`` block runs, and
     yield its :class:`Child`: ``join()`` waits for the child and returns
-    what ``part`` returned, or raises what it raised.  With ``helps``, the
-    child then takes items of the parent's :meth:`Child.map` if it asks
-    before the parent has finished them.  Leaving the block reaps the
-    child, and kills it first unless it was joined.  Where ``os.fork``
-    does not exist, ``join`` runs ``part`` in-process and ``map`` maps in
-    order."""
-    if not hasattr(os, "fork"):
+    what ``part`` returned, or raises what it raised, and the child takes
+    items of the parent's :meth:`Child.map` if it asks before the parent
+    has finished them.  Leaving the block kills and reaps the child.  In a
+    child (:data:`in_child`), or where ``os.fork`` does not exist,
+    ``join`` runs ``part`` in-process and ``map`` maps in order."""
+    if in_child or not hasattr(os, "fork"):
         yield _InProcess(part)
         return
-    fds = os.pipe() + (os.pipe() if helps else ())
+    fds = os.pipe() + os.pipe()  # result pipe, then task pipe: (read, write)
     try:
         pid = os.fork()
     except OSError:
@@ -261,13 +230,11 @@ def beside(part, helps: bool = False):
         raise
     if pid == 0:
         os.close(fds[0])
-        if helps:
-            os.close(fds[3])
-        _child(fds[1], fds[2] if helps else None, part)
+        os.close(fds[3])
+        _child(fds[1], fds[2], part)
     os.close(fds[1])
-    if helps:
-        os.close(fds[2])
-    child = Child(pid, fds[0], fds[3] if helps else None)
+    os.close(fds[2])
+    child = Child(pid, fds[0], fds[3])
     try:
         yield child
     finally:

@@ -41,9 +41,10 @@ replicates times rows, uses a second process where ``os.fork`` exists: a
 forked child (``pocmed._fork``) evaluates replicates ``B // 2`` to
 ``B - 1`` while this process evaluates the rest, and sends back its
 quantity columns, which are joined in replicate order.  Every output is
-byte-identical to the one-process run.  A child never forks again, so a
-bootstrap inside ``verify``'s child runs in that process alone, and at
-most one child runs at a time.  There is no switch for this.
+byte-identical to the one-process run.  ``pocmed._fork`` forks no
+child from a child, so a bootstrap inside ``verify``'s child draws both
+halves in that process, and at most one child runs at a time.  There is
+no switch for this.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def bootstrap_ci(
 
     estimands = {name: targets[name].estimand for name in names}
     draw = functools.partial(_replicate_columns, counter, estimands, cfg.seed)
-    if cfg.replicates * counter.n < _FORK_DRAWS or _fork.in_child:
+    if cfg.replicates * counter.n < _FORK_DRAWS:
         chunks = draw(0, cfg.replicates)
     else:
         # a forked child draws the upper half of the replicates, this

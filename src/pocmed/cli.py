@@ -10,8 +10,8 @@ Commands:
   model truths and recorded reference values; exit 1 on any failed row.
   Where ``os.fork`` exists, a child process computes the estimation rows
   and the decomposition suite while this one runs the equivalence suite;
-  a child that is done while equivalence models remain unchecked checks
-  the back half of them.
+  the child then asks for work, and if equivalence models remain
+  unchecked it checks the back half of them.  The child forks no further.
 * ``sweep``: evaluate the measures over a grid (outcome thresholds,
   covariate values, or a mediator threshold parameter) and emit
   plot-ready rows plus an optional SVG chart.
@@ -536,9 +536,11 @@ def cmd_verify(args) -> int:
 
     # the parts are separately seeded, so running two at once changes no
     # figure; their warnings and errors are released in the serial order.
-    # Once its part is done, the child checks the back half of the
-    # equivalence models the parent has not reached, if any are left.
-    with _fork.beside(beside, helps=True) as child:
+    # Once its part is done, the child asks for work: child.map hands it
+    # the back half of the equivalence models the parent has not reached,
+    # if any are left, and the join answers it with none otherwise.  Its
+    # bootstraps run in it, as _fork.beside does not fork in a child.
+    with _fork.beside(beside) as child:
         rows = verification.exact_truth_rows()
         equivalence = _fork.held(verification.equivalence_suite, n_scms=s.scms, seed=s.seed,
                                  _map=child.map)

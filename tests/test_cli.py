@@ -1075,6 +1075,38 @@ def _pid(_):
     return os.getpid()
 
 
+def _log_forks(monkeypatch, path):
+    """Make each call of ``os.fork``, in either process, append a byte to
+    ``path``; returns the open log, for the caller to close."""
+    log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real = os.fork
+
+    def logged():
+        os.write(log, b"f")
+        return real()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return log
+
+
+@needs_fork
+def test_beside_in_a_child_runs_in_process(tmp_path, monkeypatch):
+    """A part that opens a ``beside`` of its own gets the child's pid back
+    from that join: the child forks no further."""
+    def nested():
+        with _fork.beside(os.getpid) as inner:
+            return inner.join()
+
+    log = _log_forks(monkeypatch, tmp_path / "forks")
+    try:
+        with _fork.beside(nested) as child:
+            assert child.join() == child.pid != os.getpid()
+    finally:
+        os.close(log)
+    _assert_no_child_left()
+    assert (tmp_path / "forks").read_bytes() == b"f"
+
+
 @needs_fork
 def test_child_error_that_does_not_pickle_is_named():
     class Local(Exception):
@@ -1087,6 +1119,37 @@ def test_child_error_that_does_not_pickle_is_named():
         with pytest.raises(ChildProcessError,
                            match=r"raised .*<locals>\.Local: boom, which cannot be pickled"):
             child.join()
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not load back: loading calls it with its one
+    ``args`` item."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _load_fails_at_3(item):
+    if item == 3:
+        raise _TwoArgError("boom", 2)
+    return item
+
+
+@needs_fork
+def test_child_error_that_does_not_load_back_is_named(monkeypatch):
+    """Such an error, from the child's part or from an item handed to it
+    (items 2 and 3 of 4, with the parent waiting for the asking), is
+    named as one that does not pickle."""
+    named = "the child process raised _TwoArgError: boom, which cannot be pickled"
+    with _fork.beside(_raising(_TwoArgError("boom", 2))) as child:
+        with pytest.raises(ChildProcessError, match=named):
+            child.join()
+    monkeypatch.setattr(_fork, "_WAIT_FOR_ASK", True)
+    with _fork.beside(lambda: "part") as child:
+        with pytest.raises(ChildProcessError, match=named):
+            child.map(_load_fails_at_3, range(4))
+        assert child.join() == "part"
     _assert_no_child_left()
 
 
@@ -1106,7 +1169,7 @@ def test_child_that_asks_first_takes_the_back_half(monkeypatch, items):
     the back half of the items (none of one), and its part's result still
     comes back at the join."""
     monkeypatch.setattr(_fork, "_WAIT_FOR_ASK", True)
-    with _fork.beside(lambda: "part", helps=True) as child:
+    with _fork.beside(lambda: "part") as child:
         pids = child.map(_pid, range(items))
         assert child.join() == "part"
     _assert_no_child_left()
@@ -1119,10 +1182,10 @@ def test_child_that_asks_first_takes_the_back_half(monkeypatch, items):
 def test_child_that_is_never_asked_sends_its_part():
     """A parent that finishes its items before the child asks answers
     none; a map with no items, or none at all, answers none too."""
-    with _fork.beside(lambda: "part", helps=True) as child:
+    with _fork.beside(lambda: "part") as child:
         assert child.map(abs, []) == []
         assert child.join() == "part"
-    with _fork.beside(lambda: "part", helps=True) as child:
+    with _fork.beside(lambda: "part") as child:
         assert child.join() == "part"
     _assert_no_child_left()
 
@@ -1175,38 +1238,50 @@ def test_verify_check_failure_matches_the_serial_run(tmp_path, capsys, monkeypat
 @needs_fork
 def test_verify_handoff_larger_than_a_pipe_buffer(tmp_path, capsys, monkeypatch):
     """150 planned models do not fit in one pipe buffer; the parent writes
-    them between its own checks, and the output is the serial run's."""
+    them in one blocking write while the child reads them, and the output
+    is the serial run's."""
     sizes = []
-    real = _fork.Child._send
+    real = _fork.Child._answer
 
-    def send(self, block):
-        sizes.append(len(self._unsent))
-        return real(self, block)
+    def answer(self, handed=b""):
+        sizes.append(len(handed))
+        return real(self, handed)
 
     _stub_verify_child(monkeypatch)
-    monkeypatch.setattr(_fork.Child, "_send", send)
+    monkeypatch.setattr(_fork.Child, "_answer", answer)
     forked, serial = _forked_and_serial(capsys, monkeypatch, "verify", "--quick", "--scms",
                                         "300", "--decomposition", "0",
                                         out=tmp_path / "verify.json")
     assert forked == serial and forked[0] == 0
-    assert sizes[0] > 1 << 16
+    written = [size for size in sizes if size]
+    assert len(written) == 1 and written[0] > 1 << 16
+
+
+@needs_fork
+def test_verify_child_that_dies_checking_handed_models_is_an_error(capsys, monkeypatch):
+    """The child ends while it checks model 4, one of the models handed to
+    it, after its own part is done but before any result is sent."""
+    target = verification._equivalence_plan(6, 0)[0][4].q
+    real = identify.cd_pns
+
+    def planted(an, q):
+        return os._exit(3) if q == target and _fork.in_child else real(an, q)
+
+    _stub_verify_child(monkeypatch)
+    monkeypatch.setattr(identify, "cd_pns", planted)
+    code, stdout, stderr = _run(capsys, *_HANDOFF_VERIFY)
+    _assert_no_child_left()
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: ChildProcessError: the child process ended without a result\n"
 
 
 @needs_fork
 def test_bootstraps_in_the_verify_child_do_not_fork(tmp_path, capsys, monkeypatch):
     """The estimation rows' bootstraps run in verify's child, which forks
     no further even where the size rule asks for it: one fork in all, the
-    one of verify.  Each call of ``os.fork``, in either process, appends a
-    byte to a file."""
-    log = os.open(tmp_path / "forks", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real = os.fork
-
-    def logged():
-        os.write(log, b"f")
-        return real()
-
+    one of verify."""
     monkeypatch.setattr(bootstrap, "_FORK_DRAWS", 0)
-    monkeypatch.setattr(os, "fork", logged)
+    log = _log_forks(monkeypatch, tmp_path / "forks")
     try:
         code, stdout, _ = _run(capsys, *_SMALL_VERIFY)
     finally:
